@@ -6,7 +6,7 @@ shadowing and injectivity questions for the induced semiconjugacy onto the
 torus, all in exact rational arithmetic.
 """
 
-from .bf import BFElement, BFGroup, TorusPoint, enumerate_fixed, phi_apply, psi, reduce, upsilon
+from .bf import BFElement, BFGroup, TorusPoint, enumerate_fixed, phi_apply, psi, upsilon
 from .errors import (
     AdaptedNormUnavailable,
     BudgetExceeded,
@@ -25,7 +25,7 @@ from .errors import (
     UndeclaredGenerator,
     WedgedynError,
 )
-from .dsl import MapSpec, RunConfig, format_map, parse
+from .dsl import MapSpec, format_map, parse
 from .graphmap import (
     CoverPoint,
     GraphPoint,

@@ -35,7 +35,7 @@ def phi_apply(a: IntMatrix, p: TorusPoint) -> TorusPoint:
     """The toral endomorphism induced by A, applied once."""
     if a.dim != len(p.coords):
         raise DimensionMismatch("matrix and point dimensions differ")
-    return TorusPoint(a.to_rat().apply(p.coords))
+    return TorusPoint(a.apply(p.coords))
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,6 @@ class BFElement:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.r) + "]"
-
-
-def reduce(group: BFGroup, n) -> BFElement:
-    return group.reduce(n)
 
 
 def psi(e: BFElement) -> TorusPoint:

@@ -31,27 +31,6 @@ class MapSpec:
         return Endomorphism.from_strings(self.rank, *self.rules)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the report emitters."""
-
-    k: int = 1
-    depth: int = 12
-    window: int = 1
-    norm: str = "adapted"
-    out_dir: str = "."
-    max_cells: int = 100000
-    loop_budget: int = 200000
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.window < 0:
-            raise ValueError("window must be nonnegative")
-        if self.norm not in ("adapted", "sup"):
-            raise ValueError(f"unknown norm {self.norm!r}")
-
-
 @dataclass
 class _Token:
     kind: str  # "ident" | "int" | "arrow" | "lbrace" | "rbrace" | "semi"

@@ -40,6 +40,16 @@ def graph_point(edge: int, t) -> GraphPoint:
     return GraphPoint(edge, t)
 
 
+class Slot(NamedTuple):
+    """One letter slot of an image word psi(e): the letter's generator and
+    sign, and the lattice offset of the cover segment it runs along (over
+    an edge based at n, that segment is based at A n + offset)."""
+
+    generator: int
+    sign: int
+    offset: tuple
+
+
 class CoverPoint(NamedTuple):
     """A point of the abelian cover: a graph point plus the lattice base of
     its edge (for the vertex, the lattice point itself)."""
@@ -155,6 +165,14 @@ class TightMap:
         return tuple(out)
 
     @cached_property
+    def slots(self) -> tuple:
+        """slots[e][i] = the Slot of the i-th letter of psi(e); the offset is
+        the lattice position before a positive letter, after a negative one."""
+        return tuple(tuple(Slot(l.generator, l.sign, pref[i] if l.sign > 0 else pref[i + 1])
+                           for i, l in enumerate(w.letters))
+                     for w, pref in zip(self.endo.images, self.prefixes))
+
+    @cached_property
     def spectral(self):
         return spectral(self.A)
 
@@ -164,19 +182,22 @@ class TightMap:
 
     # -- evaluation --------------------------------------------------------
 
+    def _locate(self, x: GraphPoint):
+        """The slot carrying a non-vertex point x, and the parameter of phi(x)
+        on the edge of the slot's generator."""
+        e, t = x
+        pos = self.speeds[e] * t
+        i = int(pos)  # letter slot; pos < speed since t < 1
+        slot = self.slots[e][i]
+        u = pos - i
+        return slot, (u if slot.sign > 0 else 1 - u)
+
     def eval(self, x: GraphPoint) -> GraphPoint:
         """phi(x) on the wedge."""
         if x == VERTEX:
             return VERTEX
-        e, t = x
-        d = self.speeds[e]
-        pos = d * t
-        i = int(pos)  # letter slot; pos < d since t < 1
-        u = pos - i
-        letter = self.endo.images[e].letters[i]
-        if letter.sign > 0:
-            return graph_point(letter.generator, u)
-        return graph_point(letter.generator, 1 - u)
+        slot, u = self._locate(x)
+        return graph_point(slot.generator, u)
 
     def eval_iter(self, x: GraphPoint, k: int) -> GraphPoint:
         for _ in range(k):
@@ -189,18 +210,8 @@ class TightMap:
         abase = self.A.apply(base)
         if p == VERTEX:
             return CoverPoint(VERTEX, abase)
-        e, t = p
-        d = self.speeds[e]
-        pos = d * t
-        i = int(pos)
-        u = pos - i
-        letter = self.endo.images[e].letters[i]
-        pref = self.prefixes[e]
-        if letter.sign > 0:
-            seg_base = tuple(a + x for a, x in zip(abase, pref[i]))
-            return cover_point(letter.generator, u, seg_base)
-        seg_base = tuple(a + x for a, x in zip(abase, pref[i + 1]))
-        return cover_point(letter.generator, 1 - u, seg_base)
+        slot, u = self._locate(p)
+        return cover_point(slot.generator, u, tuple(a + x for a, x in zip(abase, slot.offset)))
 
     def lift_iter(self, cp: CoverPoint, k: int) -> CoverPoint:
         for _ in range(k):
@@ -250,9 +261,6 @@ class TightMap:
 
     def _slot_cycles(self, k: int):
         """All length-k slot itineraries that close up, in lexicographic order."""
-        slots = []
-        for e in range(self.rank):
-            slots.append([(i, l.generator, l.sign) for i, l in enumerate(self.endo.images[e].letters)])
         cycles = []
 
         def extend(start_edge, path, cur_edge):
@@ -260,9 +268,9 @@ class TightMap:
                 if cur_edge == start_edge:
                     cycles.append(tuple(path))
                 return
-            for i, gen, sign in slots[cur_edge]:
-                path.append((cur_edge, i, sign))
-                extend(start_edge, path, gen)
+            for i, slot in enumerate(self.slots[cur_edge]):
+                path.append((cur_edge, i, slot.sign))
+                extend(start_edge, path, slot.generator)
                 path.pop()
 
         for e0 in range(self.rank):
@@ -338,11 +346,11 @@ class TightMap:
         state = (0, 0)  # (edge, end), end 0 or 1
         for _ in range(k):
             e, end = state
-            slot = 0 if end == 0 else self.speeds[e] - 1
-            letter = self.endo.images[e].letters[slot]
-            cyc.append((e, slot, letter.sign))
-            u = 0 if (end == 0) == (letter.sign > 0) else 1
-            state = (letter.generator, u)
+            i = 0 if end == 0 else self.speeds[e] - 1
+            slot = self.slots[e][i]
+            cyc.append((e, i, slot.sign))
+            u = 0 if (end == 0) == (slot.sign > 0) else 1
+            state = (slot.generator, u)
         return tuple(cyc)
 
     def displacement_set(self, k: int):
@@ -350,12 +358,6 @@ class TightMap:
         pts = self.periodic_points(k)
         classes = {p.displacement for p in pts if p.displacement is not None}
         return sorted(classes, key=lambda e: e.r)
-
-    def alpha(self, p: PeriodicPoint) -> TorusPoint:
-        """The global-shadowing invariant of a periodic point."""
-        if p.alpha_image is None:
-            raise RootOfUnitySpectrum("alpha needs the standing hypothesis")
-        return p.alpha_image
 
     def shadowing_classes(self, k: int):
         """Fix(phi^k) grouped by alpha image: list of (TorusPoint, points)."""

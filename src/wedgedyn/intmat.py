@@ -149,18 +149,6 @@ class RatMatrix:
         cols = list(zip(*other.rows))
         return RatMatrix(tuple(tuple(sum(self.rows[i][t] * cols[j][t] for t in range(n)) for j in range(n)) for i in range(n)))
 
-    def __pow__(self, k: int) -> "RatMatrix":
-        if k < 0:
-            return rat_inverse(self) ** (-k)
-        out = RatMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def apply(self, vec) -> tuple:
         if len(vec) != self.dim:
             raise DimensionMismatch("vector length mismatch")

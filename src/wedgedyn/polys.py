@@ -57,7 +57,12 @@ def mul(p, q):
 
 
 def divmod_monic(p, d):
-    """Divide by a monic divisor, staying in the coefficient ring."""
+    """(quotient, remainder) of p by a monic divisor d.
+
+    The coefficients may be integers or Fractions: over Z the result stays
+    integral, over Q callers scale a divisor to be monic first (for example
+    with monic_over_q), which leaves the remainder unchanged.
+    """
     d = trim(d)
     if not d or d[0] != 1:
         raise ValueError("divisor must be monic")
@@ -81,15 +86,10 @@ def divides_monic(d, p):
 
 def deflate_root(p, r):
     """Divide p by (x - r) exactly; raises NotDivisible if r is not a root."""
-    p = trim(p)
-    out = []
-    acc = 0
-    for c in p:
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
+    quot, rem = divmod_monic(p, (1, -r))
+    if rem:
         raise NotDivisible(f"{r} is not a root")
-    return tuple(out[:-1])
+    return quot
 
 
 def derivative(p):
@@ -110,31 +110,16 @@ def gcd_over_q(p, q):
     """Monic gcd over Q by the Euclidean algorithm."""
     a, b = monic_over_q(p), monic_over_q(q)
     while b:
-        a, b = b, monic_over_q(_rem_over_q(a, b))
+        a, b = b, monic_over_q(divmod_monic(a, b)[1])
     return a
 
 
-def _rem_over_q(p, d):
-    p = list(p)
-    if len(p) < len(d):
-        return tuple(p)
-    for i in range(len(p) - len(d) + 1):
-        c = p[i]
-        if c:
-            p[i] = Fraction(0)
-            for j in range(1, len(d)):
-                p[i + j] -= c * d[j]
-        else:
-            p[i] = Fraction(0)
-    return trim(tuple(p[len(p) - len(d) + 1:]))
+def primitive_int(v):
+    """Clear denominators and content; the first nonzero entry becomes positive.
 
-
-def primitive_int(p):
-    """Clear denominators and content, keeping the sign of the leading term."""
-    p = trim(p)
-    if not p:
-        return ()
-    fracs = [Fraction(c) for c in p]
+    Serves coefficient lists and vectors alike, so nothing is trimmed.
+    """
+    fracs = [Fraction(c) for c in v]
     denom = 1
     for c in fracs:
         denom = denom * c.denominator // gcd(denom, c.denominator)
@@ -142,34 +127,11 @@ def primitive_int(p):
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[0] < 0:
+    if g:
+        ints = [c // g for c in ints]
+    if next((c for c in ints if c), 0) < 0:
         ints = [-c for c in ints]
     return tuple(ints)
-
-
-def squarefree_part(p):
-    """p / gcd(p, p'), as a primitive integer polynomial."""
-    g = gcd_over_q(p, derivative(p))
-    if degree(g) <= 0:
-        return primitive_int(p)
-    q, rem = _quo_over_q(monic_over_q(p), g)
-    assert rem == ()
-    return primitive_int(q)
-
-
-def _quo_over_q(p, d):
-    p = list(p)
-    if len(p) < len(d):
-        return (), trim(tuple(p))
-    quot = []
-    for i in range(len(p) - len(d) + 1):
-        c = p[i]
-        quot.append(c)
-        if c:
-            for j in range(1, len(d)):
-                p[i + j] -= c * d[j]
-    return trim(tuple(quot)), trim(tuple(p[len(p) - len(d) + 1:]))
 
 
 def char_poly(a: IntMatrix):
@@ -251,7 +213,7 @@ def sturm_sequence(p):
     q = monic_over_q(p)  # same real roots as p, positive leading coefficient
     seq = [q, _positive_scale(derivative(q))]
     while seq[-1]:
-        rem = _rem_over_q(seq[-2], seq[-1])
+        rem = divmod_monic(seq[-2], monic_over_q(seq[-1]))[1]
         if not rem:
             break
         seq.append(_positive_scale(tuple(-c for c in rem)))

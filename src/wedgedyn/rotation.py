@@ -91,10 +91,8 @@ def transition_matrix(m: TightMap) -> GroupRingMatrix:
         raise NontrivialHomologyAction("rotation sets need abelianization = I")
     entries = [[[] for _ in range(b)] for _ in range(b)]
     for j in range(b):
-        pref = m.prefixes[j]
-        for slot, letter in enumerate(m.endo.images[j].letters):
-            base = pref[slot] if letter.sign > 0 else pref[slot + 1]
-            entries[letter.generator][j].append(Occurrence(slot=slot, translation=base, sign=letter.sign))
+        for i, slot in enumerate(m.slots[j]):
+            entries[slot.generator][j].append(Occurrence(slot=i, translation=slot.offset, sign=slot.sign))
     g = GroupRingMatrix(rank=b, entries=tuple(tuple(tuple(col) for col in row) for row in entries))
     for j in range(b):
         if g.column_cardinality(j) != m.speeds[j]:
@@ -262,7 +260,7 @@ def eigen_rotation_number(m: TightMap, p: PeriodicPoint, v) -> Fraction:
     if len(v) != m.rank:
         raise DimensionMismatch("vector length mismatch")
     at = m.A.transpose()
-    if tuple(at.to_rat().apply(v)) != v:
+    if at.apply(v) != v:
         raise NotEigenvectorOne("v is not fixed by the transpose of the abelianization")
     return sum(x * y for x, y in zip(v, p.translation)) / p.period
 

@@ -198,18 +198,14 @@ def _advance(m: TightMap, tr: _Tracked):
     """All letter pieces of the lifted image of a full tracked edge."""
     d = m.speeds[tr.edge]
     abase = m.A.apply(tr.base)
-    pref = m.prefixes[tr.edge]
     out = []
-    for j, letter in enumerate(m.endo.images[tr.edge].letters):
-        if letter.sign > 0:
-            nbase = tuple(a + x for a, x in zip(abase, pref[j]))
-            na = tr.o_a + tr.o_b * Fraction(j, d)
-            nb = tr.o_b / d
+    for j, slot in enumerate(m.slots[tr.edge]):
+        nbase = tuple(a + x for a, x in zip(abase, slot.offset))
+        if slot.sign > 0:
+            na, nb = tr.o_a + tr.o_b * Fraction(j, d), tr.o_b / d
         else:
-            nbase = tuple(a + x for a, x in zip(abase, pref[j + 1]))
-            na = tr.o_a + tr.o_b * Fraction(j + 1, d)
-            nb = -tr.o_b / d
-        out.append(_Tracked(letter.generator, nbase, tr.o_edge, tr.o_base, na, nb))
+            na, nb = tr.o_a + tr.o_b * Fraction(j + 1, d), -tr.o_b / d
+        out.append(_Tracked(slot.generator, nbase, tr.o_edge, tr.o_base, na, nb))
     return out
 
 

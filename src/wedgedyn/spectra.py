@@ -123,29 +123,8 @@ def _rational_kernel(m: RatMatrix):
         v[f] = Fraction(1)
         for pr, pc in enumerate(pivots):
             v[pc] = -rows[pr][f]
-        basis.append(_primitive_vector(v))
+        basis.append(polys.primitive_int(v))
     return basis
-
-
-def _primitive_vector(v):
-    from math import gcd
-
-    denom = 1
-    fr = [Fraction(x) for x in v]
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
 
 
 def _integer_roots(p):
@@ -178,16 +157,16 @@ def _squarefree_decomposition(p):
     if polys.degree(p) <= 0:
         return []
     c = polys.gcd_over_q(p, polys.derivative(p))
-    w, _ = polys._quo_over_q(p, c)
+    w, _ = polys.divmod_monic(p, c)
     out = []
     i = 1
     while polys.degree(w) > 0:
         y = polys.gcd_over_q(w, c)
-        z, _ = polys._quo_over_q(w, y)
+        z, _ = polys.divmod_monic(w, y)
         if polys.degree(z) > 0:
             out.append((polys.primitive_int(z), i))
         w = y
-        c, _ = polys._quo_over_q(c, y)
+        c, _ = polys.divmod_monic(c, y)
         i += 1
     return out
 
@@ -294,7 +273,7 @@ def spectral(a: IntMatrix) -> SpectralReport:
     else:
         lam = _bisect_lambda(p)
 
-    norm_data = _build_norm_data(a, p, eigs, all_rational, expanding, lam)
+    norm_data = _build_norm_data(a, eigs, all_rational, expanding, lam)
 
     return SpectralReport(
         matrix=a,
@@ -324,7 +303,7 @@ def _bisect_lambda(p):
     return lo
 
 
-def _build_norm_data(a, p, eigs, all_rational, expanding, lam):
+def _build_norm_data(a, eigs, all_rational, expanding, lam):
     if not expanding:
         return None
     n = a.dim
@@ -340,17 +319,15 @@ def _build_norm_data(a, p, eigs, all_rational, expanding, lam):
             gram = P_inv.transpose() * P_inv
             return LipschitzNormData(kind="eigenbasis", P=P, P_inv=P_inv, gram=gram,
                                      lam=lam, contraction=1 / lam)
-    ainv = rat_inverse(a)
-    row_sums = [sum(abs(x) for x in r) for r in ainv.rows]
-    contr = max(row_sums)
-    if contr < 1:
-        return LipschitzNormData(kind="sup", P=None, P_inv=None, gram=None,
-                                 lam=1 / contr, contraction=contr)
-    return None
+    try:
+        return sup_norm_data(a)
+    except NotExpanding:
+        return None
 
 
 def sup_norm_data(a: IntMatrix) -> LipschitzNormData:
-    """Sup-norm certificate, for the RunConfig norm="sup" path."""
+    """Sup-norm certificate: the norm="sup" path, and the fallback when A has
+    no exact rational eigenbasis."""
     ainv = rat_inverse(a)
     contr = max(sum(abs(x) for x in r) for r in ainv.rows)
     if contr >= 1:

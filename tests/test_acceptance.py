@@ -121,7 +121,7 @@ def test_displacement_classes():
 def test_shadowing_classes():
     """alpha groups the five fixed points into vertex / (2/3,2/3) / (1/3,1/3)."""
     m = _phi2()
-    alphas = {(p.point.edge, p.point.t): m.alpha(p).coords
+    alphas = {(p.point.edge, p.point.t): p.alpha_image.coords
               for p in m.periodic_points(1)}
     assert alphas[(0, F(1, 3))] == (F(2, 3), F(2, 3))
     assert alphas[(1, F(1, 3))] == (F(2, 3), F(2, 3))

@@ -8,7 +8,6 @@ from wedgedyn import (
     DuplicateRule,
     MapSpec,
     ParseError,
-    RunConfig,
     UndeclaredGenerator,
     format_map,
     parse,
@@ -112,17 +111,6 @@ def test_error_position_reported():
 def test_comments_ignored():
     text = "# leading\nmap m rank 1 { # inline\n a -> a a ; # trailing\n}\n# final"
     assert parse(text)[0].rules == ("aa",)
-
-
-def test_runconfig_validation():
-    cfg = RunConfig()
-    assert cfg.k == 1 and cfg.norm == "adapted"
-    with pytest.raises(ValueError):
-        RunConfig(k=0)
-    with pytest.raises(ValueError):
-        RunConfig(window=-1)
-    with pytest.raises(ValueError):
-        RunConfig(norm="euclidean")
 
 
 @st.composite

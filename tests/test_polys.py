@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import IntMatrix, char_poly, has_root_of_unity_factor
@@ -11,6 +13,7 @@ from wedgedyn.polys import (
     count_real_roots,
     cyclotomic,
     deflate_root,
+    divmod_monic,
     evaluate,
     isolate_real_roots,
     mul,
@@ -71,15 +74,24 @@ def test_root_of_unity_detection():
     assert not has_root_of_unity_factor(char_poly(IntMatrix(((2, 1), (1, 1)))))
 
 
+def _det_power_minus_identity(rows, m):
+    """det(A^m - I) for a 2x2 integer matrix, on plain ints."""
+    (a, b), (c, d) = rows
+    p, q, r, s = 1, 0, 0, 1
+    for _ in range(m):
+        p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return (p - 1) * (s - 1) - q * r
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
                 min_size=2, max_size=2))
-def test_root_of_unity_matches_numpy(rows):
+@example([[1, -2], [2, -3]])  # double, defective eigenvalue -1
+def test_root_of_unity_matches_exact_oracle(rows):
+    # a root of unity of degree <= 2 has order 1, 2, 3, 4 or 6, so some
+    # A^m - I with m <= 12 is singular exactly when A has one
     a = IntMatrix(tuple(tuple(r) for r in rows))
-    eig = np.linalg.eigvals(np.array(rows, dtype=float))
-    brute = any(
-        min(abs(l ** m - 1) for m in range(1, 13)) < 1e-9 for l in eig
-    )
+    brute = any(_det_power_minus_identity(rows, m) == 0 for m in range(1, 13))
     assert has_root_of_unity_factor(char_poly(a)) == brute
 
 
@@ -95,6 +107,42 @@ def test_sturm_and_isolation():
         assert lo <= want <= hi
         assert hi - lo <= Fraction(1, 10 ** 12)
     assert seq[0] == p
+
+
+def test_divmod_monic_over_z_and_q():
+    assert divmod_monic((1, 0, -1), (1, 1)) == ((1, -1), ())
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert divmod_monic((half, 0, half), (1, third)) == ((half, -Fraction(1, 6)), (Fraction(5, 9),))
+    with pytest.raises(ValueError):
+        divmod_monic((1, 0, -1), (2, 1))
+    with pytest.raises(ValueError):
+        divmod_monic((1, 0, -1), (-1, 1))
+
+
+def _sympy_real_root_count(coeffs):
+    return sympy.Poly(coeffs, sympy.Symbol("x")).count_roots()
+
+
+def test_isolation_past_a_negative_led_sturm_divisor():
+    p = (1, 3, 1, 4, 3)
+    # some member of the chain that divides a nonconstant remainder is led by -1
+    assert any(s[0] < 0 for s in sturm_sequence(p)[1:-1])
+    roots = isolate_real_roots(p)
+    assert len(roots) == _sympy_real_root_count(p) == 2
+    for lo, hi in roots:
+        assert evaluate(p, lo) * evaluate(p, hi) < 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=4, max_size=6))
+def test_real_root_count_matches_sympy(coeffs):
+    assume(coeffs[0] != 0)
+    assume(sympy.Poly(coeffs, sympy.Symbol("x")).is_sqf)
+    want = _sympy_real_root_count(coeffs)
+    # the Sturm count first: a wrong count would send the bisection astray
+    b = cauchy_bound(coeffs)
+    assert count_real_roots(sturm_sequence(coeffs), -b, b) == want
+    assert len(isolate_real_roots(tuple(coeffs))) == want
 
 
 def test_evaluate_and_deflate():

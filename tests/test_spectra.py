@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wedgedyn import IntMatrix, NotExpanding, rational_sqrt_upper, spectral
 from wedgedyn.spectra import sup_norm_data
@@ -61,6 +62,19 @@ def test_complex_quartet_certified_expanding():
     for ev in sp.eigenvalues:
         assert abs((ev.re ** 2 + ev.im ** 2) ** 0.5 - mod) < 1e-6
     assert Fraction(1) < sp.lambda_lower <= Fraction(119, 100)
+
+
+def test_quartic_spectrum_past_a_negative_led_sturm_divisor():
+    # the Sturm chain of this characteristic polynomial divides by a
+    # remainder whose leading coefficient is -1
+    sp = spectral(IntMatrix(((0, 1, 1, 2), (-2, 0, 3, -2), (2, -2, 3, 3), (0, 3, 0, -1))))
+    assert len(sp.eigenvalues) == 4
+    poly = sympy.Poly(sp.charpoly, sympy.Symbol("x"))
+    assert sum(1 for ev in sp.eigenvalues if ev.im == 0) == poly.count_roots() == 2
+    roots = sorted(poly.nroots(n=30), key=lambda z: (sympy.re(z), sympy.im(z)))
+    for ev, root in zip(sp.eigenvalues, roots):
+        assert ev.eps is not None
+        assert abs(complex(ev.re, ev.im) - complex(root)) <= ev.eps + 1e-12
 
 
 def test_lambda_lower_is_certified_bound():
