@@ -4,13 +4,15 @@
 Writes CSV/JSON tables and SVG figures into the output directory (default
 out/). All output is exact-rational and byte-deterministic, so rerunning
 must produce identical files; pass --check to verify that instead of
-overwriting.
+overwriting. --check renders into a temporary directory and never writes
+into the output directory.
 """
 
 import argparse
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 from wedgedyn.cli import main as cli_main
@@ -57,23 +59,32 @@ def main() -> int:
                     help="compare against existing files instead of writing")
     args = ap.parse_args()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    stale = []
-    for name, argv in JOBS:
-        data = run_job(out_dir, name, argv)
-        target = out_dir / name
-        if args.check:
-            if not target.exists() or target.read_bytes() != data:
-                stale.append(name)
-            continue
-        target.write_bytes(data)
-        print(f"wrote {target}")
     if args.check:
-        if stale:
-            print("stale outputs:", ", ".join(stale))
-            return 1
-        print("all outputs up to date")
+        return check(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, argv in JOBS:
+        target = out_dir / name
+        target.write_bytes(run_job(out_dir, name, argv))
+        print(f"wrote {target}")
+    return 0
+
+
+def check(out_dir: Path) -> int:
+    """Render every job into a temporary directory and compare it, figures
+    included, with out_dir byte for byte; out_dir is only read."""
+    stale = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, argv in JOBS:
+            (tmp / name).write_bytes(run_job(tmp, name, argv))
+            for f in [name] + [a for a in argv if a.endswith(".svg")]:
+                target = out_dir / f
+                if not target.exists() or target.read_bytes() != (tmp / f).read_bytes():
+                    stale.append(f)
+    if stale:
+        print("stale outputs:", ", ".join(stale))
+        return 1
+    print("all outputs up to date")
     return 0
 
 

@@ -11,6 +11,8 @@ geometric tail of the defect series.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,25 +64,29 @@ def beta_breakpoints(m: TightMap, k: int) -> BetaApproximation:
     mexp = m.endo.require_uniform_expansion()
     if not m.spectral.is_expanding:
         raise NotExpanding("beta needs an expanding abelianization")
+    # integer numerators over the common denominator of A^-k
     ainv = rat_inverse(m.A ** k)
-    cols = [tuple(ainv.rows[i][g] for i in range(m.rank)) for g in range(m.rank)]
+    den = math.lcm(*(x.denominator for r in ainv.rows for x in r))
+    steps = {Letter(g, s): tuple(s * int(ainv.rows[i][g] * den) for i in range(m.rank))
+             for g in range(m.rank) for s in (1, -1)}
     power = m.endo.power(k)
     values = []
     for e in range(m.rank):
         word = power.images[e]
         if len(word) != mexp ** k:
             raise RuntimeError("uniform expansion must give M^k letters at level k")
-        acc = tuple(Fraction(0) for _ in range(m.rank))
+        acc = (0,) * m.rank
         row = [acc]
         for letter in word:
-            col = cols[letter.generator]
-            acc = tuple(a + letter.sign * c for a, c in zip(acc, col))
+            acc = tuple(map(operator.add, acc, steps[letter]))
             row.append(acc)
-        unit = tuple(Fraction(int(i == e)) for i in range(m.rank))
-        if row[-1] != unit:
+        if acc != tuple(den * (i == e) for i in range(m.rank)):
             raise RuntimeError("edge endpoint must telescope to the basis vector")
-        values.append(tuple(row))
-    return BetaApproximation(map=m, level=k, M=mexp, values=tuple(values),
+        values.append(row)
+    # one Fraction per distinct numerator
+    frac = {a: Fraction(a, den) for a in {a for row in values for v in row for a in v}}
+    values = tuple(tuple(tuple(frac[a] for a in v) for v in row) for row in values)
+    return BetaApproximation(map=m, level=k, M=mexp, values=values,
                              tail_bound=tail_bound(m, k))
 
 
@@ -209,65 +215,68 @@ def _advance(m: TightMap, tr: _Tracked):
     return out
 
 
-def _sup_gap2(e1, n1, e2, n2):
-    worst = Fraction(0)
-    for i in range(len(n1)):
-        lo = Fraction(n1[i] - n2[i]) - (1 if i == e2 else 0)
-        hi = Fraction(n1[i] - n2[i]) + (1 if i == e1 else 0)
-        gap = lo if lo > 0 else (-hi if hi < 0 else Fraction(0))
-        if gap > worst:
-            worst = gap
-    return worst * worst
+def _far_gate(gram, theta2):
+    """far(e1, n1, e2, n2): whether the unit axis segments n1 + [0,1] e1 and
+    n2 + [0,1] e2 lie more than theta apart, where theta2 = theta^2.
+
+    The distance is the sup norm when gram is None, else sqrt(w^T gram w).
+    It depends only on (e1, e2, n1 - n2), so each relative position is
+    decided once per gate, in integers: gram is scaled by the lcm of its
+    denominators and the squared distance compared as a (num, den) pair.
+    """
+    scale = 1 if gram is None else math.lcm(*(x.denominator for r in gram.rows for x in r))
+    h = None if gram is None else [[int(x * scale) for x in r] for r in gram.rows]
+    bound, tden = scale * theta2.numerator, theta2.denominator
+    memo = {}
+
+    def far(e1, n1, e2, n2):
+        c = tuple(x - y for x, y in zip(n1, n2))
+        key = (e1, e2, c)
+        verdict = memo.get(key)
+        if verdict is None:
+            if h is None:
+                gap = max(max(x - (i == e2), -x - (i == e1), 0) for i, x in enumerate(c))
+                num, den = gap * gap, 1
+            else:
+                num, den = _box_min(h, e1, e2, c)
+            verdict = memo[key] = num * tden > den * bound
+        return verdict
+
+    return far
 
 
-def _q_dist2(gram, e1, n1, e2, n2):
-    """Exact min of (w^T G w) between two unit axis segments."""
-    b = len(n1)
-    c = tuple(Fraction(x - y) for x, y in zip(n1, n2))
-    g = gram.rows
-    q0 = sum(c[i] * sum(g[i][j] * c[j] for j in range(b)) for i in range(b))
-    l1 = sum(c[i] * g[i][e1] for i in range(b))
-    l2 = sum(c[i] * g[i][e2] for i in range(b))
-    q11 = g[e1][e1]
-    q22 = g[e2][e2]
-    q12 = g[e1][e2]
+def _box_min(h, e1, e2, c):
+    """Exact min of w^T h w over w = c + t e_e1 - u e_e2, (t, u) in [0,1]^2,
+    as (num, den) with den > 0, for integer positive-definite h and c.
 
-    if e1 == e2:
-        # w = c + s*e1, s = t - u in [-1, 1]
-        def val(s):
-            return q0 + 2 * s * l1 + s * s * q11
-
-        s = -l1 / q11
-        s = max(Fraction(-1), min(Fraction(1), s))
-        return val(s)
-
-    def val(t, u):
-        return (q0 + 2 * t * l1 - 2 * u * l2 + t * t * q11 + u * u * q22 - 2 * t * u * q12)
-
+    The quadratic is convex: its interior critical point when feasible,
+    else the least of the four edge minima.
+    """
+    hc = [sum(x * y for x, y in zip(r, c)) for r in h]
+    q0 = sum(x * y for x, y in zip(c, hc))
+    l1, l2 = hc[e1], hc[e2]
+    q11, q22, q12 = h[e1][e1], h[e2][e2], h[e1][e2]
     det = q11 * q22 - q12 * q12
     if det > 0:
-        t_star = (-l1 * q22 + q12 * l2) / det
-        u_star = (q11 * l2 - q12 * l1) / det
-        if 0 <= t_star <= 1 and 0 <= u_star <= 1:
-            return val(t_star, u_star)
+        tn = q12 * l2 - q22 * l1
+        un = q11 * l2 - q12 * l1
+        if 0 <= tn <= det and 0 <= un <= det:
+            return q0 * det + l1 * tn - l2 * un, det
     best = None
-    for t_fix in (Fraction(0), Fraction(1)):
-        u = (l2 + t_fix * q12) / q22
-        u = max(Fraction(0), min(Fraction(1), u))
-        v = val(t_fix, u)
-        best = v if best is None or v < best else best
-    for u_fix in (Fraction(0), Fraction(1)):
-        t = (u_fix * q12 - l1) / q11
-        t = max(Fraction(0), min(Fraction(1), t))
-        v = val(t, u_fix)
-        best = v if best is None or v < best else best
+    for num, den in (_unit_min(q0, -l2, q22), _unit_min(q0 + 2 * l1 + q11, -l2 - q12, q22),
+                     _unit_min(q0, l1, q11), _unit_min(q0 - 2 * l2 + q22, l1 - q12, q11)):
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den
     return best
 
 
-def _seg_dist2(nd, e1, n1, e2, n2):
-    if nd.kind == "sup":
-        return _sup_gap2(e1, n1, e2, n2)
-    return _q_dist2(nd.gram, e1, n1, e2, n2)
+def _unit_min(a, b, g):
+    """Min of a + 2 b x + g x^2 over x in [0, 1], g > 0, as (num, den)."""
+    if b >= 0:
+        return a, 1
+    if b + g <= 0:
+        return a + 2 * b + g, 1
+    return a * g - b * b, g
 
 
 def _touch(e1, n1, e2, n2):
@@ -339,8 +348,10 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
 
     Pairs with equal beta stay within 2*delta of each other forever (each
     is within delta of the same toral orbit), so segment pairs separating
-    beyond 2*delta are discarded. Surviving exact coincidences with distinct
-    preimages are non-injectivity witnesses. When every survivor is benign
+    beyond 2*delta are discarded. The gate is exact, runs on integers, and
+    is decided once per relative position of the two segments (_far_gate).
+    Surviving exact coincidences with distinct preimages are
+    non-injectivity witnesses. When every survivor is benign
     (preimage closures intersect) and the survivor germ-signature set
     repeats at consecutive depths, the self-similar regime forces any
     shadowing pair onto the diagonal: CERTIFIED_INJECTIVE.
@@ -348,7 +359,7 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     sr = m.sigma_report(norm=norm)
     nd = sr.norm
     theta = 2 * sr.delta
-    theta2 = theta * theta
+    far = _far_gate(nd.gram, theta * theta)
     b = m.rank
     can_certify = min(m.speeds) >= 2
 
@@ -365,7 +376,7 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
         for base in itertools.product(range(-w, w + 1), repeat=b):
             for e2 in range(b):
                 s2 = _Tracked(e2, base, e2, base, Fraction(0), Fraction(1))
-                if _seg_dist2(nd, s1.edge, s1.base, s2.edge, s2.base) > theta2:
+                if far(s1.edge, s1.base, s2.edge, s2.base):
                     continue
                 a, c = sorted((s1, s2), key=_Tracked.sort_key)
                 key = (a.sort_key(), c.sort_key())
@@ -380,9 +391,10 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
         nxt = {}
         witnesses = []
         for p, q in cells:
+            q_pieces = _advance(m, q)
             for np_ in _advance(m, p):
-                for nq in _advance(m, q):
-                    if _seg_dist2(nd, np_.edge, np_.base, nq.edge, nq.base) > theta2:
+                for nq in q_pieces:
+                    if far(np_.edge, np_.base, nq.edge, nq.base):
                         continue
                     a, c = sorted((np_, nq), key=_Tracked.sort_key)
                     nxt[(a.sort_key(), c.sort_key())] = (a, c)

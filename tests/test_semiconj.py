@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgedyn import (
     BudgetExceeded,
@@ -20,6 +22,8 @@ from wedgedyn import (
     shadow_pairs,
     tail_bound,
 )
+from wedgedyn.intmat import RatMatrix, rat_inverse
+from wedgedyn.semiconj import _far_gate
 from wedgedyn.words import Letter
 
 F = Fraction
@@ -269,3 +273,114 @@ def test_shadow_unknown(phi3):
     cert = shadow_pairs(phi3, depth=0)
     assert cert.status == "UNKNOWN"
     assert cert.witness is None
+
+
+def _box_min_oracle(gram, e1, e2, c):
+    """min of w^T gram w over w = c + t e_e1 - u e_e2, (t, u) in [0,1]^2, over
+    the candidates of a convex quadratic: the interior critical point when
+    feasible, the clamped minimiser on each edge, and the four corners."""
+    g = gram.rows
+
+    def val(t, u):
+        w = [F(x) for x in c]
+        w[e1] += t
+        w[e2] -= u
+        return sum(w[i] * g[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
+
+    # val(t, u) = f00 + a t + b u + A t^2 + B u^2 + C t u
+    f00 = val(0, 0)
+    big_a, big_b = g[e1][e1], g[e2][e2]
+    a = val(1, 0) - f00 - big_a
+    b = val(0, 1) - f00 - big_b
+    big_c = val(1, 1) - val(1, 0) - val(0, 1) + f00
+    cands = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for x in (0, 1):
+        cands.append((x, min(F(1), max(F(0), -(b + big_c * x) / (2 * big_b)))))
+        cands.append((min(F(1), max(F(0), -(a + big_c * x) / (2 * big_a))), x))
+    det = 4 * big_a * big_b - big_c * big_c
+    if det != 0:
+        t = (big_c * b - 2 * big_b * a) / det
+        u = (big_c * a - 2 * big_a * b) / det
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            cands.append((t, u))
+    return min(val(t, u) for t, u in cands)
+
+
+def _sup_oracle(e1, n1, e2, n2):
+    """Sup-norm distance of two boxes: the widest coordinate interval gap."""
+    gap = F(0)
+    for i in range(len(n1)):
+        lo1, hi1 = n1[i], n1[i] + (i == e1)
+        lo2, hi2 = n2[i], n2[i] + (i == e2)
+        gap = max(gap, F(lo1 - hi2), F(lo2 - hi1))
+    return gap * gap
+
+
+@st.composite
+def gate_cases(draw):
+    b = draw(st.integers(2, 4))
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    vec = st.tuples(*[st.integers(-4, 4)] * b)
+    # B^T B plus a positive diagonal is positive definite
+    rows = [[draw(frac) for _ in range(b)] for _ in range(b)]
+    diag = [draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
+            for _ in range(b)]
+    gram = RatMatrix(tuple(tuple(sum(r[i] * r[j] for r in rows) + (diag[i] if i == j else 0)
+                                 for j in range(b)) for i in range(b)))
+    e1, e2 = draw(st.integers(0, b - 1)), draw(st.integers(0, b - 1))
+    n1, n2, shift = draw(vec), draw(vec), draw(vec)
+    # theta^2 as a multiple of the squared distance, so both verdicts occur;
+    # a ratio of 1 puts theta on the distance itself, which is not beyond it
+    ratio = draw(st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 10), max_value=3,
+                                                       max_denominator=20)))
+    return gram, e1, n1, e2, n2, shift, ratio
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_cases())
+def test_far_gate_matches_fraction_oracle(case):
+    gram, e1, n1, e2, n2, shift, ratio = case
+    c = tuple(x - y for x, y in zip(n1, n2))
+    moved1 = tuple(x + v for x, v in zip(n1, shift))
+    moved2 = tuple(x + v for x, v in zip(n2, shift))
+    for g, dist2 in ((gram, _box_min_oracle(gram, e1, e2, c)),
+                     (None, _sup_oracle(e1, n1, e2, n2))):
+        t2 = dist2 * ratio if dist2 > 0 else ratio
+        verdict = _far_gate(g, t2)(e1, n1, e2, n2)
+        assert verdict == (dist2 > t2)
+        assert _far_gate(g, t2)(e1, moved1, e2, moved2) == verdict
+
+
+@pytest.mark.parametrize("images, cap, status, depth, delta", [
+    ("aaab,abbb", 12, "NOT_INJECTIVE", 1, F(3, 4)),
+    ("aaaaaba,babbbbb", 12, "CERTIFIED_INJECTIVE", 1, F(5, 28)),
+    ("aaaaaba,bbbbbab", 12, "NOT_INJECTIVE", 1, F(5, 28)),
+    ("aaba,babb", 2, "UNKNOWN", 2, F(1, 2)),
+])
+def test_certifier_outcomes(images, cap, status, depth, delta):
+    m = TightMap(Endomorphism.from_strings(2, *images.split(",")))
+    cert = shadow_pairs(m, depth=cap)
+    assert (cert.status, cert.depth, cert.delta) == (status, depth, delta)
+    if status == "NOT_INJECTIVE":
+        x, y = cert.witness
+        assert x != y
+        assert m.lift_iter(x, cert.depth) == m.lift_iter(y, cert.depth)
+    else:
+        assert cert.witness is None
+
+
+@pytest.mark.parametrize("images, k", [("aaabaaa,bbbabbb", 3), ("aaba,babb", 4)])
+def test_beta_matches_prefix_lattice_points(images, k):
+    """Each level-k value is A^-k applied to the lattice point reached after
+    the first i letters of psi^k(e), the word built here by substitution."""
+    a_img, b_img = images.split(",")
+    m = TightMap(Endomorphism.from_strings(2, a_img, b_img))
+    ainv = rat_inverse(m.A ** k)
+    values = beta_breakpoints(m, k).values
+    for e, word in enumerate("ab"):
+        for _ in range(k):
+            word = "".join(a_img if ch == "a" else b_img for ch in word)
+        assert len(values[e]) == len(word) + 1
+        for i, val in enumerate(values[e]):
+            prefix = (word[:i].count("a"), word[:i].count("b"))
+            assert val == ainv.apply(prefix)
