@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, RatMatrix, c_matrix, rat_inverse, snf
+from .intmat import IntMatrix, c_matrix, rat_inverse, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
@@ -29,6 +30,14 @@ class TorusPoint:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _torus_point(coords: tuple) -> TorusPoint:
+    """A TorusPoint from Fractions already reduced into [0, 1), built
+    without the constructor's per-coordinate reduction."""
+    p = object.__new__(TorusPoint)
+    object.__setattr__(p, "coords", coords)
+    return p
 
 
 def phi_apply(a: IntMatrix, p: TorusPoint) -> TorusPoint:
@@ -83,8 +92,13 @@ class BFGroup:
         return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
 
     @cached_property
-    def _m_inv(self) -> RatMatrix:
-        return rat_inverse(self.M)
+    def _kernel(self) -> tuple:
+        """(N, L) with (A^k - I)^-1 = N / L: L > 0 is the lcm of the
+        inverse's denominators and N is an integer matrix."""
+        inv = rat_inverse(self.M).rows
+        den = lcm(*(x.denominator for r in inv for x in r))
+        return IntMatrix(tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                               for r in inv)), den
 
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n."""
@@ -145,8 +159,8 @@ def psi(e: BFElement) -> TorusPoint:
     integer vector z. Injective under the standing hypothesis, so equality
     of Psi images is the canonical equality test in the direct limit.
     """
-    rep = e.representative()
-    return TorusPoint(e.group._m_inv.apply(rep))
+    kernel, den = e.group._kernel
+    return _torus_point(tuple(Fraction(x % den, den) for x in kernel.apply(e.representative())))
 
 
 def upsilon(e: BFElement, j: int) -> BFElement:
@@ -163,9 +177,23 @@ def enumerate_fixed(a: IntMatrix, k: int):
     """All points of T^b fixed by the k-th power of the toral map, sorted.
 
     These are exactly the Psi images of BF_k(A); there are |det(A^k - I)|
-    of them.
+    of them. Every coordinate is a numerator over L (see BFGroup._kernel),
+    so the SNF box is walked on numerators, a step along axis i adding
+    column i of N U^-1 mod L; the numerator tuples sort in the order of
+    the points, and L is the exponent of BF_k, so the Fraction table has
+    no more entries than there are points.
     """
     g = BFGroup(a, k)
-    pts = [psi(e) for e in g.elements()]
-    pts.sort(key=lambda p: p.coords)
-    return pts
+    kernel, den = g._kernel
+    steps = (kernel * g._u_inv).transpose().rows
+    nums = [(0,) * a.dim]
+    for step, d in zip(steps, g.diagonal):
+        walked = []
+        for v in nums:
+            for _ in range(d):
+                walked.append(v)
+                v = tuple((x + s) % den for x, s in zip(v, step))
+        nums = walked
+    nums.sort()
+    frac = [Fraction(n, den) for n in range(den)]
+    return [_torus_point(tuple(frac[x] for x in v)) for v in nums]

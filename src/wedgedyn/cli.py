@@ -94,6 +94,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bf(args) -> int:
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     if args.matrix is not None:
         a = _load_matrix(args.matrix)
         label = "matrix"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
@@ -281,61 +282,71 @@ class TightMap:
         """Fix(phi^k) as a deduplicated, sorted list of PeriodicPoint.
 
         Each admissible slot itinerary supports exactly one fixed point of
-        the composed affine map (its inverse contracts [0,1] into the slot
-        cylinder), so enumeration plus endpoint deduplication is complete.
+        the composed affine map t -> alpha t + beta (its inverse contracts
+        [0,1] into the slot cylinder), so enumeration plus endpoint
+        deduplication is complete. alpha and beta are integers, so the
+        fixed point is t0 = num / den with den = |1 - alpha|, and one
+        integer walk over the itinerary, on numerators over den, checks
+        that the orbit stays in every slot's cylinder (i den <= d n <=
+        (i + 1) den) and closes up, and builds the lifted translation by
+        Horner steps base <- A base + slot.offset.
+
+        A slot breakpoint maps to the vertex, which is fixed, so no other
+        periodic orbit meets one: each such point has exactly one itinerary
+        (only the vertex needs deduplication), and its least period is the
+        least d | k whose rotation of the itinerary equals the itinerary.
+        The vertex has least period 1 and translation 0 (its lift at the
+        origin is fixed), whatever slot cycle it was found on.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        found = {}
+        rows, speeds, slots = self.A.rows, self.speeds, self.slots
+        zero = (0,) * self.rank
+        vertex_cycle = None
+        found = []
         for cyc in self._slot_cycles(k):
-            alpha, beta = Fraction(1), Fraction(0)
+            alpha, beta = 1, 0
             for e, i, sign in cyc:
-                d = self.speeds[e]
+                d = speeds[e]
                 if sign > 0:
                     alpha, beta = d * alpha, d * beta - i
                 else:
                     alpha, beta = -d * alpha, (i + 1) - d * beta
             if alpha == 1:
                 raise NotExpanding("slot cycle composes to the identity; fixed points not isolated")
-            t0 = beta / (1 - alpha)
-            e0 = cyc[0][0]
+            num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
             # defensive: confirm the orbit really follows the itinerary
-            t = t0
+            n, base = num, zero
             for e, i, sign in cyc:
-                d = self.speeds[e]
-                if not (Fraction(i, d) <= t <= Fraction(i + 1, d)):
+                dn = speeds[e] * n
+                if not (i * den <= dn <= (i + 1) * den):
                     raise RuntimeError("slot cycle solve left its cylinder")
-                u = d * t - i
-                t = u if sign > 0 else 1 - u
-            if t != t0:
+                n = dn - i * den if sign > 0 else (i + 1) * den - dn
+                offset = slots[e][i].offset
+                base = tuple([sum(map(mul, r, base)) + o for r, o in zip(rows, offset)])
+            if n != num:
                 raise RuntimeError("slot cycle solve did not close up")
-            pt = graph_point(e0, t0)
-            if pt not in found:
-                found[pt] = cyc
+            if num == 0 or num == den:
+                if vertex_cycle is None:
+                    vertex_cycle = cyc
+            else:
+                least = next(d for d in range(1, k + 1) if k % d == 0 and cyc[d:] + cyc[:d] == cyc)
+                found.append((GraphPoint(cyc[0][0], Fraction(num, den)), least, cyc, base))
         # the vertex is fixed by every power but its itinerary may not close
         # as a slot cycle (its edge-end walk can have a period not dividing k)
-        if VERTEX not in found:
-            found[VERTEX] = self._vertex_itinerary(k)
-        bf_group = None
+        if vertex_cycle is None:
+            vertex_cycle = self._vertex_itinerary(k)
+        found.append((VERTEX, 1, vertex_cycle, zero))
         try:
             bf_group = BFGroup(self.A, k)
         except RootOfUnitySpectrum:
             bf_group = None
         out = []
-        for pt, cyc in found.items():
-            end = self.lift_iter(CoverPoint(pt, (0,) * self.rank), k)
-            if end.point != pt:
-                raise RuntimeError("periodic point lift did not close up")
-            delta_vec = end.base
-            disp = bf_group.reduce(delta_vec) if bf_group is not None else None
+        for pt, least, cyc, base in found:
+            disp = bf_group.reduce(base) if bf_group is not None else None
             alpha_img = psi(disp) if disp is not None else None
-            least = k
-            for div in range(1, k):
-                if k % div == 0 and self.eval_iter(pt, div) == pt:
-                    least = div
-                    break
             out.append(PeriodicPoint(point=pt, period=k, least_period=least,
-                                     itinerary=cyc, translation=delta_vec,
+                                     itinerary=cyc, translation=base,
                                      displacement=disp, alpha_image=alpha_img))
         out.sort(key=lambda p: (p.point.edge, p.point.t))
         return out
@@ -365,5 +376,5 @@ class TightMap:
         for p in self.periodic_points(k):
             if p.alpha_image is None:
                 raise RootOfUnitySpectrum("shadowing classes need the standing hypothesis")
-            groups.setdefault(p.alpha_image.coords, []).append(p)
-        return [(TorusPoint(c), pts) for c, pts in sorted(groups.items())]
+            groups.setdefault(p.alpha_image, []).append(p)
+        return sorted(groups.items(), key=lambda item: item[0].coords)

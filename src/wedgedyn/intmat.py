@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, NotDivisible, SingularMatrix
 
@@ -79,7 +80,7 @@ class IntMatrix:
         """Matrix-vector product; accepts int or Fraction entries."""
         if len(vec) != self.dim:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(r[j] * vec[j] for j in range(self.dim)) for r in self.rows)
+        return tuple(sum(map(mul, r, vec)) for r in self.rows)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))

@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
@@ -13,6 +14,7 @@ from wedgedyn import (
     char_poly,
     phi_apply,
     psi,
+    rat_inverse,
     upsilon,
 )
 from wedgedyn.bf import TorusPoint
@@ -121,3 +123,42 @@ def test_order_equals_det_random(rows, k):
     assert g.order == abs((a ** k - IntMatrix.identity(2)).det())
     if g.order <= 400:
         assert len(enumerate_fixed(a, k)) == g.order
+
+
+@st.composite
+def bf_cases(draw):
+    """A rank 2-4 integer matrix, a level k and an integer vector."""
+    dim = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    a = IntMatrix(tuple(tuple(r) for r in draw(st.lists(row, min_size=dim, max_size=dim))))
+    k = draw(st.integers(1, 5 - dim))
+    vec = tuple(draw(st.lists(st.integers(-50, 50), min_size=dim, max_size=dim)))
+    return a, k, vec
+
+
+@settings(max_examples=80, deadline=None)
+@given(bf_cases())
+@example((IntMatrix(((3, 1), (1, 3))), 2, (4, -7)))  # det(A^k - I) = 45
+@example((IntMatrix(((3, 2), (1, 1))), 2, (-5, 3)))  # det(A^k - I) = -12
+def test_psi_and_enumerate_fixed_match_fraction_oracle(case):
+    """The integer kernels against (A^k - I)^-1 n mod 1 worked in Fractions."""
+    a, k, vec = case
+    try:
+        g = BFGroup(a, k)
+    except RootOfUnitySpectrum:
+        assume(False)
+    m = a ** k - IntMatrix.identity(a.dim)
+    inv = rat_inverse(m)
+    assert psi(g.reduce(vec)) == TorusPoint(inv.apply(vec))
+    for e in itertools.islice(g.elements(), 64):
+        assert psi(e) == TorusPoint(inv.apply(e.representative()))
+    if g.order > 2000:
+        return
+    coords = [p.coords for p in enumerate_fixed(a, k)]
+    assert len(coords) == abs(m.det())
+    assert coords == sorted(set(coords))
+    assert set(coords) == {TorusPoint(inv.apply(e.representative())).coords
+                           for e in g.elements()}
+    ak = a ** k
+    for c in coords:
+        assert all((y - x).denominator == 1 for x, y in zip(c, ak.apply(c)))

@@ -101,6 +101,16 @@ def test_bf_root_of_unity_exit(capsys):
     assert "RootOfUnitySpectrum" in err
 
 
+@pytest.mark.parametrize("command", ["bf", "fix", "torus"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_nonpositive_k_exit(capsys, command, k):
+    code = main([command, str(MAPS / "phi2.map"), "--k", k])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "k must be >= 1" in captured.err
+
+
 def test_fix_csv(capsys):
     code, out = run(capsys, "fix", str(MAPS / "phi2.map"))
     assert code == 0

@@ -1,12 +1,14 @@
+import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
     BFGroup,
     Endomorphism,
+    MapSpec,
     NotExpanding,
     TightMap,
     VERTEX,
@@ -187,3 +189,42 @@ def test_eval_iter_composes(e, t):
     p = graph_point(e, t)
     assert _PHI2.eval_iter(p, 2) == _PHI2.eval(_PHI2.eval(p))
     assert _PHI2.eval_iter(p, 0) == p
+
+
+@st.composite
+def random_maps(draw):
+    """A rank 2-3 map with inverse letters, as a DSL spec, and a level k."""
+    rank = draw(st.integers(2, 3))
+    alphabet = string.ascii_lowercase[:rank] + string.ascii_uppercase[:rank]
+    rules = tuple(draw(st.text(alphabet=alphabet, min_size=1, max_size=7 - rank))
+                  for _ in range(rank))
+    return MapSpec(name="m", rank=rank, rules=rules), draw(st.integers(1, 5 - rank))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_maps())
+def test_periodic_points_match_replay_oracle(case):
+    """The integer census against the per-point lift_iter/eval_iter replays."""
+    spec, k = case
+    try:
+        m = TightMap(spec.to_endomorphism())
+    except ValueError:
+        assume(False)
+    try:
+        pts = m.periodic_points(k)
+    except NotExpanding:
+        assume(False)
+    where = [(p.point.edge, p.point.t) for p in pts]
+    assert where == sorted(set(where))
+    zero = (0,) * m.rank
+    for p in pts:
+        end = m.lift_iter(cover_point(p.point.edge, p.point.t, zero), k)
+        assert end.point == p.point
+        assert p.translation == end.base
+        assert p.least_period == min(d for d in range(1, k + 1)
+                                     if k % d == 0 and m.eval_iter(p.point, d) == p.point)
+        if p.displacement is None:
+            assert p.alpha_image is None
+        else:
+            assert p.displacement == BFGroup(m.A, k).reduce(p.translation)
+            assert p.alpha_image == psi(p.displacement)
