@@ -39,7 +39,7 @@ from .graphmap import (
     graph_point,
     iota,
 )
-from .intmat import IntMatrix, RatMatrix, SnfDecomposition, c_matrix, rat_inverse, snf
+from .intmat import IntMatrix, SnfDecomposition, c_matrix, rat_inverse, snf
 from .polys import char_poly, has_root_of_unity_factor
 from .rotation import (
     GroupRingMatrix,

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import DimensionMismatch, NotDivisible, RootOfUnitySpectrum
 from .intmat import IntMatrix, c_matrix, rat_inverse, snf
@@ -88,17 +87,14 @@ class BFGroup:
 
     @cached_property
     def _u_inv(self) -> IntMatrix:
-        rows = rat_inverse(self._snf.U).rows
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        # U is unimodular, so its inverse has denominator 1
+        return rat_inverse(self._snf.U)[0]
 
     @cached_property
     def _kernel(self) -> tuple:
-        """(N, L) with (A^k - I)^-1 = N / L: L > 0 is the lcm of the
-        inverse's denominators and N is an integer matrix."""
-        inv = rat_inverse(self.M).rows
-        den = lcm(*(x.denominator for r in inv for x in r))
-        return IntMatrix(tuple(tuple(x.numerator * (den // x.denominator) for x in r)
-                               for r in inv)), den
+        """(N, L) with (A^k - I)^-1 = N / L, N an integer matrix and L > 0
+        the least such denominator, which is the exponent of BF_k."""
+        return rat_inverse(self.M)
 
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n."""

@@ -24,13 +24,6 @@ from .semiconj import beta_breakpoints, holder_bound, shadow_pairs
 from .svg import beta_figure, rotset_figure
 
 
-def _rat(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _load_spec(path: str, name: str | None) -> MapSpec:
     with open(path, encoding="utf-8") as fh:
         specs = parse(fh.read())
@@ -47,7 +40,11 @@ def _load_spec(path: str, name: str | None) -> MapSpec:
 
 def _load_matrix(text: str) -> IntMatrix:
     rows = ast.literal_eval(text)
-    return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(r, (list, tuple)) and len(r) == len(rows[0]) for r in rows)
+            and all(type(x) is int for r in rows for x in r)):
+        raise ValueError(f"--matrix needs equal-length rows of integers, got {text}")
+    return IntMatrix(rows)
 
 
 def _tight_map(args) -> TightMap:
@@ -69,25 +66,25 @@ def cmd_analyze(args) -> int:
         "abelianization": [list(r) for r in m.A.rows],
         "charpoly": list(sp.charpoly),
         "eigenvalues": [
-            {"re": _rat(ev.re) if ev.exact else float(ev.re),
-             "im": _rat(ev.im) if ev.exact else float(ev.im),
+            {"re": str(ev.re) if ev.exact else float(ev.re),
+             "im": str(ev.im) if ev.exact else float(ev.im),
              "eps": None if ev.eps is None else float(ev.eps),
              "multiplicity": ev.multiplicity}
             for ev in sp.eigenvalues
         ],
         "is_expanding": sp.is_expanding,
-        "lambda_lower": _rat(sp.lambda_lower) if sp.lambda_lower is not None else None,
+        "lambda_lower": str(sp.lambda_lower) if sp.lambda_lower is not None else None,
         "uniform_expansion": m.endo.uniform_expansion(),
     }
     if sp.is_expanding:
         sr = m.sigma_report(norm=args.norm)
         report.update({
             "norm": sr.norm.kind,
-            "c": _rat(sr.c),
-            "c_sup": _rat(sr.c_sup),
-            "lam": _rat(sr.lam),
-            "delta": _rat(sr.delta),
-            "holder_bound": _rat(holder_bound(m)),
+            "c": str(sr.c),
+            "c_sup": str(sr.c_sup),
+            "lam": str(sr.lam),
+            "delta": str(sr.delta),
+            "holder_bound": str(holder_bound(m)),
         })
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -108,9 +105,9 @@ def cmd_bf(args) -> int:
         g = BFGroup(a, k)
         rows.append({
             "k": k,
-            "invariant_factors": [_rat(d) for d in g.invariant_factors],
-            "diagonal": [_rat(d) for d in g.diagonal],
-            "order": _rat(g.order),
+            "invariant_factors": [str(d) for d in g.invariant_factors],
+            "diagonal": [str(d) for d in g.diagonal],
+            "order": str(g.order),
         })
     if args.format == "json":
         print(json.dumps({"name": label, "matrix": [list(r) for r in a.rows],
@@ -134,12 +131,10 @@ def cmd_fix(args) -> int:
               + [f"alpha_{i}" for i in range(b)])
     w.writerow(header)
     for p in pts:
-        disp = ([""] * b if p.displacement is None
-                else [_rat(x) for x in p.displacement.r])
-        alpha = ([""] * b if p.alpha_image is None
-                 else [_rat(x) for x in p.alpha_image.coords])
-        w.writerow([p.point.edge, _rat(p.point.t), p.period, p.least_period]
-                   + [_rat(x) for x in p.translation] + disp + alpha)
+        disp = [""] * b if p.displacement is None else p.displacement.r
+        alpha = [""] * b if p.alpha_image is None else p.alpha_image.coords
+        w.writerow([p.point.edge, p.point.t, p.period, p.least_period,
+                    *p.translation, *disp, *alpha])
     return 0
 
 
@@ -149,7 +144,7 @@ def cmd_torus(args) -> int:
     w = _csv_writer()
     w.writerow([f"x_{i}" for i in range(m.rank)])
     for p in pts:
-        w.writerow([_rat(x) for x in p.coords])
+        w.writerow(p.coords)
     return 0
 
 
@@ -160,13 +155,13 @@ def cmd_rotset(args) -> int:
     b = m.rank
     w.writerow(["kind", "period"] + [f"v_{i}" for i in range(b)])
     for period, vec in report.loop_vectors:
-        w.writerow(["loop", period] + [_rat(x) for x in vec])
+        w.writerow(["loop", period, *vec])
     for vec in report.hull_vertices:
-        w.writerow(["hull", ""] + [_rat(x) for x in vec])
+        w.writerow(["hull", "", *vec])
     for vec in report.fixed_point_vectors:
-        w.writerow(["fixed", 1] + [_rat(x) for x in vec])
+        w.writerow(["fixed", 1, *vec])
     for vec in report.period2_vectors:
-        w.writerow(["period2", 2] + [_rat(x) for x in vec])
+        w.writerow(["period2", 2, *vec])
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(rotset_figure(report))
@@ -182,7 +177,7 @@ def cmd_beta(args) -> int:
     denom = approx.M ** approx.level
     for e in range(b):
         for i, val in enumerate(approx.values[e]):
-            w.writerow([e, i, _rat(Fraction(i, denom))] + [_rat(x) for x in val])
+            w.writerow([e, i, Fraction(i, denom), *val])
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(beta_figure(m, args.k, window=args.window))
@@ -195,12 +190,12 @@ def cmd_shadow(args) -> int:
                         max_cells=args.max_cells)
     witness = None
     if cert.witness is not None:
-        witness = [{"edge": cp.point.edge, "t": _rat(cp.point.t),
+        witness = [{"edge": cp.point.edge, "t": str(cp.point.t),
                     "base": list(cp.base),
-                    "coords": [_rat(x) for x in iota(cp)]}
+                    "coords": [str(x) for x in iota(cp)]}
                    for cp in cert.witness]
     print(json.dumps({"status": cert.status, "depth": cert.depth,
-                      "delta": _rat(cert.delta), "norm": cert.norm,
+                      "delta": str(cert.delta), "norm": cert.norm,
                       "witness": witness}, indent=2, sort_keys=True))
     return 2 if cert.status == "UNKNOWN" else 0
 

@@ -1,13 +1,16 @@
-"""Exact integer and rational matrices, Smith normal form, and friends.
+"""Exact integer matrices, Smith normal form, and inverses.
 
-Everything here is pure Python over int/Fraction. Matrices are immutable
-(tuples of tuples) so they can be dict keys and set members.
+Everything here is pure Python over int. A rational matrix is always an
+integer matrix over one positive denominator: rat_inverse returns m^-1 as
+(N, den), and callers scale their numerators by den instead of building
+Fractions. Matrices are immutable (tuples of tuples) so they can be dict
+keys and set members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, NotDivisible, SingularMatrix
@@ -110,9 +113,6 @@ class IntMatrix:
             prev = m[t][t]
         return sign * m[n - 1][n - 1]
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(x) for x in r) for r in self.rows))
-
     def _check(self, other):
         if not isinstance(other, IntMatrix):
             raise TypeError(f"IntMatrix expected, got {type(other).__name__}")
@@ -120,74 +120,32 @@ class IntMatrix:
             raise DimensionMismatch("matrix dimensions differ")
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    rows: tuple
+def rat_inverse(m: IntMatrix) -> tuple:
+    """The exact inverse as (N, den): N an IntMatrix and den > 0 with
+    m * N = den * I, den being the lcm of the denominators of m^-1.
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(Fraction(x) for x in r) for r in self.rows))
-        n = len(self.rows)
-        for r in self.rows:
-            if len(r) != n:
-                raise DimensionMismatch("matrix must be square")
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatMatrix(tuple(tuple(other * x for x in r) for r in self.rows))
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        n = self.dim
-        if other.dim != n:
-            raise DimensionMismatch("matrix dimensions differ")
-        cols = list(zip(*other.rows))
-        return RatMatrix(tuple(tuple(sum(self.rows[i][t] * cols[j][t] for t in range(n)) for j in range(n)) for i in range(n)))
-
-    def apply(self, vec) -> tuple:
-        if len(vec) != self.dim:
-            raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(r[j] * Fraction(vec[j]) for j in range(self.dim)) for r in self.rows)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.rows)))
-
-
-def rat_inverse(m) -> RatMatrix:
-    """Exact inverse of an IntMatrix or RatMatrix via Gauss-Jordan.
-
+    Fraction-free Gauss-Jordan (Bareiss) turns [m | I] into [d I | d m^-1]
+    with d = +-det(m); both halves are then divided by gcd(d, content).
     Raises SingularMatrix when det = 0.
     """
-    if isinstance(m, IntMatrix):
-        m = m.to_rat()
     n = m.dim
-    a = [list(r) for r in m.rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    prev = 1
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
         if piv is None:
             raise SingularMatrix("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
+        p, pivot_row = a[col][col], a[col]
         for i in range(n):
-            if i != col and a[i][col] != 0:
+            if i != col:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return RatMatrix(tuple(tuple(r) for r in inv))
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    den = prev if prev > 0 else -prev
+    inv = [r[n:] if prev > 0 else [-x for x in r[n:]] for r in a]
+    g = gcd(den, *(x for r in inv for x in r))
+    return IntMatrix(tuple(tuple(x // g for x in r) for r in inv)), den // g
 
 
 @dataclass(frozen=True)

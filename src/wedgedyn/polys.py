@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotDivisible
-from .intmat import IntMatrix, RatMatrix
+from .intmat import IntMatrix
 
 
 def trim(p):
@@ -137,23 +137,20 @@ def primitive_int(v):
 def char_poly(a: IntMatrix):
     """Characteristic polynomial det(xI - A), monic integer, descending.
 
-    Faddeev-LeVerrier over Fractions; the divisions are exact.
+    Faddeev-LeVerrier in integers: M_1 = A, c_k = -tr(M_k) / k and
+    M_{k+1} = A (M_k + c_k I); every division is exact.
     """
     n = a.dim
-    coeffs = [Fraction(1)]
-    m = a.to_rat()
-    mk = m
+    coeffs = [1]
+    mk = a
     for k in range(1, n + 1):
-        ck = -sum(mk.rows[i][i] for i in range(n)) / k
+        ck, rem = divmod(-mk.trace(), k)
+        if rem:
+            raise RuntimeError("char_poly coefficients must be integers")
         coeffs.append(ck)
         if k < n:
-            mk = m * RatMatrix(tuple(tuple(mk.rows[i][j] + (ck if i == j else 0) for j in range(n)) for i in range(n)))
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise RuntimeError("char_poly coefficients must be integers")
-        out.append(int(c))
-    return tuple(out)
+            mk = a * (mk + ck * IntMatrix.identity(n))
+    return tuple(coeffs)
 
 
 def euler_phi(m: int) -> int:

@@ -11,7 +11,6 @@ geometric tail of the defect series.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,11 +46,8 @@ def kappa(m: TightMap, letter: Letter, k: int):
     """The per-letter increment of beta at level k: sign * A^-k e_gen."""
     if not m.spectral.is_expanding:
         raise NotExpanding("kappa needs an expanding abelianization")
-    ainv = rat_inverse(m.A ** k)
-    col = tuple(ainv.rows[i][letter.generator] for i in range(m.rank))
-    if letter.sign > 0:
-        return col
-    return tuple(-x for x in col)
+    ainv, den = rat_inverse(m.A ** k)
+    return tuple(Fraction(letter.sign * r[letter.generator], den) for r in ainv.rows)
 
 
 def beta_breakpoints(m: TightMap, k: int) -> BetaApproximation:
@@ -65,9 +61,8 @@ def beta_breakpoints(m: TightMap, k: int) -> BetaApproximation:
     if not m.spectral.is_expanding:
         raise NotExpanding("beta needs an expanding abelianization")
     # integer numerators over the common denominator of A^-k
-    ainv = rat_inverse(m.A ** k)
-    den = math.lcm(*(x.denominator for r in ainv.rows for x in r))
-    steps = {Letter(g, s): tuple(s * int(ainv.rows[i][g] * den) for i in range(m.rank))
+    ainv, den = rat_inverse(m.A ** k)
+    steps = {Letter(g, s): tuple(s * r[g] for r in ainv.rows)
              for g in range(m.rank) for s in (1, -1)}
     power = m.endo.power(k)
     values = []
@@ -106,13 +101,10 @@ def beta_mu(m: TightMap, approx: BetaApproximation, mu):
     mu = Fraction(mu)
     if abs(mu) <= 1:
         raise ComplexOrSmallEigenvalue(f"|mu| must exceed 1, got {mu}")
-    from .intmat import RatMatrix
-
-    n = m.rank
-    at = m.A.transpose()
-    shifted = RatMatrix(tuple(tuple(Fraction(at.rows[i][j]) - (mu if i == j else 0)
-                                    for j in range(n)) for i in range(n)))
-    kernel = _rational_kernel(shifted)
+    # ker(A^T - mu I) = ker(q A^T - p I) for mu = p / q
+    p, q = mu.numerator, mu.denominator
+    kernel = _rational_kernel([[q * x - p * (i == j) for j, x in enumerate(r)]
+                               for i, r in enumerate(m.A.transpose().rows)])
     if not kernel:
         raise ComplexOrSmallEigenvalue(f"{mu} is not a rational eigenvalue of A^T")
     v = kernel[0]
@@ -219,13 +211,13 @@ def _far_gate(gram, theta2):
     """far(e1, n1, e2, n2): whether the unit axis segments n1 + [0,1] e1 and
     n2 + [0,1] e2 lie more than theta apart, where theta2 = theta^2.
 
-    The distance is the sup norm when gram is None, else sqrt(w^T gram w).
+    The distance is the sup norm when gram is None, else sqrt(w^T G w / d)
+    for the Gram pair gram = (G, d) of an integer matrix G over d > 0.
     It depends only on (e1, e2, n1 - n2), so each relative position is
-    decided once per gate, in integers: gram is scaled by the lcm of its
-    denominators and the squared distance compared as a (num, den) pair.
+    decided once per gate, in integers: the squared distance is compared
+    with theta2 as a (num, den) pair.
     """
-    scale = 1 if gram is None else math.lcm(*(x.denominator for r in gram.rows for x in r))
-    h = None if gram is None else [[int(x * scale) for x in r] for r in gram.rows]
+    h, scale = (None, 1) if gram is None else (gram[0].rows, gram[1])
     bound, tden = scale * theta2.numerator, theta2.denominator
     memo = {}
 

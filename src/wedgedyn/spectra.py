@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from . import polys
 from .errors import NotExpanding
-from .intmat import IntMatrix, RatMatrix, rat_inverse
+from .intmat import IntMatrix, rat_inverse
 
 
 def _sqrt_interval(x: Fraction):
@@ -61,25 +62,24 @@ class Eigenvalue:
 class LipschitzNormData:
     """A norm in which A certifiably expands by lam (and A^-1 contracts).
 
-    kind "eigenbasis": ||v|| = ||P^-1 v||_2 with P exact rational eigenbasis;
-    gram = P^-T P^-1 gives ||v||^2 = v^T gram v for exact comparisons.
+    kind "eigenbasis": ||v|| = ||P^-1 v||_2 with P an integer eigenbasis;
+    with P^-1 = N / den, gram = (N^T N, den^2) is the Gram form over one
+    denominator, so ||v||^2 = v^T (N^T N) v / den^2 exactly.
     kind "sup": plain sup norm, usable when ||A^-1||_inf < 1.
     """
 
     kind: str
-    P: "RatMatrix | None"
-    P_inv: "RatMatrix | None"
-    gram: "RatMatrix | None"
+    P: "IntMatrix | None"
+    gram: "tuple | None"
     lam: Fraction
-    contraction: Fraction
 
     def q2(self, vec) -> Fraction:
         """Squared norm of a rational vector, exact."""
         if self.kind == "sup":
             m = max(abs(Fraction(x)) for x in vec)
             return m * m
-        w = self.P_inv.apply(vec)
-        return sum(x * x for x in w)
+        g, den2 = self.gram
+        return Fraction(sum(map(mul, vec, g.apply(vec))), den2)
 
 
 @dataclass(frozen=True)
@@ -93,36 +93,32 @@ class SpectralReport:
     lipschitz_like_norm_data: "LipschitzNormData | None"
 
 
-def _rational_kernel(m: RatMatrix):
-    """Primitive integer basis of ker(m), deterministic RREF order."""
-    n = m.dim
-    rows = [list(r) for r in m.rows]
+def _rational_kernel(rows):
+    """Primitive integer basis of the kernel of a square matrix given as
+    integer rows, deterministic RREF order. The reduction is fraction-free:
+    each pivot row stays scaled by its pivot until the basis is read off."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
         for i in range(n):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [p * x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
         for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][f]
+            v[pc] = Fraction(-rows[pr][f], rows[pr][pc])
         basis.append(polys.primitive_int(v))
     return basis
 
@@ -309,16 +305,15 @@ def _build_norm_data(a, eigs, all_rational, expanding, lam):
     n = a.dim
     if all_rational:
         basis = []
-        for lam_i in sorted({e.re for e in eigs}):
-            m = RatMatrix(tuple(tuple(Fraction(a.rows[i][j]) - (lam_i if i == j else 0)
-                                      for j in range(n)) for i in range(n)))
-            basis.extend(_rational_kernel(m))
+        # every eigenvalue is an integer: the charpoly is monic over Z
+        for lam_i in sorted({e.re.numerator for e in eigs}):
+            basis.extend(_rational_kernel([[x - lam_i * (i == j) for j, x in enumerate(r)]
+                                           for i, r in enumerate(a.rows)]))
         if len(basis) == n:
-            P = RatMatrix(tuple(zip(*basis)))
-            P_inv = rat_inverse(P)
-            gram = P_inv.transpose() * P_inv
-            return LipschitzNormData(kind="eigenbasis", P=P, P_inv=P_inv, gram=gram,
-                                     lam=lam, contraction=1 / lam)
+            P = IntMatrix(tuple(zip(*basis)))
+            N, den = rat_inverse(P)
+            return LipschitzNormData(kind="eigenbasis", P=P, gram=(N.transpose() * N, den * den),
+                                     lam=lam)
     try:
         return sup_norm_data(a)
     except NotExpanding:
@@ -328,9 +323,8 @@ def _build_norm_data(a, eigs, all_rational, expanding, lam):
 def sup_norm_data(a: IntMatrix) -> LipschitzNormData:
     """Sup-norm certificate: the norm="sup" path, and the fallback when A has
     no exact rational eigenbasis."""
-    ainv = rat_inverse(a)
-    contr = max(sum(abs(x) for x in r) for r in ainv.rows)
-    if contr >= 1:
+    N, den = rat_inverse(a)
+    row = max(sum(map(abs, r)) for r in N.rows)
+    if row >= den:
         raise NotExpanding("matrix does not contract the sup norm backwards")
-    return LipschitzNormData(kind="sup", P=None, P_inv=None, gram=None,
-                             lam=1 / contr, contraction=contr)
+    return LipschitzNormData(kind="sup", P=None, gram=None, lam=Fraction(den, row))

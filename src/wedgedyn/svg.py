@@ -117,11 +117,10 @@ def beta_figure(m: TightMap, k: int, window: int = 1) -> str:
             canvas.polyline(pts, "deck")
     for e in range(b):
         canvas.polyline([(v[0], v[1]) for v in approx.values[e]], f"edge{e}")
-    shift = rat_inverse(m.A - m.A.identity(b))
+    shift, den = rat_inverse(m.A - m.A.identity(b))
     for p in m.periodic_points(1):
-        delta = p.translation
-        lift = shift.apply(delta)
-        canvas.circle(lift[0], lift[1], 4, "alpha")
+        x, y = shift.apply(p.translation)
+        canvas.circle(Fraction(x, den), Fraction(y, den), 4, "alpha")
     return canvas.render(_BETA_STYLE)
 
 

@@ -138,8 +138,8 @@ def _beta_oracle(m, cp, k):
     img = m.lift_iter(cp, k)
     assert img.point.t in (0, 1)
     n = iota(img)
-    ainv = rat_inverse(m.A ** k)
-    return tuple(sum(ainv.rows[i][j] * n[j] for j in range(m.rank))
+    ainv, den = rat_inverse(m.A ** k)
+    return tuple(F(sum(ainv.rows[i][j] * n[j] for j in range(m.rank)), den)
                  for i in range(m.rank))
 
 

@@ -83,6 +83,17 @@ def test_bf_matrix_override(capsys):
     assert factors == ["", "5", "4x4", "3x15", "11x11"]
 
 
+@pytest.mark.parametrize("literal", ["[[2.5,0],[0,3]]", "5", "{1:2}", "[]",
+                                     "[[1,2],[3]]", "[[True,0],[0,3]]"])
+def test_bf_matrix_rejects_non_integer_rows(capsys, literal):
+    code = main(["bf", str(MAPS / "phi2.map"), "--matrix", literal])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("ValueError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bf_json(capsys):
     code, out = run(capsys, "bf", str(MAPS / "phi2.map"), "--k", "2")
     assert code == 0

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wedgedyn import IntMatrix, NotDivisible, SingularMatrix, c_matrix, rat_inverse, snf
+from wedgedyn import IntMatrix, NotDivisible, SingularMatrix, c_matrix, char_poly, rat_inverse, snf
 
 
 def int_matrix(n, lo=-9, hi=9):
@@ -93,11 +95,28 @@ def test_snf_deterministic(a2):
 
 def test_rat_inverse():
     a = IntMatrix(((3, 1), (1, 3)))
-    inv = rat_inverse(a)
-    assert inv * a.to_rat() == a.to_rat().identity(2)
-    assert inv.rows[0][0] == Fraction(3, 8)
+    inv, den = rat_inverse(a)
+    assert inv * a == den * IntMatrix.identity(2)
+    assert Fraction(inv.rows[0][0], den) == Fraction(3, 8)
     with pytest.raises(SingularMatrix):
         rat_inverse(IntMatrix(((1, 1), (1, 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: int_matrix(n, -5, 5)))
+@example(IntMatrix(((1, 2, 3), (2, 4, 6), (0, 1, 5))))  # singular
+@example(IntMatrix(((2, 0), (0, -6))))  # negative determinant, den = 6
+def test_char_poly_and_inverse_match_sympy(a):
+    s = sympy.Matrix(a.rows)
+    assert list(char_poly(a)) == s.charpoly().all_coeffs()
+    if s.det() == 0:
+        with pytest.raises(SingularMatrix):
+            rat_inverse(a)
+        return
+    inv, den = rat_inverse(a)
+    assert den > 0
+    assert a * inv == den * IntMatrix.identity(a.dim)
+    assert den == math.lcm(*(x.q for x in s.inv()))
 
 
 def test_c_matrix_identity(a2):

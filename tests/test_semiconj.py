@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from wedgedyn import (
     shadow_pairs,
     tail_bound,
 )
-from wedgedyn.intmat import RatMatrix, rat_inverse
+from wedgedyn.intmat import IntMatrix, rat_inverse
 from wedgedyn.semiconj import _far_gate
 from wedgedyn.words import Letter
 
@@ -35,10 +36,8 @@ def _beta_oracle(m, cp, k):
     img = m.lift_iter(cp, k)
     assert img.point.t in (0, 1)
     n = iota(img)
-    from wedgedyn.intmat import rat_inverse
-
-    ainv = rat_inverse(m.A ** k)
-    return tuple(sum(ainv.rows[i][j] * n[j] for j in range(m.rank))
+    ainv, den = rat_inverse(m.A ** k)
+    return tuple(F(sum(ainv.rows[i][j] * n[j] for j in range(m.rank)), den)
                  for i in range(m.rank))
 
 
@@ -155,19 +154,17 @@ def test_tail_bounds(phi2, phi3):
 def test_periodic_point_convergence(phi2):
     """Normalized lifted orbits of a fixed point converge to its alpha-like
     limit (A - I)^-1 Delta at rate tau_n."""
-    from wedgedyn.intmat import IntMatrix, rat_inverse
-
     p = next(q for q in phi2.periodic_points(1)
              if q.point.edge == 0 and q.point.t == F(1, 3))
     shifted = phi2.A - IntMatrix.identity(2)
-    lim = rat_inverse(shifted).apply(p.translation)
-    lim = tuple(F(x) for x in lim)
+    inv, den = rat_inverse(shifted)
+    lim = tuple(F(x, den) for x in inv.apply(p.translation))
     cp = cover_point(0, F(1, 3), (0, 0))
     for n in range(1, 6):
         img = phi2.lift_iter(cp, n)
         coords = iota(img)
-        ainv = rat_inverse(phi2.A ** n)
-        approx = tuple(sum(ainv.rows[i][j] * coords[j] for j in range(2))
+        ainv, den = rat_inverse(phi2.A ** n)
+        approx = tuple(F(sum(ainv.rows[i][j] * coords[j] for j in range(2)), den)
                        for i in range(2))
         err = max(abs(a - l) for a, l in zip(approx, lim))
         assert err <= tail_bound(phi2, n)
@@ -275,11 +272,10 @@ def test_shadow_unknown(phi3):
     assert cert.witness is None
 
 
-def _box_min_oracle(gram, e1, e2, c):
-    """min of w^T gram w over w = c + t e_e1 - u e_e2, (t, u) in [0,1]^2, over
+def _box_min_oracle(g, e1, e2, c):
+    """min of w^T g w over w = c + t e_e1 - u e_e2, (t, u) in [0,1]^2, over
     the candidates of a convex quadratic: the interior critical point when
     feasible, the clamped minimiser on each edge, and the four corners."""
-    g = gram.rows
 
     def val(t, u):
         w = [F(x) for x in c]
@@ -325,25 +321,29 @@ def gate_cases(draw):
     rows = [[draw(frac) for _ in range(b)] for _ in range(b)]
     diag = [draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
             for _ in range(b)]
-    gram = RatMatrix(tuple(tuple(sum(r[i] * r[j] for r in rows) + (diag[i] if i == j else 0)
-                                 for j in range(b)) for i in range(b)))
+    gram = tuple(tuple(sum(r[i] * r[j] for r in rows) + (diag[i] if i == j else 0)
+                       for j in range(b)) for i in range(b))
+    # the gate takes the Gram form as an integer matrix over one denominator,
+    # not necessarily the least one
+    scale = math.lcm(*(x.denominator for r in gram for x in r)) * draw(st.integers(1, 3))
+    pair = (IntMatrix(tuple(tuple(int(x * scale) for x in r) for r in gram)), scale)
     e1, e2 = draw(st.integers(0, b - 1)), draw(st.integers(0, b - 1))
     n1, n2, shift = draw(vec), draw(vec), draw(vec)
     # theta^2 as a multiple of the squared distance, so both verdicts occur;
     # a ratio of 1 puts theta on the distance itself, which is not beyond it
     ratio = draw(st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 10), max_value=3,
                                                        max_denominator=20)))
-    return gram, e1, n1, e2, n2, shift, ratio
+    return gram, pair, e1, n1, e2, n2, shift, ratio
 
 
 @settings(max_examples=300, deadline=None)
 @given(gate_cases())
 def test_far_gate_matches_fraction_oracle(case):
-    gram, e1, n1, e2, n2, shift, ratio = case
+    gram, pair, e1, n1, e2, n2, shift, ratio = case
     c = tuple(x - y for x, y in zip(n1, n2))
     moved1 = tuple(x + v for x, v in zip(n1, shift))
     moved2 = tuple(x + v for x, v in zip(n2, shift))
-    for g, dist2 in ((gram, _box_min_oracle(gram, e1, e2, c)),
+    for g, dist2 in ((pair, _box_min_oracle(gram, e1, e2, c)),
                      (None, _sup_oracle(e1, n1, e2, n2))):
         t2 = dist2 * ratio if dist2 > 0 else ratio
         verdict = _far_gate(g, t2)(e1, n1, e2, n2)
@@ -375,7 +375,7 @@ def test_beta_matches_prefix_lattice_points(images, k):
     the first i letters of psi^k(e), the word built here by substitution."""
     a_img, b_img = images.split(",")
     m = TightMap(Endomorphism.from_strings(2, a_img, b_img))
-    ainv = rat_inverse(m.A ** k)
+    ainv, den = rat_inverse(m.A ** k)
     values = beta_breakpoints(m, k).values
     for e, word in enumerate("ab"):
         for _ in range(k):
@@ -383,4 +383,4 @@ def test_beta_matches_prefix_lattice_points(images, k):
         assert len(values[e]) == len(word) + 1
         for i, val in enumerate(values[e]):
             prefix = (word[:i].count("a"), word[:i].count("b"))
-            assert val == ainv.apply(prefix)
+            assert val == tuple(F(x, den) for x in ainv.apply(prefix))
