@@ -17,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
-from .errors import DimensionMismatch, NotExpanding, RootOfUnitySpectrum
+from .errors import AdaptedNormUnavailable, NotExpanding, RootOfUnitySpectrum
 from .intmat import IntMatrix
 from .spectra import LipschitzNormData, rational_sqrt_upper, spectral, sup_norm_data
 from .words import Endomorphism
@@ -42,12 +42,17 @@ def graph_point(edge: int, t) -> GraphPoint:
 
 
 class Slot(NamedTuple):
-    """One letter slot of an image word psi(e): the letter's generator and
-    sign, and the lattice offset of the cover segment it runs along (over
+    """Slot i of an image word psi(e) of length d: the letter's generator and
+    sign, the integer affine map u = mul * t + add that carries the slot's
+    cylinder [i/d, (i+1)/d] of edge e onto the generator's edge (mul = d,
+    add = -i for a positive letter; mul = -d, add = i + 1 for an inverse
+    one), and the lattice offset of the cover segment it runs along (over
     an edge based at n, that segment is based at A n + offset)."""
 
     generator: int
     sign: int
+    mul: int
+    add: int
     offset: tuple
 
 
@@ -169,9 +174,10 @@ class TightMap:
     def slots(self) -> tuple:
         """slots[e][i] = the Slot of the i-th letter of psi(e); the offset is
         the lattice position before a positive letter, after a negative one."""
-        return tuple(tuple(Slot(l.generator, l.sign, pref[i] if l.sign > 0 else pref[i + 1])
+        return tuple(tuple(Slot(l.generator, l.sign, d, -i, pref[i]) if l.sign > 0
+                           else Slot(l.generator, l.sign, -d, i + 1, pref[i + 1])
                            for i, l in enumerate(w.letters))
-                     for w, pref in zip(self.endo.images, self.prefixes))
+                     for w, pref, d in zip(self.endo.images, self.prefixes, self.speeds))
 
     @cached_property
     def spectral(self):
@@ -187,11 +193,8 @@ class TightMap:
         """The slot carrying a non-vertex point x, and the parameter of phi(x)
         on the edge of the slot's generator."""
         e, t = x
-        pos = self.speeds[e] * t
-        i = int(pos)  # letter slot; pos < speed since t < 1
-        slot = self.slots[e][i]
-        u = pos - i
-        return slot, (u if slot.sign > 0 else 1 - u)
+        slot = self.slots[e][int(self.speeds[e] * t)]  # t < 1, so a real slot
+        return slot, slot.mul * t + slot.add
 
     def eval(self, x: GraphPoint) -> GraphPoint:
         """phi(x) on the wedge."""
@@ -243,18 +246,14 @@ class TightMap:
         elif norm == "adapted":
             nd = self.spectral.lipschitz_like_norm_data
             if nd is None:
-                from .errors import AdaptedNormUnavailable
-
                 raise AdaptedNormUnavailable("no exact adapted norm for this matrix")
         else:
             raise ValueError(f"unknown norm {norm!r}")
         vals = self.sigma_values()
         c_sup = max(max(abs(x) for x in sig) for _, _, sig in vals)
         q2max = max(nd.q2(sig) for _, _, sig in vals)
-        if nd.kind == "sup":
-            c = c_sup
-        else:
-            c = rational_sqrt_upper(q2max)
+        # exact for the sup norm, whose q2max is the rational square c_sup^2
+        c = rational_sqrt_upper(q2max)
         delta = c / (nd.lam - 1)
         return SigmaReport(c=c, c_sup=c_sup, delta=delta, lam=nd.lam, norm=nd, q2max=q2max)
 
@@ -287,9 +286,9 @@ class TightMap:
         deduplication is complete. alpha and beta are integers, so the
         fixed point is t0 = num / den with den = |1 - alpha|, and one
         integer walk over the itinerary, on numerators over den, checks
-        that the orbit stays in every slot's cylinder (i den <= d n <=
-        (i + 1) den) and closes up, and builds the lifted translation by
-        Horner steps base <- A base + slot.offset.
+        that the orbit stays in every slot's cylinder (the slot map sends
+        n to 0 <= mul n + add den <= den) and closes up, and builds the
+        lifted translation by Horner steps base <- A base + slot.offset.
 
         A slot breakpoint maps to the vertex, which is fixed, so no other
         periodic orbit meets one: each such point has exactly one itinerary
@@ -300,30 +299,25 @@ class TightMap:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        rows, speeds, slots = self.A.rows, self.speeds, self.slots
+        rows, slots = self.A.rows, self.slots
         zero = (0,) * self.rank
         vertex_cycle = None
         found = []
         for cyc in self._slot_cycles(k):
+            path = [slots[e][i] for e, i, _ in cyc]
             alpha, beta = 1, 0
-            for e, i, sign in cyc:
-                d = speeds[e]
-                if sign > 0:
-                    alpha, beta = d * alpha, d * beta - i
-                else:
-                    alpha, beta = -d * alpha, (i + 1) - d * beta
+            for s in path:
+                alpha, beta = s.mul * alpha, s.mul * beta + s.add
             if alpha == 1:
                 raise NotExpanding("slot cycle composes to the identity; fixed points not isolated")
             num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
             # defensive: confirm the orbit really follows the itinerary
             n, base = num, zero
-            for e, i, sign in cyc:
-                dn = speeds[e] * n
-                if not (i * den <= dn <= (i + 1) * den):
+            for s in path:
+                n = s.mul * n + s.add * den
+                if not 0 <= n <= den:
                     raise RuntimeError("slot cycle solve left its cylinder")
-                n = dn - i * den if sign > 0 else (i + 1) * den - dn
-                offset = slots[e][i].offset
-                base = tuple([sum(map(mul, r, base)) + o for r, o in zip(rows, offset)])
+                base = tuple([sum(map(mul, r, base)) + o for r, o in zip(rows, s.offset)])
             if n != num:
                 raise RuntimeError("slot cycle solve did not close up")
             if num == 0 or num == den:
@@ -360,8 +354,7 @@ class TightMap:
             i = 0 if end == 0 else self.speeds[e] - 1
             slot = self.slots[e][i]
             cyc.append((e, i, slot.sign))
-            u = 0 if (end == 0) == (slot.sign > 0) else 1
-            state = (slot.generator, u)
+            state = (slot.generator, slot.mul * end + slot.add)
         return tuple(cyc)
 
     def displacement_set(self, k: int):

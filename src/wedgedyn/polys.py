@@ -34,17 +34,6 @@ def evaluate(p, x):
     return acc
 
 
-def add(p, q):
-    n = max(len(p), len(q))
-    p = (0,) * (n - len(p)) + tuple(p)
-    q = (0,) * (n - len(q)) + tuple(q)
-    return trim(tuple(a + b for a, b in zip(p, q)))
-
-
-def scale(p, c):
-    return trim(tuple(c * a for a in p))
-
-
 def mul(p, q):
     p, q = trim(p), trim(q)
     if not p or not q:

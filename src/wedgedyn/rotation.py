@@ -19,17 +19,9 @@ from .intmat import IntMatrix
 
 
 @dataclass(frozen=True)
-class Occurrence:
-    """One lifted occurrence of a generator in an image word."""
-
-    slot: int
-    translation: tuple
-    sign: int
-
-
-@dataclass(frozen=True)
 class GroupRingMatrix:
-    """entries[i][j] = occurrences of generator i^+- in psi(a_j).
+    """entries[i][j] = occurrences of generator i^+- in psi(a_j), each as
+    (slot index, Slot); the Slot's offset is the occurrence's translation.
 
     Column j holds d_j occurrences in total, one per letter of psi(a_j).
     """
@@ -42,7 +34,7 @@ class GroupRingMatrix:
 
     def vectors(self, i: int, j: int):
         """The underlying multiset of lattice vectors, as a sorted tuple."""
-        return tuple(sorted(o.translation for o in self.entries[i][j]))
+        return tuple(sorted(slot.offset for _, slot in self.entries[i][j]))
 
     def column_cardinality(self, j: int) -> int:
         return sum(len(self.entries[i][j]) for i in range(self.rank))
@@ -92,7 +84,7 @@ def transition_matrix(m: TightMap) -> GroupRingMatrix:
     entries = [[[] for _ in range(b)] for _ in range(b)]
     for j in range(b):
         for i, slot in enumerate(m.slots[j]):
-            entries[slot.generator][j].append(Occurrence(slot=i, translation=slot.offset, sign=slot.sign))
+            entries[slot.generator][j].append((i, slot))
     g = GroupRingMatrix(rank=b, entries=tuple(tuple(tuple(col) for col in row) for row in entries))
     for j in range(b):
         if g.column_cardinality(j) != m.speeds[j]:
@@ -106,6 +98,8 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
     These are exactly the loops with no proper sub-loop. Raises
     BudgetExceeded rather than returning a truncated list.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     b = g.rank
     loops = set()
     count = 0
@@ -124,7 +118,7 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
                     if not occs:
                         ok = False
                         break
-                    step_opts.append([(src, dst, o.translation, o.slot) for o in occs])
+                    step_opts.append([(src, dst, slot.offset, i) for i, slot in occs])
                 if not ok:
                     continue
                 for combo in itertools.product(*step_opts):

@@ -171,40 +171,34 @@ class InjectivityCertificate:
 
 @dataclass(frozen=True)
 class _Tracked:
-    """A full lifted edge together with an affine chart back to the original
-    point whose forward image it is: orig param = o_a + o_b * u, u in [0,1]."""
+    """A full lifted edge (edge, base) that is the forward image of a piece
+    of the original edge (o_edge, o_base), through the composed integer slot
+    map u = alpha * t + beta from the original parameter t to the current
+    parameter u in [0, 1] (the same composition as periodic_points')."""
 
     edge: int
     base: tuple
     o_edge: int
     o_base: tuple
-    o_a: Fraction
-    o_b: Fraction
+    alpha: int
+    beta: int
 
     def sort_key(self):
-        return (self.edge, self.base, self.o_edge, self.o_base, self.o_a, self.o_b)
+        return (self.edge, self.base, self.o_edge, self.o_base, self.alpha, self.beta)
 
     def orig_point(self, u) -> CoverPoint:
-        return cover_point(self.o_edge, self.o_a + self.o_b * u, self.o_base)
+        return cover_point(self.o_edge, Fraction(u - self.beta, self.alpha), self.o_base)
 
     def orig_interval(self):
-        lo, hi = sorted((self.o_a, self.o_a + self.o_b))
-        return lo, hi
+        return sorted((Fraction(-self.beta, self.alpha), Fraction(1 - self.beta, self.alpha)))
 
 
 def _advance(m: TightMap, tr: _Tracked):
     """All letter pieces of the lifted image of a full tracked edge."""
-    d = m.speeds[tr.edge]
     abase = m.A.apply(tr.base)
-    out = []
-    for j, slot in enumerate(m.slots[tr.edge]):
-        nbase = tuple(a + x for a, x in zip(abase, slot.offset))
-        if slot.sign > 0:
-            na, nb = tr.o_a + tr.o_b * Fraction(j, d), tr.o_b / d
-        else:
-            na, nb = tr.o_a + tr.o_b * Fraction(j + 1, d), -tr.o_b / d
-        out.append(_Tracked(slot.generator, nbase, tr.o_edge, tr.o_base, na, nb))
-    return out
+    return [_Tracked(s.generator, tuple(map(operator.add, abase, s.offset)), tr.o_edge,
+                     tr.o_base, s.mul * tr.alpha, s.mul * tr.beta + s.add)
+            for s in m.slots[tr.edge]]
 
 
 def _far_gate(gram, theta2):
@@ -321,14 +315,13 @@ def _witness_from_cell(p: _Tracked, q: _Tracked):
     t = _touch(p.edge, p.base, q.edge, q.base)
     cands = []
     if t == "ident":
-        for u in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        for u in (0, Fraction(1, 2), 1):
             x, y = p.orig_point(u), q.orig_point(u)
             if x != y:
                 cands.append((x, y))
     elif t is not None:
-        u1 = Fraction(t[p.edge] - p.base[p.edge])
-        u2 = Fraction(t[q.edge] - q.base[q.edge])
-        x, y = p.orig_point(u1), q.orig_point(u2)
+        x = p.orig_point(t[p.edge] - p.base[p.edge])
+        y = q.orig_point(t[q.edge] - q.base[q.edge])
         if x != y:
             cands.append((x, y))
     return cands
@@ -348,6 +341,8 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     repeats at consecutive depths, the self-similar regime forces any
     shadowing pair onto the diagonal: CERTIFIED_INJECTIVE.
     """
+    if depth < 0 or max_cells < 0:
+        raise ValueError(f"depth and max_cells must be >= 0, got {depth} and {max_cells}")
     sr = m.sigma_report(norm=norm)
     nd = sr.norm
     theta = 2 * sr.delta
@@ -361,49 +356,24 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
         row_scale = max(sum(abs(x) for x in r) for r in nd.P.rows)
     w = int(row_scale * theta) + 2
 
-    cells = []
-    seen = set()
-    for e in range(b):
-        s1 = _Tracked(e, (0,) * b, e, (0,) * b, Fraction(0), Fraction(1))
-        for base in itertools.product(range(-w, w + 1), repeat=b):
-            for e2 in range(b):
-                s2 = _Tracked(e2, base, e2, base, Fraction(0), Fraction(1))
-                if far(s1.edge, s1.base, s2.edge, s2.base):
-                    continue
-                a, c = sorted((s1, s2), key=_Tracked.sort_key)
-                key = (a.sort_key(), c.sort_key())
-                if key not in seen:
-                    seen.add(key)
-                    cells.append((a, c))
-    cells.sort(key=lambda pc: (pc[0].sort_key(), pc[1].sort_key()))
-
+    zero = (0,) * b
+    box = ((_Tracked(e, zero, e, zero, 1, 0), _Tracked(e2, base, e2, base, 1, 0))
+           for e in range(b) for base in itertools.product(range(-w, w + 1), repeat=b)
+           for e2 in range(b))
+    cells = _cells(box, far)
     prev_keys = _stable_state(cells)
 
     for d in range(1, depth + 1):
-        nxt = {}
-        witnesses = []
-        for p, q in cells:
-            q_pieces = _advance(m, q)
-            for np_ in _advance(m, p):
-                for nq in q_pieces:
-                    if far(np_.edge, np_.base, nq.edge, nq.base):
-                        continue
-                    a, c = sorted((np_, nq), key=_Tracked.sort_key)
-                    nxt[(a.sort_key(), c.sort_key())] = (a, c)
-                    witnesses.extend(_witness_from_cell(a, c))
+        # product() builds q's pieces once per cell
+        cells = _cells((pq for p, q in cells
+                        for pq in itertools.product(_advance(m, p), _advance(m, q))), far)
+        witnesses = [tuple(sorted(xy)) for p, q in cells for xy in _witness_from_cell(p, q)]
         if witnesses:
-            pairs = []
-            for x, y in witnesses:
-                x, y = sorted((x, y))
-                pairs.append((x, y))
-            x, y = min(pairs)
-            fx = m.lift_iter(x, d)
-            fy = m.lift_iter(y, d)
-            if fx != fy:
+            x, y = min(witnesses)
+            if m.lift_iter(x, d) != m.lift_iter(y, d):
                 raise RuntimeError("witness verification failed")
             return InjectivityCertificate(status="NOT_INJECTIVE", depth=d,
                                           delta=sr.delta, witness=(x, y), norm=nd.kind)
-        cells = [nxt[k] for k in sorted(nxt)]
         if len(cells) > max_cells:
             raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
         keys = _stable_state(cells)
@@ -413,6 +383,17 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
         prev_keys = keys
     return InjectivityCertificate(status="UNKNOWN", depth=depth,
                                   delta=sr.delta, witness=None, norm=nd.kind)
+
+
+def _cells(pairs, far):
+    """The distinct pairs of tracked segments that the gate keeps, each
+    ordered by sort_key, in sorted order."""
+    cells = {}
+    for p, q in pairs:
+        if not far(p.edge, p.base, q.edge, q.base):
+            a, c = sorted((p, q), key=_Tracked.sort_key)
+            cells[a.sort_key(), c.sort_key()] = a, c
+    return [cells[k] for k in sorted(cells)]
 
 
 def _stable_state(cells):

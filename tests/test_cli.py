@@ -206,6 +206,21 @@ def test_shadow_unknown_exit(capsys):
     assert json.loads(out)["status"] == "UNKNOWN"
 
 
+@pytest.mark.parametrize("argv", [
+    ("shadow", "phi2.map", "--depth", "-1"),
+    ("shadow", "phi3.map", "--max-cells", "-5"),
+    ("rotset", "phi1.map", "--budget", "-1"),
+])
+def test_negative_budget_exit(capsys, argv):
+    command, mapfile, *rest = argv
+    code = main([command, str(MAPS / mapfile), *rest])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("ValueError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_exit(capsys):
     code = main(["analyze", "no-such-file.map"])
     assert code == 1

@@ -1,3 +1,4 @@
+import math
 import string
 from fractions import Fraction
 
@@ -228,3 +229,48 @@ def test_periodic_points_match_replay_oracle(case):
         else:
             assert p.displacement == BFGroup(m.A, k).reduce(p.translation)
             assert p.alpha_image == psi(p.displacement)
+
+
+def _text_step(words, e, t, base):
+    """One step of the lifted map read off the image-word text: the letter at
+    floor(d t) of psi(e), run forwards (u = d t - i) when lowercase and
+    backwards (u = i + 1 - d t) when uppercase, with the lattice offset
+    counted from the letters before it (and through it, when uppercase)."""
+
+    def counts(text):
+        return [text.count(ch) - text.count(ch.upper())
+                for ch in string.ascii_lowercase[:len(words)]]
+
+    word = words[e]
+    d = len(word)
+    i = math.floor(d * t)
+    ch = word[i]
+    u = d * t - i if ch.islower() else i + 1 - d * t
+    offset = counts(word[:i] if ch.islower() else word[:i + 1])
+    # A's column j is the letter count of psi(j)
+    cols = [counts(w) for w in words]
+    abase = [sum(n * col[r] for n, col in zip(base, cols)) for r in range(len(words))]
+    return string.ascii_lowercase.index(ch.lower()), u, tuple(a + o for a, o in zip(abase, offset))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_maps(), st.data())
+def test_eval_and_lift_match_word_text(case, data):
+    """eval and lift_eval, iterated, against a walk over the image words."""
+    spec, k = case
+    try:
+        m = TightMap(spec.to_endomorphism())
+    except ValueError:
+        assume(False)
+    words = [str(w) for w in m.endo.images]
+    e = data.draw(st.integers(0, m.rank - 1))
+    t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=60)
+                  .filter(lambda x: x < 1))
+    base = data.draw(st.tuples(*[st.integers(-3, 3)] * m.rank))
+    x, cp = graph_point(e, t), cover_point(e, t, base)
+    for _ in range(k):
+        e, t, base = _text_step(words, e, t, base)
+        x, cp = m.eval(x), m.lift_eval(cp)
+        assert cp == cover_point(e, t, base)
+        assert x == graph_point(e, t)
+        e, t, base = cp.point.edge, cp.point.t, cp.base

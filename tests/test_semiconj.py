@@ -356,6 +356,10 @@ def test_far_gate_matches_fraction_oracle(case):
     ("aaaaaba,babbbbb", 12, "CERTIFIED_INJECTIVE", 1, F(5, 28)),
     ("aaaaaba,bbbbbab", 12, "NOT_INJECTIVE", 1, F(5, 28)),
     ("aaba,babb", 2, "UNKNOWN", 2, F(1, 2)),
+    # inverse letters: slots with mul = -d in the certifier's charts
+    ("BaBB,aaa", 12, "CERTIFIED_INJECTIVE", 1, F(2, 5)),
+    ("aaBB,bba", 12, "NOT_INJECTIVE", 1, F(2)),
+    ("aaa,BaBB", 3, "UNKNOWN", 3, F(58925565098879, 200000000000000)),
 ])
 def test_certifier_outcomes(images, cap, status, depth, delta):
     m = TightMap(Endomorphism.from_strings(2, *images.split(",")))
