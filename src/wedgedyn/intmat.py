@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, NotDivisible, SingularMatrix
 
@@ -36,7 +36,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _int_matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero(n: int) -> "IntMatrix":
@@ -48,19 +48,18 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check(other)
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return _int_matrix(tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check(other)
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return _int_matrix(tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(tuple(tuple(other * x for x in r) for r in self.rows))
+            return _int_matrix(tuple(tuple(other * x for x in r) for r in self.rows))
         self._check(other)
-        n = self.dim
-        cols = list(zip(*other.rows))
-        return IntMatrix(tuple(tuple(sum(self.rows[i][t] * cols[j][t] for t in range(n)) for j in range(n)) for i in range(n)))
+        cols = tuple(zip(*other.rows))
+        return _int_matrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows))
 
     __rmul__ = __mul__
 
@@ -118,6 +117,15 @@ class IntMatrix:
             raise TypeError(f"IntMatrix expected, got {type(other).__name__}")
         if other.dim != self.dim:
             raise DimensionMismatch("matrix dimensions differ")
+
+
+def _int_matrix(rows: tuple) -> IntMatrix:
+    """An IntMatrix from square tuple rows of ints that an operation on
+    IntMatrix operands produced, built without the constructor's per-entry
+    validation: ints are closed under + - *."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 def rat_inverse(m: IntMatrix) -> tuple:

@@ -2,7 +2,10 @@
 
 Coefficient lists are descending (leading coefficient first). Used for
 characteristic polynomials, cyclotomic divisibility, Sturm root isolation
-and the Schur-Cohn unit-circle test. No floating point anywhere.
+and the Schur-Cohn unit-circle test. No floating point anywhere. Sturm
+isolation and Schur-Cohn run on Python ints: chain members are primitive
+integer polynomials, and a rational point u/v is evaluated homogeneously,
+so only returned interval endpoints are Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ def degree(p):
 
 
 def evaluate(p, x):
-    acc = Fraction(0)
+    """p(x), exact: an int for an int x, a Fraction for a Fraction x."""
+    acc = 0
     for c in p:
         acc = acc * x + c
     return acc
@@ -186,38 +190,63 @@ def has_root_of_unity_factor(p) -> bool:
     return False
 
 
-def _positive_scale(p):
-    """Divide by |leading coefficient|: tames growth, preserves every sign."""
-    p = trim(p)
-    if not p:
-        return p
-    lead = abs(Fraction(p[0]))
-    return tuple(Fraction(c) / lead for c in p)
+def _primitive(p):
+    """Divide by the positive content: keeps every sign, tames growth."""
+    g = gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else tuple(p)
+
+
+def _heval(p, u, v):
+    """v^deg(p) * p(u/v) on ints: for v > 0 it has the sign of p(u/v)."""
+    acc, vp = 0, 1
+    for c in p:
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
+
+
+def _rem_positive(a, b):
+    """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b, on ints:
+    each step scales by |lc(b)| before it cancels the leading term. The
+    Sturm chain's divisors are not monic and stay integral, so it cannot
+    use divmod_monic; only the sign of the remainder matters there."""
+    r, s = list(a), abs(b[0])
+    while len(r) >= len(b):
+        f = r[0] if b[0] > 0 else -r[0]
+        r = [s * x - f * y for x, y in zip(r, b)][1:] + [s * x for x in r[len(b):]]
+    return trim(r)
 
 
 def sturm_sequence(p):
-    q = monic_over_q(p)  # same real roots as p, positive leading coefficient
-    seq = [q, _positive_scale(derivative(q))]
+    """The Sturm chain of an integer polynomial p. Each member is primitive
+    and a positive multiple of the classical member over Q, so it has the
+    same signs; the first is p led positive."""
+    p = trim(p)
+    seq = [_primitive(p if p[0] > 0 else tuple(-c for c in p))]
+    seq.append(_primitive(derivative(seq[0])))
     while seq[-1]:
-        rem = divmod_monic(seq[-2], monic_over_q(seq[-1]))[1]
+        rem = _rem_positive(seq[-2], seq[-1])
         if not rem:
             break
-        seq.append(_positive_scale(tuple(-c for c in rem)))
+        seq.append(_primitive(tuple(-c for c in rem)))
     return [s for s in seq if s]
 
 
-def sign_changes(seq, x):
-    signs = []
+def sign_changes(seq, u, v):
+    """Sign changes along seq at x = u/v (ints, v > 0), zeros skipped."""
+    out, last = 0, 0
     for s in seq:
-        v = evaluate(s, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        val = _heval(s, u, v)
+        if val:
+            if last and (val > 0) != (last > 0):
+                out += 1
+            last = val
+    return out
 
 
 def count_real_roots(seq, lo, hi):
     """Distinct real roots in (lo, hi], endpoints assumed non-roots of seq[0]."""
-    return sign_changes(seq, lo) - sign_changes(seq, hi)
+    return sign_changes(seq, *lo.as_integer_ratio()) - sign_changes(seq, *hi.as_integer_ratio())
 
 
 def cauchy_bound(p):
@@ -231,51 +260,65 @@ def cauchy_bound(p):
 def isolate_real_roots(p, width=Fraction(1, 10**13)):
     """Disjoint rational intervals (lo, hi], one distinct real root each.
 
-    p must be square-free. Returns a list sorted by position.
+    p must be a square-free integer polynomial. Returns a list sorted by
+    position. Each interval is held as integer numerators a < c over one
+    denominator den > 0, so every sign test runs on ints.
     """
     p = trim(p)
     if degree(p) <= 0:
         return []
     seq = sturm_sequence(p)
-    b = cauchy_bound(p)
-    lo, hi = -b, b
-    # endpoints of the Cauchy bound are never roots
-    stack = [(lo, hi, count_real_roots(seq, lo, hi))]
+    p = seq[0]  # a positive multiple of p: the same signs
+    bn, den = cauchy_bound(p).as_integer_ratio()
+    wn, wd = width.as_integer_ratio()
+    # endpoints of the Cauchy bound are never roots; an entry carries the
+    # sign changes at both of its endpoints
+    stack = [(-bn, bn, den, sign_changes(seq, -bn, den), sign_changes(seq, bn, den))]
     found = []
     while stack:
-        a, c, cnt = stack.pop()
-        if cnt == 0:
+        a, c, den, va, vc = stack.pop()
+        if va == vc:
             continue
-        if cnt == 1:
-            while c - a > width:
-                mid = (a + c) / 2
-                if evaluate(p, mid) == 0:
+        if va - vc == 1:
+            # p is square-free and p(a) != 0: the one root lies in (a, mid]
+            # exactly when p changes sign there
+            sa = _heval(p, a, den) > 0
+            while (c - a) * wd > wn * den:
+                a, c, den = 2 * a, 2 * c, 2 * den
+                mid = (a + c) // 2
+                pm = _heval(p, mid, den)
+                if pm == 0:
                     # land exactly on the root; shrink symmetrically around it
-                    a, c = mid - width / 2, mid + width / 2
+                    m = Fraction(mid, den)
+                    found.append((m - width / 2, m + width / 2))
                     break
-                if count_real_roots(seq, a, mid) == 1:
+                if (pm > 0) != sa:
                     c = mid
                 else:
                     a = mid
-            found.append((a, c))
+            else:
+                found.append((Fraction(a, den), Fraction(c, den)))
             continue
-        mid = (a + c) / 2
-        while evaluate(p, mid) == 0:
-            mid = (a + mid) / 2
-        cl = count_real_roots(seq, a, mid)
-        stack.append((a, mid, cl))
-        stack.append((mid, c, cnt - cl))
+        a, c, den = 2 * a, 2 * c, 2 * den
+        mid = (a + c) // 2
+        while _heval(p, mid, den) == 0:
+            a, mid, c, den = 2 * a, a + mid, 2 * c, 2 * den
+        vm = sign_changes(seq, mid, den)
+        stack.append((a, mid, den, va, vm))
+        stack.append((mid, c, den, vm, vc))
     return sorted(found)
 
 
 def schur_all_roots_in_open_disk(p) -> bool:
-    """True iff every root of p lies strictly inside the unit circle.
+    """True iff every root of the integer polynomial p lies strictly inside
+    the unit circle.
 
-    Classical Schur-Cohn reduction over exact rationals. The reduction
+    Classical Schur-Cohn reduction on ints. Each step is divided by its
+    positive content, which changes no |a_n| >= |a_0| test. The reduction
     keeps a positive leading coefficient, so it never degenerates once the
     strict |constant| < |leading| gate passes.
     """
-    p = [Fraction(c) for c in trim(p)]
+    p = trim(p)
     if not p:
         raise ValueError("zero polynomial")
     while len(p) > 1:
@@ -283,23 +326,23 @@ def schur_all_roots_in_open_disk(p) -> bool:
         if abs(an) >= abs(a0):
             return False
         n = len(p) - 1
-        p = [a0 * p[k] - an * p[n - k] for k in range(n)]
-        p = [Fraction(c) for c in trim(tuple(p))] or [Fraction(1)]
+        p = _primitive(trim([a0 * p[k] - an * p[n - k] for k in range(n)])) or (1,)
     return True
 
 
 def all_roots_outside_closed_disk(p, radius=Fraction(1)) -> bool:
-    """True iff every root z of p has |z| > radius (exact test)."""
+    """True iff every root z of the integer polynomial p has |z| > radius
+    (exact test)."""
     p = trim(p)
-    if degree(p) <= 0:
+    if degree(p) <= 0 or radius < 0:
         return True
-    if radius <= 0:
-        return evaluate(p, Fraction(0)) != 0
-    # substitute x -> radius * x, clear denominators, then invert
-    n = degree(p)
-    scaled = [Fraction(c) * radius ** (n - i) for i, c in enumerate(p)]
-    rev = tuple(reversed(scaled))
-    rev = trim(rev)
-    if len(rev) < len(scaled):
+    if p[-1] == 0:
         return False  # root at 0
-    return schur_all_roots_in_open_disk(rev)
+    if radius == 0:
+        return True
+    # for radius = u/v, v^n p(radius x) = sum c_i u^(n-i) v^i x^(n-i); its
+    # reversal has the roots radius/z, inside the unit circle iff |z| > radius
+    u, v = radius.as_integer_ratio()
+    n = len(p) - 1
+    return schur_all_roots_in_open_disk(tuple(c * u ** k * v ** (n - k)
+                                              for k, c in enumerate(reversed(p))))

@@ -360,13 +360,14 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     box = ((_Tracked(e, zero, e, zero, 1, 0), _Tracked(e2, base, e2, base, 1, 0))
            for e in range(b) for base in itertools.product(range(-w, w + 1), repeat=b)
            for e2 in range(b))
-    cells = _cells(box, far)
+    cells = _cells(box, far, max_cells)
     prev_keys = _stable_state(cells)
 
     for d in range(1, depth + 1):
         # product() builds q's pieces once per cell
         cells = _cells((pq for p, q in cells
-                        for pq in itertools.product(_advance(m, p), _advance(m, q))), far)
+                        for pq in itertools.product(_advance(m, p), _advance(m, q))),
+                       far, max_cells)
         witnesses = [tuple(sorted(xy)) for p, q in cells for xy in _witness_from_cell(p, q)]
         if witnesses:
             x, y = min(witnesses)
@@ -374,8 +375,6 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
                 raise RuntimeError("witness verification failed")
             return InjectivityCertificate(status="NOT_INJECTIVE", depth=d,
                                           delta=sr.delta, witness=(x, y), norm=nd.kind)
-        if len(cells) > max_cells:
-            raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
         keys = _stable_state(cells)
         if can_certify and keys is not None and keys == prev_keys:
             return InjectivityCertificate(status="CERTIFIED_INJECTIVE", depth=d,
@@ -385,14 +384,17 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
                                   delta=sr.delta, witness=None, norm=nd.kind)
 
 
-def _cells(pairs, far):
+def _cells(pairs, far, max_cells):
     """The distinct pairs of tracked segments that the gate keeps, each
-    ordered by sort_key, in sorted order."""
+    ordered by sort_key, in sorted order. Raises BudgetExceeded as soon as
+    more than max_cells are kept, before any witness search reads them."""
     cells = {}
     for p, q in pairs:
         if not far(p.edge, p.base, q.edge, q.base):
             a, c = sorted((p, q), key=_Tracked.sort_key)
             cells[a.sort_key(), c.sort_key()] = a, c
+            if len(cells) > max_cells:
+                raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
     return [cells[k] for k in sorted(cells)]
 
 

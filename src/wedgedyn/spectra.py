@@ -138,7 +138,7 @@ def _integer_roots(p):
                        | {const // d for d in range(1, isqrt(const) + 1) if const % d == 0})
         for base in cands:
             for r in (base, -base):
-                while polys.degree(p) > 0 and polys.evaluate(p, Fraction(r)) == 0:
+                while polys.degree(p) > 0 and polys.evaluate(p, r) == 0:
                     roots.append(r)
                     p = polys.deflate_root(p, r)
     grouped = []
@@ -283,20 +283,21 @@ def spectral(a: IntMatrix) -> SpectralReport:
 
 
 def _bisect_lambda(p):
-    """Certified rational lower bound for the smallest root modulus."""
-    if polys.evaluate(p, Fraction(0)) == 0:
+    """Certified rational lower bound for the smallest root modulus. The
+    bracket [lo, hi] is held as integer numerators over one denominator."""
+    if p[-1] == 0:  # a root at 0
         return Fraction(0)
-    lo = Fraction(0)
-    hi = polys.cauchy_bound(p)
+    lo, (hi, den) = 0, polys.cauchy_bound(p).as_integer_ratio()
     for _ in range(80):
-        if hi - lo < Fraction(1, 10 ** 9):
+        if (hi - lo) * 10 ** 9 < den:
             break
-        mid = (lo + hi) / 2
-        if polys.all_roots_outside_closed_disk(p, mid):
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if polys.all_roots_outside_closed_disk(p, Fraction(mid, den)):
             lo = mid
         else:
             hi = mid
-    return lo
+    return Fraction(lo, den)
 
 
 def _build_norm_data(a, eigs, all_rational, expanding, lam):

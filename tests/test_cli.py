@@ -206,6 +206,17 @@ def test_shadow_unknown_exit(capsys):
     assert json.loads(out)["status"] == "UNKNOWN"
 
 
+@pytest.mark.parametrize("max_cells", ["0", "1"])
+def test_shadow_budget_exit(capsys, max_cells):
+    # the depth-0 box and every depth meet the budget before any witness
+    # search, so phi2's depth-1 witness is never reached
+    code = main(["shadow", str(MAPS / "phi2.map"), "--max-cells", max_cells])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("wedgedyn.errors.BudgetExceeded: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("shadow", "phi2.map", "--depth", "-1"),
     ("shadow", "phi3.map", "--max-cells", "-5"),

@@ -178,3 +178,127 @@ def test_outside_disk_matches_numpy(tail):
     if abs(m - 1) < 1e-8:
         return
     assert all_roots_outside_closed_disk(coeffs, Fraction(1)) == (m > 1)
+
+
+def test_outside_disk_at_a_negative_or_zero_radius():
+    # every |z| >= 0 exceeds a negative radius, a root at 0 included
+    assert all_roots_outside_closed_disk((1, 0), Fraction(-1))
+    assert all_roots_outside_closed_disk((1, -6, 8), Fraction(-5, 2))
+    assert not all_roots_outside_closed_disk((1, 0), Fraction(0))
+    assert all_roots_outside_closed_disk((1, 1), Fraction(0))
+
+
+# A Fraction oracle: the classical Sturm chain (monic divisors, members
+# scaled by |leading coefficient|), bisection on Sturm counts at both ends,
+# and Schur-Cohn over Q. The library runs all three on ints; every interval
+# endpoint and every verdict must agree exactly.
+
+def _q_eval(p, x):
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _q_trim(p):
+    p = list(p)
+    while p and p[0] == 0:
+        p.pop(0)
+    return p
+
+
+def _q_rem(a, d):
+    """Remainder of a by the nonzero d over Q."""
+    a = [Fraction(c) for c in a]
+    d = [Fraction(c) / d[0] for c in d]
+    while len(a) >= len(d):
+        c = a[0]
+        a = [x - c * y for x, y in zip(a, d)][1:] + a[len(d):]
+    return _q_trim(a)
+
+
+def _q_sturm(p):
+    lead = abs(Fraction(p[0]))
+    seq = [[Fraction(c) / Fraction(p[0]) for c in p]]
+    n = len(p) - 1
+    seq.append([c * (n - i) / n for i, c in enumerate(seq[0][:-1])])
+    while seq[-1]:
+        rem = _q_rem(seq[-2], seq[-1])
+        if not rem:
+            break
+        lead = abs(rem[0])
+        seq.append([-c / lead for c in rem])
+    return [s for s in seq if s]
+
+
+def _q_count(seq, lo, hi):
+    def changes(x):
+        signs = [v > 0 for v in (_q_eval(s, x) for s in seq) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return changes(lo) - changes(hi)
+
+
+def _q_isolate(p, width=Fraction(1, 10 ** 13)):
+    seq = _q_sturm(p)
+    b = 1 + max(abs(Fraction(c)) for c in p[1:]) / abs(Fraction(p[0]))
+    stack = [(-b, b, _q_count(seq, -b, b))]
+    found = []
+    while stack:
+        a, c, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            while c - a > width:
+                mid = (a + c) / 2
+                if _q_eval(p, mid) == 0:
+                    a, c = mid - width / 2, mid + width / 2
+                    break
+                if _q_count(seq, a, mid) == 1:
+                    c = mid
+                else:
+                    a = mid
+            found.append((a, c))
+            continue
+        mid = (a + c) / 2
+        while _q_eval(p, mid) == 0:
+            mid = (a + mid) / 2
+        cl = _q_count(seq, a, mid)
+        stack.append((a, mid, cl))
+        stack.append((mid, c, cnt - cl))
+    return sorted(found)
+
+
+def _q_outside_disk(p, radius):
+    n = len(p) - 1
+    q = _q_trim([Fraction(c) * radius ** (n - i) for i, c in enumerate(p)][::-1])
+    if len(q) <= n:
+        return False  # root at 0
+    while len(q) > 1:
+        a0, an = q[0], q[-1]
+        if abs(an) >= abs(a0):
+            return False
+        q = _q_trim([a0 * q[k] - an * q[len(q) - 1 - k] for k in range(len(q) - 1)]) or [1]
+    return True
+
+
+_sqf_polys = st.lists(st.integers(-9, 9), min_size=3, max_size=7).filter(
+    lambda c: c[0] != 0 and sympy.Poly(c, sympy.Symbol("x")).is_sqf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sqf_polys)
+@example([1, 0, -2])
+@example([-3, 1, 4, -1, -5, 9, 2])
+@example([2, -3, 0, 0, 1])
+def test_isolation_matches_fraction_oracle(coeffs):
+    assert isolate_real_roots(tuple(coeffs)) == _q_isolate(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: c[0] != 0),
+       st.integers(1, 60), st.sampled_from([3, 5, 6, 7, 9, 10, 12, 15, 21]))
+@example([1, 0, -4], 2, 1)  # roots +-2 on the circle |z| = 2: not outside
+@example([9, 0, -4], 2, 3)  # roots +-2/3 on the circle |z| = 2/3
+def test_outside_disk_matches_fraction_oracle(coeffs, num, den):
+    radius = Fraction(num, den)
+    assert all_roots_outside_closed_disk(tuple(coeffs), radius) == _q_outside_disk(coeffs, radius)

@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from wedgedyn import IntMatrix, NotExpanding, rational_sqrt_upper, spectral
-from wedgedyn.spectra import sup_norm_data
+from wedgedyn.spectra import Eigenvalue, sup_norm_data
 
 
 def test_a2_exact_spectrum():
@@ -41,6 +41,35 @@ def test_irrational_pair_certified():
     assert all(ev.eps is not None and ev.eps < Fraction(1, 10 ** 10) for ev in evs)
     assert not sp.is_expanding  # small eigenvalue inside the unit disk
     assert not sp.has_root_of_unity
+
+
+def test_spectrum_pins_golden_pair():
+    # values measured on the Fraction kernels; the integer Sturm and
+    # Schur-Cohn kernels must reproduce them exactly
+    sp = spectral(IntMatrix(((2, 1), (1, 1))))
+    eps = Fraction(1, 35184372088832)
+    assert sp.eigenvalues == (
+        Eigenvalue(Fraction(13439234265111, 35184372088832), Fraction(0), eps, 1),
+        Eigenvalue(Fraction(92113882001385, 35184372088832), Fraction(0), eps, 1),
+    )
+    assert sp.lambda_lower == Fraction(410132881, 1073741824)
+
+
+def test_spectrum_pins_rank3_complex_pair():
+    # one real root and one conjugate pair: the Vieta branch
+    sp = spectral(IntMatrix(((1, 2, 0), (0, 1, 3), (4, 0, 1))))
+    assert sp.charpoly == (1, -3, 3, -25)
+    re = Fraction(-248964375005161, 562949953421312)
+    im = Fraction(499609906593359, 200000000000000)
+    eps = Fraction(1, 40000000000000)
+    assert sp.eigenvalues == (
+        Eigenvalue(re, -im, eps, 1),
+        Eigenvalue(re, im, eps, 1),
+        Eigenvalue(Fraction(1093389305137129, 281474976710656), Fraction(0),
+                   Fraction(13, 281474976710656), 1),
+    )
+    assert sp.is_expanding
+    assert sp.lambda_lower == Fraction(43583523919, 17179869184)
 
 
 def test_root_of_unity_matrix():
