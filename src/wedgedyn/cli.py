@@ -171,6 +171,8 @@ def cmd_rotset(args) -> int:
 def cmd_beta(args) -> int:
     m = _tight_map(args)
     approx = beta_breakpoints(m, args.k)
+    # render first, so a bad figure request fails before any CSV is written
+    figure = None if args.svg is None else beta_figure(m, args.k, window=args.window)
     w = _csv_writer()
     b = m.rank
     w.writerow(["edge", "i", "t"] + [f"beta_{i}" for i in range(b)])
@@ -178,9 +180,9 @@ def cmd_beta(args) -> int:
     for e in range(b):
         for i, val in enumerate(approx.values[e]):
             w.writerow([e, i, Fraction(i, denom), *val])
-    if args.svg is not None:
+    if figure is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(beta_figure(m, args.k, window=args.window))
+            fh.write(figure)
     return 0
 
 

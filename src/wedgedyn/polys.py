@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over Z and Q.
+"""Dense univariate polynomials over Z.
 
 Coefficient lists are descending (leading coefficient first). Used for
 characteristic polynomials, cyclotomic divisibility, Sturm root isolation
@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotDivisible
 from .intmat import IntMatrix
 
 
@@ -38,51 +37,34 @@ def evaluate(p, x):
     return acc
 
 
-def mul(p, q):
-    p, q = trim(p), trim(q)
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
+def pseudo_divmod(p, d):
+    """(q, r) with s^e·p = q·d + r and deg r < deg d, on ints: s = |lc(d)|
+    and e = deg p - deg d + 1 (r = p and q = () when deg p < deg d).
 
+    Each step scales by s > 0 before it cancels the leading term, so every
+    sign is kept; for a monic d it is plain division.
 
-def divmod_monic(p, d):
-    """(quotient, remainder) of p by a monic divisor d.
-
-    The coefficients may be integers or Fractions: over Z the result stays
-    integral, over Q callers scale a divisor to be monic first (for example
-    with monic_over_q), which leaves the remainder unchanged.
+    >>> pseudo_divmod((1, 0, 1), (-2, 1))  # 4(x^2 + 1) = (-2x - 1)(-2x + 1) + 5
+    ((-2, -1), (5,))
     """
     d = trim(d)
-    if not d or d[0] != 1:
-        raise ValueError("divisor must be monic")
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    s, neg = abs(d[0]), d[0] < 0
     p = list(trim(p))
     if len(p) < len(d):
         return (), tuple(p)
     quot = []
     for i in range(len(p) - len(d) + 1):
-        c = p[i]
-        quot.append(c)
-        if c:
+        f = -p[i] if neg else p[i]
+        if s != 1:
+            quot = [s * c for c in quot]
+            p[i + 1:] = [s * c for c in p[i + 1:]]
+        quot.append(f)
+        if f:
             for j in range(1, len(d)):
-                p[i + j] -= c * d[j]
-    return trim(tuple(quot)), trim(tuple(p[len(p) - len(d) + 1:]))
-
-
-def divides_monic(d, p):
-    _, rem = divmod_monic(p, d)
-    return rem == ()
-
-
-def deflate_root(p, r):
-    """Divide p by (x - r) exactly; raises NotDivisible if r is not a root."""
-    quot, rem = divmod_monic(p, (1, -r))
-    if rem:
-        raise NotDivisible(f"{r} is not a root")
-    return quot
+                p[i + j] -= f * d[j]
+    return trim(quot), trim(p[len(p) - len(d) + 1:])
 
 
 def derivative(p):
@@ -91,40 +73,27 @@ def derivative(p):
     return trim(tuple(c * (n - i) for i, c in enumerate(p[:-1])))
 
 
-def monic_over_q(p):
-    p = trim(p)
-    if not p:
-        return ()
-    lead = Fraction(p[0])
-    return tuple(Fraction(c) / lead for c in p)
-
-
-def gcd_over_q(p, q):
-    """Monic gcd over Q by the Euclidean algorithm."""
-    a, b = monic_over_q(p), monic_over_q(q)
-    while b:
-        a, b = b, monic_over_q(divmod_monic(a, b)[1])
-    return a
+def _primitive(p):
+    """Divide by the positive content: keeps every sign, tames growth."""
+    g = gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else tuple(p)
 
 
 def primitive_int(v):
-    """Clear denominators and content; the first nonzero entry becomes positive.
+    """Divide integers by their content; the first nonzero entry becomes
+    positive. Serves coefficient lists and vectors alike, so nothing is
+    trimmed."""
+    v = _primitive(v)
+    return tuple(-c for c in v) if next((c for c in v if c), 0) < 0 else v
 
-    Serves coefficient lists and vectors alike, so nothing is trimmed.
-    """
-    fracs = [Fraction(c) for c in v]
-    denom = 1
-    for c in fracs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
-    if next((c for c in ints if c), 0) < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+
+def gcd_primitive(p, q):
+    """The gcd over Q of integer polynomials, as a primitive integer
+    polynomial led positive: Euclid on primitive pseudo-remainders."""
+    a, b = primitive_int(trim(p)), primitive_int(trim(q))
+    while b:
+        a, b = b, primitive_int(pseudo_divmod(a, b)[1])
+    return a
 
 
 def char_poly(a: IntMatrix):
@@ -171,7 +140,7 @@ def cyclotomic(m: int):
     num = (1,) + (0,) * (m - 1) + (-1,)
     for d in range(1, m):
         if m % d == 0:
-            num, rem = divmod_monic(num, cyclotomic(d))
+            num, rem = pseudo_divmod(num, cyclotomic(d))
             assert rem == ()
     _cyclo_cache[m] = num
     return num
@@ -185,15 +154,9 @@ def has_root_of_unity_factor(p) -> bool:
     """
     b = degree(p)
     for m in range(1, 2 * b * b + 7):
-        if euler_phi(m) <= b and divides_monic(cyclotomic(m), p):
+        if euler_phi(m) <= b and not pseudo_divmod(p, cyclotomic(m))[1]:
             return True
     return False
-
-
-def _primitive(p):
-    """Divide by the positive content: keeps every sign, tames growth."""
-    g = gcd(*p)
-    return tuple(c // g for c in p) if g > 1 else tuple(p)
 
 
 def _heval(p, u, v):
@@ -205,27 +168,14 @@ def _heval(p, u, v):
     return acc
 
 
-def _rem_positive(a, b):
-    """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b, on ints:
-    each step scales by |lc(b)| before it cancels the leading term. The
-    Sturm chain's divisors are not monic and stay integral, so it cannot
-    use divmod_monic; only the sign of the remainder matters there."""
-    r, s = list(a), abs(b[0])
-    while len(r) >= len(b):
-        f = r[0] if b[0] > 0 else -r[0]
-        r = [s * x - f * y for x, y in zip(r, b)][1:] + [s * x for x in r[len(b):]]
-    return trim(r)
-
-
 def sturm_sequence(p):
     """The Sturm chain of an integer polynomial p. Each member is primitive
     and a positive multiple of the classical member over Q, so it has the
     same signs; the first is p led positive."""
-    p = trim(p)
-    seq = [_primitive(p if p[0] > 0 else tuple(-c for c in p))]
+    seq = [primitive_int(trim(p))]
     seq.append(_primitive(derivative(seq[0])))
     while seq[-1]:
-        rem = _rem_positive(seq[-2], seq[-1])
+        rem = pseudo_divmod(seq[-2], seq[-1])[1]
         if not rem:
             break
         seq.append(_primitive(tuple(-c for c in rem)))
@@ -244,11 +194,6 @@ def sign_changes(seq, u, v):
     return out
 
 
-def count_real_roots(seq, lo, hi):
-    """Distinct real roots in (lo, hi], endpoints assumed non-roots of seq[0]."""
-    return sign_changes(seq, *lo.as_integer_ratio()) - sign_changes(seq, *hi.as_integer_ratio())
-
-
 def cauchy_bound(p):
     """All roots have modulus < this bound (p nonzero)."""
     p = trim(p)
@@ -264,6 +209,8 @@ def isolate_real_roots(p, width=Fraction(1, 10**13)):
     position. Each interval is held as integer numerators a < c over one
     denominator den > 0, so every sign test runs on ints.
     """
+    if width <= 0:
+        raise ValueError("isolation width must be positive")
     p = trim(p)
     if degree(p) <= 0:
         return []

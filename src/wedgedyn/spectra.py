@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from . import polys
@@ -96,7 +96,8 @@ class SpectralReport:
 def _rational_kernel(rows):
     """Primitive integer basis of the kernel of a square matrix given as
     integer rows, deterministic RREF order. The reduction is fraction-free:
-    each pivot row stays scaled by its pivot until the basis is read off."""
+    each pivot row stays scaled by its pivot, and the basis is read off
+    scaled by the lcm of the pivots."""
     n = len(rows)
     rows = [list(r) for r in rows]
     pivots = []
@@ -113,12 +114,13 @@ def _rational_kernel(rows):
                 rows[i] = [p * x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
+    scale = lcm(*(rows[pr][pc] for pr, pc in enumerate(pivots)))
     basis = []
     for f in (c for c in range(n) if c not in pivots):
         v = [0] * n
-        v[f] = 1
+        v[f] = scale
         for pr, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[pr][f], rows[pr][pc])
+            v[pc] = -rows[pr][f] * (scale // rows[pr][pc])
         basis.append(polys.primitive_int(v))
     return basis
 
@@ -140,7 +142,7 @@ def _integer_roots(p):
             for r in (base, -base):
                 while polys.degree(p) > 0 and polys.evaluate(p, r) == 0:
                     roots.append(r)
-                    p = polys.deflate_root(p, r)
+                    p = polys.pseudo_divmod(p, (1, -r))[0]
     grouped = []
     for r in sorted(set(roots)):
         grouped.append((r, roots.count(r)))
@@ -148,21 +150,24 @@ def _integer_roots(p):
 
 
 def _squarefree_decomposition(p):
-    """Musser's algorithm; returns (primitive integer factor, multiplicity)."""
-    p = polys.monic_over_q(p)
+    """Musser's algorithm over Z on primitive parts led positive, exact
+    quotients by pseudo-division; returns (primitive factor, multiplicity)."""
+    def quo(a, b):
+        return polys.primitive_int(polys.pseudo_divmod(a, b)[0])
+
+    p = polys.primitive_int(p)
     if polys.degree(p) <= 0:
         return []
-    c = polys.gcd_over_q(p, polys.derivative(p))
-    w, _ = polys.divmod_monic(p, c)
-    out = []
-    i = 1
+    c = polys.gcd_primitive(p, polys.derivative(p))
+    w = quo(p, c)
+    out, i = [], 1
     while polys.degree(w) > 0:
-        y = polys.gcd_over_q(w, c)
-        z, _ = polys.divmod_monic(w, y)
+        y = polys.gcd_primitive(w, c)
+        z = quo(w, y)
         if polys.degree(z) > 0:
-            out.append((polys.primitive_int(z), i))
+            out.append((z, i))
         w = y
-        c, _ = polys.divmod_monic(c, y)
+        c = quo(c, y)
         i += 1
     return out
 
@@ -217,9 +222,7 @@ def spectral(a: IntMatrix) -> SpectralReport:
         all_rational = False
         if ncomplex == 2:
             # exactly one conjugate pair: pin it down through Vieta
-            mon = polys.monic_over_q(sf)
-            top = mon[1] if len(mon) > 1 else Fraction(0)
-            const = mon[-1]
+            top, const = Fraction(sf[1], sf[0]), Fraction(sf[-1], sf[0])
             sum_lo = sum(lo for lo, _ in intervals)
             sum_hi = sum(hi for _, hi in intervals)
             re_lo = (-top - sum_hi) / 2

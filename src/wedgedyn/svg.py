@@ -100,6 +100,8 @@ _BETA_STYLE = (
 def beta_figure(m: TightMap, k: int, window: int = 1) -> str:
     """The exact level-k beta polyline per edge, deck translates in a lighter
     stroke, and the exact lifted alpha value of each fixed point as a circle."""
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     approx = beta_breakpoints(m, k)
     b = m.rank
     if b != 2:

@@ -185,6 +185,18 @@ def test_beta_csv_and_svg(capsys, tmp_path):
     assert "<svg" in svg.read_text()
 
 
+def test_beta_negative_window_exit(capsys, tmp_path):
+    svg = tmp_path / "beta.svg"
+    code = main(["beta", str(MAPS / "phi2.map"), "--k", "2", "--window", "-1",
+                 "--svg", str(svg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("ValueError: ")
+    assert captured.err.count("\n") == 1
+    assert not svg.exists()
+
+
 def test_shadow_json(capsys):
     code, out = run(capsys, "shadow", str(MAPS / "phi2.map"))
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from wedgedyn import IntMatrix, NotDivisible, SingularMatrix, c_matrix, char_poly, rat_inverse, snf
 
@@ -83,6 +84,14 @@ def test_snf_identities_2x2(a):
 @given(int_matrix(3))
 def test_snf_identities_3x3(a):
     _check_snf(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: int_matrix(n, -6, 6)))
+@example(IntMatrix(((2, 4, 4), (-6, 6, 12), (10, -4, -16))))
+def test_snf_diagonal_matches_sympy(a):
+    want = smith_normal_form(sympy.Matrix(a.rows), domain=sympy.ZZ)
+    assert sorted(snf(a).diagonal) == sorted(abs(int(want[i, i])) for i in range(a.dim))
 
 
 def test_snf_deterministic(a2):

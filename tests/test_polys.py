@@ -1,3 +1,4 @@
+import doctest
 from fractions import Fraction
 
 import numpy as np
@@ -6,20 +7,39 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import wedgedyn.polys
 from wedgedyn import IntMatrix, char_poly, has_root_of_unity_factor
 from wedgedyn.polys import (
     all_roots_outside_closed_disk,
     cauchy_bound,
-    count_real_roots,
     cyclotomic,
-    deflate_root,
-    divmod_monic,
     evaluate,
     isolate_real_roots,
-    mul,
+    pseudo_divmod,
     schur_all_roots_in_open_disk,
+    sign_changes,
     sturm_sequence,
+    trim,
 )
+
+
+def mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def add(p, q):
+    n = max(len(p), len(q))
+    p, q = (0,) * (n - len(p)) + tuple(p), (0,) * (n - len(q)) + tuple(q)
+    return trim(tuple(a + b for a, b in zip(p, q)))
+
+
+def count_real_roots(seq, lo, hi):
+    """Distinct real roots in (lo, hi], from the Sturm counts at both ends."""
+    return sign_changes(seq, *lo.as_integer_ratio()) - sign_changes(seq, *hi.as_integer_ratio())
 
 
 def test_char_poly_known():
@@ -109,14 +129,41 @@ def test_sturm_and_isolation():
     assert seq[0] == p
 
 
-def test_divmod_monic_over_z_and_q():
-    assert divmod_monic((1, 0, -1), (1, 1)) == ((1, -1), ())
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    assert divmod_monic((half, 0, half), (1, third)) == ((half, -Fraction(1, 6)), (Fraction(5, 9),))
-    with pytest.raises(ValueError):
-        divmod_monic((1, 0, -1), (2, 1))
-    with pytest.raises(ValueError):
-        divmod_monic((1, 0, -1), (-1, 1))
+def test_module_doctests():
+    result = doctest.testmod(wedgedyn.polys)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_pseudo_divmod_scaled_identity():
+    # a monic divisor gives plain division
+    assert pseudo_divmod((1, 0, -1), (1, 1)) == ((1, -1), ())
+    # s = |lc(d)| = 2, e = 2: 4(x^2 - 1) = (2x - 1)(2x + 1) - 3
+    assert pseudo_divmod((1, 0, -1), (2, 1)) == ((2, -1), (-3,))
+    # lc(d) = -1 needs no scaling: x^2 - 1 = (-x - 1)(-x + 1)
+    assert pseudo_divmod((1, 0, -1), (-1, 1)) == ((-1, -1), ())
+    # a dividend of lower degree is its own remainder
+    assert pseudo_divmod((3, 1), (2, 0, 1)) == ((), (3, 1))
+    with pytest.raises(ZeroDivisionError):
+        pseudo_divmod((1, 0), (0,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8), st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda d: d[0] != 0))
+@example([1, 0, 1], [-2, 1])
+@example([5, -3, 0, 7, 2], [-3, 0, 2])
+def test_pseudo_divmod_matches_identity_and_sympy(p, d):
+    q, r = pseudo_divmod(p, d)
+    e = max(len(trim(p)) - len(d) + 1, 0)
+    lhs = tuple(abs(d[0]) ** e * c for c in trim(p))
+    assert add(mul(q, d), r) == lhs
+    assert len(r) < len(d)
+    # sympy's pdiv scales by lc(d)^e, so it differs by the sign of lc(d)^e
+    x = sympy.Symbol("x")
+    if e:
+        sq, sr = sympy.pdiv(sympy.Poly(p, x), sympy.Poly(d, x))
+        sign = -1 if d[0] < 0 and e % 2 else 1
+        assert tuple(sign * int(c) for c in sq.all_coeffs()) == q
+        assert trim(tuple(sign * int(c) for c in sr.all_coeffs())) == r
 
 
 def _sympy_real_root_count(coeffs):
@@ -145,12 +192,17 @@ def test_real_root_count_matches_sympy(coeffs):
     assert len(isolate_real_roots(tuple(coeffs))) == want
 
 
-def test_evaluate_and_deflate():
+def test_evaluate_and_root_deflation():
     p = (1, -6, 11, -6)
     assert evaluate(p, Fraction(1)) == 0
-    q = deflate_root(p, 1)
-    assert q == (1, -5, 6)
+    assert pseudo_divmod(p, (1, -1)) == ((1, -5, 6), ())
     assert cauchy_bound(p) >= 3
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
+def test_isolation_rejects_nonpositive_width(width):
+    with pytest.raises(ValueError):
+        isolate_real_roots((1, 0, -2), width)
 
 
 def _np_roots_max_abs(coeffs):

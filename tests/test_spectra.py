@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wedgedyn import IntMatrix, NotExpanding, rational_sqrt_upper, spectral
-from wedgedyn.spectra import Eigenvalue, sup_norm_data
+from wedgedyn.spectra import Eigenvalue, _squarefree_decomposition, sup_norm_data
 
 
 def test_a2_exact_spectrum():
@@ -131,3 +134,25 @@ def test_rational_sqrt_upper():
     assert c - Fraction(14142135623730950, 10 ** 16) < Fraction(1, 10 ** 13)
     with pytest.raises(ValueError):
         rational_sqrt_upper(Fraction(-1))
+
+
+# a factor of degree 1-3, primitive and led positive, with its power
+_factor = st.tuples(
+    st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(
+        lambda f: f[0] > 0 and math.gcd(*f) == 1),
+    st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_factor, min_size=1, max_size=4), st.sampled_from([1, -1, 2, -6]))
+@example([([1, 0, -2], 2), ([2, 1], 3)], -1)
+@example([([1, 1], 1), ([1, 1], 2), ([3, 0, 1], 1)], 2)
+def test_squarefree_decomposition_matches_sympy(factors, unit):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(unit, x)
+    for f, k in factors:
+        poly *= sympy.Poly(f, x) ** k
+    p = tuple(int(c) for c in poly.all_coeffs())
+    _, want = poly.sqf_list()
+    assert _squarefree_decomposition(p) == [(tuple(int(c) for c in f.all_coeffs()), k)
+                                            for f, k in want]
