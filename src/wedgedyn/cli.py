@@ -151,6 +151,8 @@ def cmd_torus(args) -> int:
 def cmd_rotset(args) -> int:
     m = _tight_map(args)
     report = rotation_set(m, budget=args.budget)
+    # render first, so a bad figure request fails before any CSV is written
+    figure = None if args.svg is None else rotset_figure(report)
     w = _csv_writer()
     b = m.rank
     w.writerow(["kind", "period"] + [f"v_{i}" for i in range(b)])
@@ -162,9 +164,9 @@ def cmd_rotset(args) -> int:
         w.writerow(["fixed", 1, *vec])
     for vec in report.period2_vectors:
         w.writerow(["period2", 2, *vec])
-    if args.svg is not None:
+    if figure is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(rotset_figure(report))
+            fh.write(figure)
     return 0
 
 
@@ -172,7 +174,7 @@ def cmd_beta(args) -> int:
     m = _tight_map(args)
     approx = beta_breakpoints(m, args.k)
     # render first, so a bad figure request fails before any CSV is written
-    figure = None if args.svg is None else beta_figure(m, args.k, window=args.window)
+    figure = None if args.svg is None else beta_figure(approx, window=args.window)
     w = _csv_writer()
     b = m.rank
     w.writerow(["edge", "i", "t"] + [f"beta_{i}" for i in range(b)])

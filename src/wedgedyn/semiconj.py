@@ -42,8 +42,15 @@ class BetaApproximation:
     tail_bound: Fraction
 
 
+def _check_level(k: int) -> None:
+    # level 0 is the edge itself (tau_0 is the shadowing constant)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 def kappa(m: TightMap, letter: Letter, k: int):
     """The per-letter increment of beta at level k: sign * A^-k e_gen."""
+    _check_level(k)
     if not m.spectral.is_expanding:
         raise NotExpanding("kappa needs an expanding abelianization")
     ainv, den = rat_inverse(m.A ** k)
@@ -57,6 +64,7 @@ def beta_breakpoints(m: TightMap, k: int) -> BetaApproximation:
     point reached after the first i letters of psi^k(e), so its beta value
     is the exact partial sum; the full edge telescopes to e_e.
     """
+    _check_level(k)
     mexp = m.endo.require_uniform_expansion()
     if not m.spectral.is_expanding:
         raise NotExpanding("beta needs an expanding abelianization")

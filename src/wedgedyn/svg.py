@@ -1,31 +1,35 @@
 """Deterministic SVG emitters for the beta polyline and rotation-set figures.
 
-Coordinates are exact rationals scaled by 100 px per unit, y-axis up.
-Formatting goes through integer arithmetic only, so a fixed input always
+Each figure is drawn on a canvas of integer numerators over one canvas
+denominator D: the point (x, y) of the lattice is kept as (x*D, y*D), with
+the y-axis up and 100 px per unit. Pixels are formatted from those integers
+alone, with no float and no Fraction per point, so a fixed input always
 produces identical bytes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .graphmap import TightMap
 from .intmat import rat_inverse
 from .rotation import RotationSetReport
-from .semiconj import beta_breakpoints
+from .semiconj import BetaApproximation
 
 _UNIT = 100  # px per lattice unit
+_SCALE = _UNIT * 10000  # px per unit, on the grid of 4 decimals
 
 
-def _px(value) -> str:
-    """Exact decimal when possible, else fixed 4 decimals, no floats."""
-    v = Fraction(value) * _UNIT
-    scaled = v * 10000
-    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+def _px(num: int, den: int) -> str:
+    """num/den lattice units (den > 0) in px: the exact decimal when it has
+    at most 4 places, else rounded half up at the fourth; integers only.
+
+    >>> _px(1, 2), _px(-1, 3), _px(2, 3), _px(1, 1600), _px(-3, 6)
+    ('50', '-33.3333', '66.6667', '0.0625', '-50')
+    """
+    n = (2 * num * _SCALE + den) // (2 * den)
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, 10000)
+    whole, frac = divmod(abs(n), 10000)
     if frac == 0:
         return f"{sign}{whole}"
     digits = f"{frac:04d}".rstrip("0")
@@ -33,40 +37,40 @@ def _px(value) -> str:
 
 
 class _Canvas:
-    """Collects shapes in user units (y up), emits flipped pixel SVG."""
+    """Collects shapes as integer numerators over den (y up), emits flipped
+    pixel SVG."""
 
-    def __init__(self):
+    def __init__(self, den: int):
+        self.den = den
         self.shapes = []
         self.xs = []
         self.ys = []
 
     def _track(self, pts):
         for x, y in pts:
-            self.xs.append(Fraction(x))
-            self.ys.append(Fraction(y))
+            self.xs.append(x)
+            self.ys.append(y)
 
     def polyline(self, pts, cls):
         self._track(pts)
-        self.shapes.append(("polyline", tuple((Fraction(x), Fraction(y)) for x, y in pts), cls))
+        self.shapes.append(("polyline", pts, cls))
 
     def circle(self, x, y, r_px, cls):
         self._track([(x, y)])
-        self.shapes.append(("circle", (Fraction(x), Fraction(y), r_px), cls))
+        self.shapes.append(("circle", (x, y, r_px), cls))
 
     def line(self, x1, y1, x2, y2, cls):
         self._track([(x1, y1), (x2, y2)])
-        self.shapes.append(("line", (Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2)), cls))
+        self.shapes.append(("line", (x1, y1, x2, y2), cls))
 
     def render(self, style: str) -> str:
-        pad = 20
-        min_x = min(self.xs) if self.xs else Fraction(0)
-        max_x = max(self.xs) if self.xs else Fraction(1)
-        min_y = min(self.ys) if self.ys else Fraction(0)
-        max_y = max(self.ys) if self.ys else Fraction(1)
-        x0 = (min_x * _UNIT).__floor__() - pad
-        y0 = (-max_y * _UNIT).__floor__() - pad
-        x1 = -((-max_x * _UNIT).__floor__()) + pad
-        y1 = -((min_y * _UNIT).__floor__()) + pad
+        d, pad = self.den, 20
+        min_x, max_x = (min(self.xs), max(self.xs)) if self.xs else (0, d)
+        min_y, max_y = (min(self.ys), max(self.ys)) if self.ys else (0, d)
+        x0 = min_x * _UNIT // d - pad
+        y0 = -max_y * _UNIT // d - pad
+        x1 = -(-max_x * _UNIT // d) + pad
+        y1 = -(min_y * _UNIT // d) + pad
         w, h = x1 - x0, y1 - y0
         out = ['<?xml version="1.0" encoding="UTF-8"?>']
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -74,17 +78,23 @@ class _Canvas:
         out.append(f"<style>{style}</style>")
         for kind, geom, cls in self.shapes:
             if kind == "polyline":
-                pts = " ".join(f"{_px(x)},{_px(-y)}" for x, y in geom)
+                pts = " ".join(f"{_px(x, d)},{_px(-y, d)}" for x, y in geom)
                 out.append(f'<polyline class="{cls}" points="{pts}"/>')
             elif kind == "circle":
                 x, y, r = geom
-                out.append(f'<circle class="{cls}" cx="{_px(x)}" cy="{_px(-y)}" r="{r}"/>')
+                out.append(f'<circle class="{cls}" cx="{_px(x, d)}" cy="{_px(-y, d)}" r="{r}"/>')
             elif kind == "line":
                 ax, ay, bx, by = geom
-                out.append(f'<line class="{cls}" x1="{_px(ax)}" y1="{_px(-ay)}" '
-                           f'x2="{_px(bx)}" y2="{_px(-by)}"/>')
+                out.append(f'<line class="{cls}" x1="{_px(ax, d)}" y1="{_px(-ay, d)}" '
+                           f'x2="{_px(bx, d)}" y2="{_px(-by, d)}"/>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
+
+
+def _over(vec, d: int) -> tuple:
+    """The integer numerators of a rational vector over d, a common
+    multiple of its denominators."""
+    return tuple(a.numerator * (d // a.denominator) for a in vec)
 
 
 _BETA_STYLE = (
@@ -97,32 +107,36 @@ _BETA_STYLE = (
 )
 
 
-def beta_figure(m: TightMap, k: int, window: int = 1) -> str:
-    """The exact level-k beta polyline per edge, deck translates in a lighter
-    stroke, and the exact lifted alpha value of each fixed point as a circle."""
+def beta_figure(approx: BetaApproximation, window: int = 1) -> str:
+    """The exact beta polyline of the table per edge, deck translates in a
+    lighter stroke, and the exact lifted alpha value of each fixed point as
+    a circle."""
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    approx = beta_breakpoints(m, k)
+    m = approx.map
     b = m.rank
     if b != 2:
         raise ValueError("beta figure is drawn for rank 2 only")
-    canvas = _Canvas()
-    span = window + 1
+    shift, den = rat_inverse(m.A - m.A.identity(b))
+    d = lcm(den, *{a.denominator for row in approx.values for v in row for a in v})
+    rows = [[_over(v, d) for v in row] for row in approx.values]
+    canvas = _Canvas(d)
+    span = (window + 1) * d
     canvas.line(-span, 0, span, 0, "axis")
     canvas.line(0, -span, 0, span, "axis")
     offsets = sorted(product(range(-window, window + 1), repeat=b))
-    for off in offsets:
-        if all(x == 0 for x in off):
+    for ox, oy in offsets:
+        if ox == oy == 0:
             continue
-        for e in range(b):
-            pts = [(v[0] + off[0], v[1] + off[1]) for v in approx.values[e]]
-            canvas.polyline(pts, "deck")
-    for e in range(b):
-        canvas.polyline([(v[0], v[1]) for v in approx.values[e]], f"edge{e}")
-    shift, den = rat_inverse(m.A - m.A.identity(b))
+        ox, oy = ox * d, oy * d
+        for row in rows:
+            canvas.polyline([(x + ox, y + oy) for x, y in row], "deck")
+    for e, row in enumerate(rows):
+        canvas.polyline(row, f"edge{e}")
+    scale = d // den
     for p in m.periodic_points(1):
         x, y = shift.apply(p.translation)
-        canvas.circle(Fraction(x, den), Fraction(y, den), 4, "alpha")
+        canvas.circle(x * scale, y * scale, 4, "alpha")
     return canvas.render(_BETA_STYLE)
 
 
@@ -138,22 +152,26 @@ _ROTSET_STYLE = (
 def rotset_figure(report: RotationSetReport) -> str:
     """Hull polygon with loop rotation vectors; fixed-point and period-2
     vectors in their own classes."""
-    if report.hull_vertices and len(report.hull_vertices[0]) != 2:
+    vecs = [*report.hull_vertices, *(v for _, v in report.loop_vectors),
+            *report.fixed_point_vectors, *report.period2_vectors]
+    if any(len(v) != 2 for v in vecs):
         raise ValueError("rotation-set figure is drawn for rank 2 only")
-    canvas = _Canvas()
-    canvas.line(Fraction(-3, 2), 0, Fraction(3, 2), 0, "axis")
-    canvas.line(0, Fraction(-3, 2), 0, Fraction(3, 2), "axis")
+    # 2 places the axis ends at +-3/2
+    d = lcm(2, *{a.denominator for v in vecs for a in v})
+    canvas = _Canvas(d)
+    canvas.line(-3 * d // 2, 0, 3 * d // 2, 0, "axis")
+    canvas.line(0, -3 * d // 2, 0, 3 * d // 2, "axis")
     if report.hull_vertices:
         ring = list(report.hull_vertices) + [report.hull_vertices[0]]
-        canvas.polyline(ring, "hull")
+        canvas.polyline([_over(v, d) for v in ring], "hull")
     fixed = set(report.fixed_point_vectors)
     per2 = set(report.period2_vectors)
     for _, vec in report.loop_vectors:
         if vec in fixed or vec in per2:
             continue
-        canvas.circle(vec[0], vec[1], 3, "loop")
+        canvas.circle(*_over(vec, d), 3, "loop")
     for vec in sorted(per2):
-        canvas.circle(vec[0], vec[1], 4, "per2")
+        canvas.circle(*_over(vec, d), 4, "per2")
     for vec in sorted(fixed):
-        canvas.circle(vec[0], vec[1], 5, "fix")
+        canvas.circle(*_over(vec, d), 5, "fix")
     return canvas.render(_ROTSET_STYLE)

@@ -325,8 +325,8 @@ def test_structural_figure_and_regularity_cover():
     m2 = _phi2()
     m1 = TightMap(Endomorphism.from_strings(2, "aabAB", "BAbba"), name="phi1")
 
-    fig_a = beta_figure(m2, 2)
-    fig_b = beta_figure(m2, 2)
+    fig_a = beta_figure(beta_breakpoints(m2, 2))
+    fig_b = beta_figure(beta_breakpoints(m2, 2))
     assert fig_a == fig_b
     root = ET.fromstring(fig_a)
     assert root.tag.endswith("svg")

@@ -1,10 +1,11 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from wedgedyn import parse
+from wedgedyn import parse, semiconj
 from wedgedyn.cli import main
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -170,6 +171,19 @@ def test_rotset_budget_exit(capsys):
     assert code == 3
 
 
+def test_rotset_rank3_svg_exit(capsys, tmp_path):
+    # the figure is refused before any CSV row is written or the file opened
+    mapfile = tmp_path / "rank3.map"
+    mapfile.write_text("map r3 rank 3 { a -> baB ; b -> cbC ; c -> acA ; }\n")
+    svg = tmp_path / "rotset.svg"
+    code = main(["rotset", str(mapfile), "--svg", str(svg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "ValueError: rotation-set figure is drawn for rank 2 only\n"
+    assert not svg.exists()
+
+
 def test_beta_csv_and_svg(capsys, tmp_path):
     svg = tmp_path / "beta.svg"
     code, out = run(capsys, "beta", str(MAPS / "phi2.map"), "--k", "2",
@@ -195,6 +209,35 @@ def test_beta_negative_window_exit(capsys, tmp_path):
     assert captured.err.startswith("ValueError: ")
     assert captured.err.count("\n") == 1
     assert not svg.exists()
+
+
+def test_beta_negative_k_exit(capsys):
+    code = main(["beta", str(MAPS / "phi2.map"), "--k", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "ValueError: k must be >= 0, got -1\n"
+
+
+def test_beta_svg_builds_one_table(capsys, tmp_path, monkeypatch):
+    # rebind beta_breakpoints under every module alias, as a tracer would
+    original = semiconj.beta_breakpoints
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "wedgedyn" or name.startswith("wedgedyn."):
+            for alias, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, alias, counting)
+    code = main(["beta", str(MAPS / "phi2.map"), "--k", "2",
+                 "--svg", str(tmp_path / "beta.svg")])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_shadow_json(capsys):

@@ -53,6 +53,16 @@ def test_kappa_needs_expanding(phi1):
         kappa(phi1, Letter(0, 1), 1)
 
 
+def test_negative_level_refused(phi2):
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        kappa(phi2, Letter(0, 1), -1)
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -2$"):
+        beta_breakpoints(phi2, -2)
+    # level 0 is the edge itself, the level tau_0 bounds
+    assert kappa(phi2, Letter(1, -1), 0) == (0, -1)
+    assert beta_breakpoints(phi2, 0).values == (((0, 0), (1, 0)), ((0, 0), (0, 1)))
+
+
 def test_beta_level1_phi2(phi2):
     ap = beta_breakpoints(phi2, 1)
     assert ap.level == 1 and ap.M == 4
