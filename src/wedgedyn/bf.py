@@ -4,6 +4,9 @@ The standing hypothesis (no eigenvalue of A is a root of unity) makes every
 A^k - I invertible, so each BF_k is finite of order |det(A^k - I)| and the
 monomorphism Psi embeds it into the rational points of the torus fixed by
 the k-th power of the induced toral map.
+
+One Smith form U (A^k - I) V = D serves each group: cosets reduce U n
+modulo the diagonal, and Psi is read off (A^k - I)^-1 = V D^-1 U.
 """
 
 from __future__ import annotations
@@ -91,10 +94,13 @@ class BFGroup:
         return rat_inverse(self._snf.U)[0]
 
     @cached_property
-    def _kernel(self) -> tuple:
-        """(N, L) with (A^k - I)^-1 = N / L, N an integer matrix and L > 0
-        the least such denominator, which is the exponent of BF_k."""
-        return rat_inverse(self.M)
+    def _psi_map(self) -> tuple:
+        """(W, L) with Psi(e) = W e.r / L mod 1: M^-1 = V D^-1 U, so
+        W = V diag(L / d_i) with L = d_n, the exponent of BF_k."""
+        diag = self.diagonal
+        L = diag[-1]
+        return IntMatrix(tuple(tuple(v * (L // d) for v, d in zip(row, diag))
+                               for row in self._snf.V.rows)), L
 
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n."""
@@ -155,8 +161,8 @@ def psi(e: BFElement) -> TorusPoint:
     integer vector z. Injective under the standing hypothesis, so equality
     of Psi images is the canonical equality test in the direct limit.
     """
-    kernel, den = e.group._kernel
-    return _torus_point(tuple(Fraction(x % den, den) for x in kernel.apply(e.representative())))
+    w, den = e.group._psi_map
+    return _torus_point(tuple(Fraction(x % den, den) for x in w.apply(e.r)))
 
 
 def upsilon(e: BFElement, j: int) -> BFElement:
@@ -173,15 +179,15 @@ def enumerate_fixed(a: IntMatrix, k: int):
     """All points of T^b fixed by the k-th power of the toral map, sorted.
 
     These are exactly the Psi images of BF_k(A); there are |det(A^k - I)|
-    of them. Every coordinate is a numerator over L (see BFGroup._kernel),
+    of them. Every coordinate is a numerator over L (see BFGroup._psi_map),
     so the SNF box is walked on numerators, a step along axis i adding
-    column i of N U^-1 mod L; the numerator tuples sort in the order of
-    the points, and L is the exponent of BF_k, so the Fraction table has
-    no more entries than there are points.
+    column i of W mod L; the numerator tuples sort in the order of the
+    points, and L is the exponent of BF_k, so the Fraction table has no
+    more entries than there are points.
     """
     g = BFGroup(a, k)
-    kernel, den = g._kernel
-    steps = (kernel * g._u_inv).transpose().rows
+    w, den = g._psi_map
+    steps = w.transpose().rows
     nums = [(0,) * a.dim]
     for step, d in zip(steps, g.diagonal):
         walked = []

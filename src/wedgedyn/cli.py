@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .bf import BFGroup, enumerate_fixed
 from .dsl import MapSpec, parse
@@ -171,6 +172,8 @@ def cmd_rotset(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    if args.window < 0:
+        raise ValueError(f"window must be >= 0, got {args.window}")
     m = _tight_map(args)
     approx = beta_breakpoints(m, args.k)
     # render first, so a bad figure request fails before any CSV is written
@@ -204,6 +207,7 @@ def cmd_shadow(args) -> int:
     return 2 if cert.status == "UNKNOWN" else 0
 
 
+@cache  # built on the first call and then shared: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wedgedyn",
                                   description="homological invariants of tight graph maps")

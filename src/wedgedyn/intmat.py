@@ -1,8 +1,10 @@
-"""Exact integer matrices, Smith normal form, and inverses.
+"""Exact integer matrices, one integer elimination, and Smith normal form.
 
-Everything here is pure Python over int. A rational matrix is always an
-integer matrix over one positive denominator: rat_inverse returns m^-1 as
-(N, den), and callers scale their numerators by den instead of building
+Everything here is pure Python over int. One fraction-free Gauss-Jordan
+(Bareiss) elimination, _gauss_jordan, serves IntMatrix.det, rat_inverse
+and kernel; snf is the only other elimination. A rational matrix is always
+an integer matrix over one positive denominator: rat_inverse returns m^-1
+as (N, den), and callers scale their numerators by den instead of building
 Fractions. Matrices are immutable (tuples of tuples) so they can be dict
 keys and set members.
 """
@@ -91,26 +93,9 @@ class IntMatrix:
         return sum(self.rows[i][i] for i in range(self.dim))
 
     def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        n = self.dim
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if m[t][t] == 0:
-                for i in range(t + 1, n):
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-                m[i][t] = 0
-            prev = m[t][t]
-        return sign * m[n - 1][n - 1]
+        """sign * d from _gauss_jordan, or 0 when the rank falls short."""
+        _, pivots, sign, d = _gauss_jordan(self.rows)
+        return sign * d if len(pivots) == self.dim else 0
 
     def _check(self, other):
         if not isinstance(other, IntMatrix):
@@ -128,32 +113,69 @@ def _int_matrix(rows: tuple) -> IntMatrix:
     return m
 
 
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan (Bareiss) on n integer rows, pivoting in
+    the first n columns and skipping any column with no pivot.
+
+    Returns (rows, pivots, sign, d): row r has its pivot in column
+    pivots[r], sign is that of the row swaps and d the last pivot (1 if
+    none). Each step divides exactly by the previous pivot, so every entry
+    stays an integer minor and every pivot ends equal to d.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    pivots, sign, prev = [], 1, 1
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, pivot_row = a[r][c], a[r]
+        for i in range(n):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        pivots.append(c)
+        prev = p
+    return a, pivots, sign, prev
+
+
 def rat_inverse(m: IntMatrix) -> tuple:
     """The exact inverse as (N, den): N an IntMatrix and den > 0 with
     m * N = den * I, den being the lcm of the denominators of m^-1.
 
-    Fraction-free Gauss-Jordan (Bareiss) turns [m | I] into [d I | d m^-1]
-    with d = +-det(m); both halves are then divided by gcd(d, content).
-    Raises SingularMatrix when det = 0.
+    _gauss_jordan turns [m | I] into [d I | d m^-1] with d = +-det(m); both
+    halves are then divided by gcd(d, content). Raises SingularMatrix when
+    det = 0.
     """
     n = m.dim
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p, pivot_row = a[col][col], a[col]
-        for i in range(n):
-            if i != col:
-                f = a[i][col]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    den = prev if prev > 0 else -prev
-    inv = [r[n:] if prev > 0 else [-x for x in r[n:]] for r in a]
-    g = gcd(den, *(x for r in inv for x in r))
-    return IntMatrix(tuple(tuple(x // g for x in r) for r in inv)), den // g
+    a, pivots, _, d = _gauss_jordan([list(r) + [int(i == j) for j in range(n)]
+                                     for i, r in enumerate(m.rows)])
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    inv = [r[n:] if d > 0 else [-x for x in r[n:]] for r in a]
+    g = gcd(d, *(x for r in inv for x in r))
+    return IntMatrix(tuple(tuple(x // g for x in r) for r in inv)), abs(d) // g
+
+
+def primitive_int(v) -> tuple:
+    """Divide integers by their content, signed so that the first nonzero
+    entry becomes positive; serves coefficient lists and vectors alike."""
+    g = gcd(*v) * (-1 if next((c for c in v if c), 0) < 0 else 1)
+    return tuple(c // g for c in v) if g not in (0, 1) else tuple(v)
+
+
+def kernel(m: IntMatrix) -> list:
+    """Primitive integer kernel basis of m, led positive: for each column f
+    without a pivot, x_f = d and x_{pivots[r]} = -row_r[f] solve every
+    reduced row d x_{pivots[r]} + sum over free f of row_r[f] x_f = 0."""
+    a, pivots, _, d = _gauss_jordan(m.rows)
+    row_of = dict(zip(pivots, a))
+    return [primitive_int([-row_of[j][f] if j in row_of else d * (j == f) for j in range(m.dim)])
+            for f in range(m.dim) if f not in row_of]
 
 
 @dataclass(frozen=True)

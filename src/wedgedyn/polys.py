@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, primitive_int
 
 
 def trim(p):
@@ -77,14 +77,6 @@ def _primitive(p):
     """Divide by the positive content: keeps every sign, tames growth."""
     g = gcd(*p)
     return tuple(c // g for c in p) if g > 1 else tuple(p)
-
-
-def primitive_int(v):
-    """Divide integers by their content; the first nonzero entry becomes
-    positive. Serves coefficient lists and vectors alike, so nothing is
-    trimmed."""
-    v = _primitive(v)
-    return tuple(-c for c in v) if next((c for c in v if c), 0) < 0 else v
 
 
 def gcd_primitive(p, q):

@@ -260,29 +260,9 @@ def eigen_rotation_number(m: TightMap, p: PeriodicPoint, v) -> Fraction:
 
 
 def point_in_hull(p, hull) -> bool:
-    """Exact membership of a point in a 2d hull (vertices CCW) or a 1d range."""
-    if not hull:
-        return False
-    dim = len(hull[0])
-    if dim == 1:
-        lo, hi = hull[0][0], hull[-1][0]
-        return lo <= p[0] <= hi
-    if dim != 2:
-        return _feasible_combination(p, list(hull))
-    if len(hull) == 1:
-        return tuple(p) == tuple(hull[0])
-    if len(hull) == 2:
-        (ax, ay), (bx, by) = hull
-        cr = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-        if cr != 0:
-            return False
-        dot = (p[0] - ax) * (bx - ax) + (p[1] - ay) * (by - ay)
-        return 0 <= dot <= (bx - ax) ** 2 + (by - ay) ** 2
-    for i in range(len(hull)):
-        (ax, ay), (bx, by) = hull[i], hull[(i + 1) % len(hull)]
-        if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0:
-            return False
-    return True
+    """Exact membership of a point in the convex hull of the given vertices,
+    in any dimension; an empty hull contains nothing."""
+    return _feasible_combination(p, list(hull))
 
 
 def rotation_set(m: TightMap, budget: int = 200000) -> RotationSetReport:

@@ -21,8 +21,7 @@ from .errors import (
     NotExpanding,
 )
 from .graphmap import CoverPoint, TightMap, cover_point
-from .intmat import rat_inverse
-from .spectra import _rational_kernel
+from .intmat import IntMatrix, kernel, rat_inverse
 from .words import Letter
 
 
@@ -111,11 +110,10 @@ def beta_mu(m: TightMap, approx: BetaApproximation, mu):
         raise ComplexOrSmallEigenvalue(f"|mu| must exceed 1, got {mu}")
     # ker(A^T - mu I) = ker(q A^T - p I) for mu = p / q
     p, q = mu.numerator, mu.denominator
-    kernel = _rational_kernel([[q * x - p * (i == j) for j, x in enumerate(r)]
-                               for i, r in enumerate(m.A.transpose().rows)])
-    if not kernel:
+    basis = kernel(q * m.A.transpose() - p * IntMatrix.identity(m.rank))
+    if not basis:
         raise ComplexOrSmallEigenvalue(f"{mu} is not a rational eigenvalue of A^T")
-    v = kernel[0]
+    v = basis[0]
     return tuple(tuple(sum(Fraction(a) * b for a, b in zip(v, val)) for val in edge_vals)
                  for edge_vals in approx.values)
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from . import polys
 from .errors import NotExpanding
-from .intmat import IntMatrix, rat_inverse
+from .intmat import IntMatrix, kernel, primitive_int, rat_inverse
 
 
 def _sqrt_interval(x: Fraction):
@@ -93,38 +93,6 @@ class SpectralReport:
     lipschitz_like_norm_data: "LipschitzNormData | None"
 
 
-def _rational_kernel(rows):
-    """Primitive integer basis of the kernel of a square matrix given as
-    integer rows, deterministic RREF order. The reduction is fraction-free:
-    each pivot row stays scaled by its pivot, and the basis is read off
-    scaled by the lcm of the pivots."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [p * x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    scale = lcm(*(rows[pr][pc] for pr, pc in enumerate(pivots)))
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[f] = scale
-        for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][f] * (scale // rows[pr][pc])
-        basis.append(polys.primitive_int(v))
-    return basis
-
-
 def _integer_roots(p):
     """(root, multiplicity) pairs over Z, plus the deflated remainder."""
     p = polys.trim(p)
@@ -153,9 +121,9 @@ def _squarefree_decomposition(p):
     """Musser's algorithm over Z on primitive parts led positive, exact
     quotients by pseudo-division; returns (primitive factor, multiplicity)."""
     def quo(a, b):
-        return polys.primitive_int(polys.pseudo_divmod(a, b)[0])
+        return primitive_int(polys.pseudo_divmod(a, b)[0])
 
-    p = polys.primitive_int(p)
+    p = primitive_int(p)
     if polys.degree(p) <= 0:
         return []
     c = polys.gcd_primitive(p, polys.derivative(p))
@@ -311,8 +279,7 @@ def _build_norm_data(a, eigs, all_rational, expanding, lam):
         basis = []
         # every eigenvalue is an integer: the charpoly is monic over Z
         for lam_i in sorted({e.re.numerator for e in eigs}):
-            basis.extend(_rational_kernel([[x - lam_i * (i == j) for j, x in enumerate(r)]
-                                           for i, r in enumerate(a.rows)]))
+            basis.extend(kernel(a - lam_i * IntMatrix.identity(n)))
         if len(basis) == n:
             P = IntMatrix(tuple(zip(*basis)))
             N, den = rat_inverse(P)

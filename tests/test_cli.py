@@ -199,10 +199,11 @@ def test_beta_csv_and_svg(capsys, tmp_path):
     assert "<svg" in svg.read_text()
 
 
-def test_beta_negative_window_exit(capsys, tmp_path):
+@pytest.mark.parametrize("with_svg", [True, False], ids=["svg", "no-svg"])
+def test_beta_negative_window_exit(capsys, tmp_path, with_svg):
     svg = tmp_path / "beta.svg"
-    code = main(["beta", str(MAPS / "phi2.map"), "--k", "2", "--window", "-1",
-                 "--svg", str(svg)])
+    extra = ["--svg", str(svg)] if with_svg else []
+    code = main(["beta", str(MAPS / "phi2.map"), "--k", "2", "--window", "-1", *extra])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -295,6 +296,23 @@ def test_missing_file_exit(capsys):
 def test_bad_name_exit(capsys):
     code = main(["analyze", str(MAPS / "phi2.map"), "--name", "nope"])
     assert code == 1
+
+
+@pytest.mark.parametrize("first, second", [
+    (["shadow", "--norm", "sup"], ["shadow"]),
+    (["bf", "--format", "csv"], ["bf"]),
+])
+def test_successive_calls_match_separate_calls(capsys, first, second):
+    """main shares one parser between calls: no option of one call may leak
+    into the next."""
+    def call(argv):
+        code = main([argv[0], str(MAPS / "phi2.map"), *argv[1:]])
+        return code, capsys.readouterr()
+
+    alone = [call(second), call(first)]
+    in_turn = [call(first), call(second)]
+    assert in_turn == alone[::-1]
+    assert alone[0] != alone[1]
 
 
 def test_deterministic_output(capsys, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from wedgedyn import IntMatrix, NotDivisible, SingularMatrix, c_matrix, char_poly, rat_inverse, snf
+from wedgedyn.intmat import kernel
 
 
 def int_matrix(n, lo=-9, hi=9):
@@ -126,6 +127,44 @@ def test_char_poly_and_inverse_match_sympy(a):
     assert den > 0
     assert a * inv == den * IntMatrix.identity(a.dim)
     assert den == math.lcm(*(x.q for x in s.inv()))
+
+
+def _low_rank(n):
+    """An n x r times r x n product, r < n: singular by construction."""
+    return st.integers(0, n - 1).flatmap(lambda r: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=r, max_size=r),
+    )).map(lambda ab: IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col))
+                                            for col in zip(*ab[1])) if ab[1] else (0,) * n
+                                      for row in ab[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.one_of(int_matrix(n), _low_rank(n))))
+@example(IntMatrix.zero(3))
+@example(IntMatrix(((0, 2, 4), (0, 1, 2), (0, 0, 0))))  # first column has no pivot
+def test_det_inverse_kernel_match_sympy(a):
+    """det, rat_inverse and kernel share one elimination; check all three
+    against sympy on full-rank and rank-deficient matrices."""
+    s = sympy.Matrix(a.rows)
+    assert a.det() == s.det()
+    if s.det() == 0:
+        with pytest.raises(SingularMatrix):
+            rat_inverse(a)
+    else:
+        inv, den = rat_inverse(a)
+        assert sympy.Matrix(inv.rows) / den == s.inv()
+        assert den == math.lcm(*(x.q for x in s.inv()))
+    basis = kernel(a)
+    null = s.nullspace()
+    assert len(basis) == len(null)
+    for v in basis:
+        assert any(v) and a.apply(v) == (0,) * a.dim
+        assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
+    if basis:
+        k = sympy.Matrix([list(v) for v in basis]).T
+        assert k.rank() == len(null)
+        assert k.row_join(sympy.Matrix.hstack(*null)).rank() == len(null)
 
 
 def test_c_matrix_identity(a2):

@@ -95,6 +95,18 @@ def test_point_in_hull():
     assert point_in_hull((F(1, 2), F(0)), hull)  # edge
     assert not point_in_hull((F(2), F(0)), hull)
     assert not point_in_hull((F(0), F(3, 4)), hull)
+    # 1-d range, segment, single point, empty hull
+    assert point_in_hull((F(1, 2),), ((-1,), (2,)))
+    assert point_in_hull((F(2),), ((-1,), (2,)))
+    assert not point_in_hull((F(-3, 2),), ((-1,), (2,)))
+    segment = ((0, 0), (2, 1))
+    assert point_in_hull((F(1), F(1, 2)), segment)
+    assert point_in_hull((F(2), F(1)), segment)
+    assert not point_in_hull((F(1), F(0)), segment)
+    assert not point_in_hull((F(4), F(2)), segment)
+    assert point_in_hull((F(1), F(-1)), ((1, -1),))
+    assert not point_in_hull((F(1), F(0)), ((1, -1),))
+    assert not point_in_hull((F(0), F(0)), ())
 
 
 def test_concatenate_farey(phi1):
