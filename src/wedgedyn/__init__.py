@@ -27,6 +27,7 @@ from .errors import (
 )
 from .dsl import MapSpec, format_map, parse
 from .graphmap import (
+    Chart,
     CoverPoint,
     GraphPoint,
     PeriodicPoint,

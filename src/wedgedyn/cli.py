@@ -257,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow", help="injectivity certificate (JSON)")
     common(p, norm=True)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--max-cells", type=int, default=100000)
+    p.add_argument("--max-cells", type=int, default=100000,
+                   help="most segment-pair cells kept per depth, and the depth-0 box "
+                        "of b^2 (2w+1)^b pairs (w its lattice radius, from 2*delta) "
+                        "may hold at most MAX_CELLS * L^2, L the largest speed; "
+                        "exit 3 beyond either")
     p.set_defaults(fn=cmd_shadow)
     return top
 

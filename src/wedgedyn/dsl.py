@@ -7,15 +7,22 @@
 
 Lowercase letters are generators, uppercase their inverses, whitespace
 between word letters optional, `#` comments to end of line. A file may
-declare several maps.
+declare several maps. Names, numbers and words are ASCII only.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from string import ascii_letters, ascii_lowercase
 
 from .errors import DuplicateRule, ParseError, UndeclaredGenerator
 from .words import Endomorphism
+
+# one alternative per token kind, ASCII only; "skip" is blanks and comments
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<arrow>->)"
+                    r"|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<semi>;)"
+                    r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)")
 
 
 @dataclass(frozen=True)
@@ -40,62 +47,16 @@ class _Token:
 
 
 def _tokenize(source: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "{":
-            tokens.append(_Token("lbrace", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "}":
-            tokens.append(_Token("rbrace", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            tokens.append(_Token("semi", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if source.startswith("->", i):
-            tokens.append(_Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens, line, line_start, pos = [], 1, 0, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, m.end()
+        elif m.lastgroup != "skip":
+            tokens.append(_Token(m.lastgroup, m.group(), line, m.start() - line_start + 1))
+        pos = m.end()
     return tokens
 
 
@@ -156,7 +117,7 @@ class _Parser:
                 break
             gen_tok = self._take("ident", "generator letter")
             gen = gen_tok.text
-            if len(gen) != 1 or not gen.islower():
+            if len(gen) != 1 or gen not in ascii_lowercase:
                 raise ParseError(f"rule must start with one lowercase letter, got {gen!r}",
                                  gen_tok.line, gen_tok.column)
             idx = ord(gen) - ord("a")
@@ -188,7 +149,7 @@ class _Parser:
             if tok.kind != "ident":
                 self._fail("word letter or ';'")
             for off, ch in enumerate(tok.text):
-                if not ch.isalpha():
+                if ch not in ascii_letters:
                     raise ParseError(f"bad word character {ch!r}",
                                      tok.line, tok.column + off)
                 if ord(ch.lower()) - ord("a") >= rank:

@@ -6,14 +6,20 @@ unit segments based at lattice points (for b = 2: Z x R union R x Z). A
 tight map runs along the image word of each edge at constant speed, so all
 lifted data is piecewise affine with rational breakpoints and exact
 arithmetic goes through.
+
+A Chart is a lifted edge that the lift of f^j lays over a piece of another,
+with the composed integer slot map between them; TightMap.advance steps it
+one letter slot on. The periodic-point census walks charts, and so does the
+injectivity certifier in semiconj, in pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add
 from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
@@ -93,6 +99,24 @@ def cover_from_coords(coords) -> CoverPoint:
     base = tuple(int(c) if j != i else (c.numerator // c.denominator) for j, c in enumerate(coords))
     t = coords[i] - base[i]
     return cover_point(i, t, base)
+
+
+class Chart(NamedTuple):
+    """A full lifted edge (edge, base) that is the forward image of a piece
+    of the lifted edge (o_edge, o_base), through the composed integer slot
+    map u = alpha * t + beta from the original parameter t to the current
+    parameter u in [0, 1]. Tuple order is the order charts sort in."""
+
+    edge: int
+    base: tuple
+    o_edge: int
+    o_base: tuple
+    alpha: int
+    beta: int
+
+    def orig_point(self, u) -> CoverPoint:
+        """The original point that the chart carries to parameter u."""
+        return cover_point(self.o_edge, Fraction(u - self.beta, self.alpha), self.o_base)
 
 
 def deck(cp: CoverPoint, n) -> CoverPoint:
@@ -222,6 +246,15 @@ class TightMap:
             cp = self.lift_eval(cp)
         return cp
 
+    def advance(self, chart: Chart) -> list:
+        """The letter pieces of the lifted image of a chart's edge, in slot
+        order: slot i of the edge's image word gives the i-th piece."""
+        edge, base, o_edge, o_base, alpha, beta = chart
+        abase = self.A.apply(base)
+        return [Chart(s.generator, tuple(map(add, abase, s.offset)), o_edge, o_base,
+                      s.mul * alpha, s.mul * beta + s.add)
+                for s in self.slots[edge]]
+
     # -- sigma and shadowing constants ------------------------------------
 
     def sigma_values(self):
@@ -259,36 +292,18 @@ class TightMap:
 
     # -- periodic points ---------------------------------------------------
 
-    def _slot_cycles(self, k: int):
-        """All length-k slot itineraries that close up, in lexicographic order."""
-        cycles = []
-
-        def extend(start_edge, path, cur_edge):
-            if len(path) == k:
-                if cur_edge == start_edge:
-                    cycles.append(tuple(path))
-                return
-            for i, slot in enumerate(self.slots[cur_edge]):
-                path.append((cur_edge, i, slot.sign))
-                extend(start_edge, path, slot.generator)
-                path.pop()
-
-        for e0 in range(self.rank):
-            extend(e0, [], e0)
-        return cycles
-
     def periodic_points(self, k: int):
         """Fix(phi^k) as a deduplicated, sorted list of PeriodicPoint.
 
         Each admissible slot itinerary supports exactly one fixed point of
         the composed affine map t -> alpha t + beta (its inverse contracts
         [0,1] into the slot cylinder), so enumeration plus endpoint
-        deduplication is complete. alpha and beta are integers, so the
-        fixed point is t0 = num / den with den = |1 - alpha|, and one
-        integer walk over the itinerary, on numerators over den, checks
-        that the orbit stays in every slot's cylinder (the slot map sends
-        n to 0 <= mul n + add den <= den) and closes up, and builds the
-        lifted translation by Horner steps base <- A base + slot.offset.
+        deduplication is complete. Charts walked k slots deep from each
+        edge at the origin enumerate the itineraries; one back on its own
+        edge closes one and holds alpha, beta and the lifted translation.
+        The fixed point is t0 = num / den, den = |1 - alpha|, and an integer
+        walk on numerators over den checks that the orbit stays in every
+        slot's cylinder (0 <= mul n + add den <= den) and closes up.
 
         A slot breakpoint maps to the vertex, which is fixed, so no other
         periodic orbit meets one: each such point has exactly one itinerary
@@ -299,38 +314,48 @@ class TightMap:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        rows, slots = self.A.rows, self.slots
+        slots = self.slots
         zero = (0,) * self.rank
-        vertex_cycle = None
-        found = []
-        for cyc in self._slot_cycles(k):
-            path = [slots[e][i] for e, i, _ in cyc]
-            alpha, beta = 1, 0
-            for s in path:
-                alpha, beta = s.mul * alpha, s.mul * beta + s.add
+        found, vertex_cycles = [], []
+
+        def walk(chart, path):
+            if len(path) < k:
+                for i, (s, piece) in enumerate(zip(slots[chart.edge], self.advance(chart))):
+                    path.append((chart.edge, i, s.sign))
+                    walk(piece, path)
+                    path.pop()
+                return
+            if chart.edge != chart.o_edge:
+                return
+            alpha, beta = chart.alpha, chart.beta
             if alpha == 1:
                 raise NotExpanding("slot cycle composes to the identity; fixed points not isolated")
             num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
             # defensive: confirm the orbit really follows the itinerary
-            n, base = num, zero
-            for s in path:
+            n = num
+            for e, i, _ in path:
+                s = slots[e][i]
                 n = s.mul * n + s.add * den
                 if not 0 <= n <= den:
                     raise RuntimeError("slot cycle solve left its cylinder")
-                base = tuple([sum(map(mul, r, base)) + o for r, o in zip(rows, s.offset)])
             if n != num:
                 raise RuntimeError("slot cycle solve did not close up")
+            cyc = tuple(path)
             if num == 0 or num == den:
-                if vertex_cycle is None:
-                    vertex_cycle = cyc
+                vertex_cycles.append(cyc)
             else:
                 least = next(d for d in range(1, k + 1) if k % d == 0 and cyc[d:] + cyc[:d] == cyc)
-                found.append((GraphPoint(cyc[0][0], Fraction(num, den)), least, cyc, base))
+                found.append((GraphPoint(chart.edge, Fraction(num, den)), least, cyc, chart.base))
+
+        for e in range(self.rank):
+            walk(Chart(e, zero, e, zero, 1, 0), [])
         # the vertex is fixed by every power but its itinerary may not close
         # as a slot cycle (its edge-end walk can have a period not dividing k)
-        if vertex_cycle is None:
-            vertex_cycle = self._vertex_itinerary(k)
+        vertex_cycle = vertex_cycles[0] if vertex_cycles else self._vertex_itinerary(k)
         found.append((VERTEX, 1, vertex_cycle, zero))
+        # order on (edge, t), t as an integer numerator over one denominator
+        scale = math.lcm(*(pt.t.denominator for pt, *_ in found))
+        found.sort(key=lambda f: (f[0].edge, f[0].t.numerator * (scale // f[0].t.denominator)))
         try:
             bf_group = BFGroup(self.A, k)
         except RootOfUnitySpectrum:
@@ -342,7 +367,6 @@ class TightMap:
             out.append(PeriodicPoint(point=pt, period=k, least_period=least,
                                      itinerary=cyc, translation=base,
                                      displacement=disp, alpha_image=alpha_img))
-        out.sort(key=lambda p: (p.point.edge, p.point.t))
         return out
 
     def _vertex_itinerary(self, k: int):

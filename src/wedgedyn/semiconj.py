@@ -6,10 +6,14 @@ For a uniformly expanding map (all speeds M), the points i/M^k on an edge
 are exactly the points whose k-th lifted image is a lattice point n, and
 beta there equals A^-k n on the nose. Everything else is bounded by the
 geometric tail of the defect series.
+
+The certifier tracks pairs of graphmap.Charts, stepped by TightMap.advance,
+and decides touching, preimage overlap and witnesses on integers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .errors import (
     ComplexOrSmallEigenvalue,
     NotExpanding,
 )
-from .graphmap import CoverPoint, TightMap, cover_point
+from .graphmap import Chart, TightMap
 from .intmat import IntMatrix, kernel, rat_inverse
 from .words import Letter
 
@@ -175,38 +179,6 @@ class InjectivityCertificate:
     norm: str
 
 
-@dataclass(frozen=True)
-class _Tracked:
-    """A full lifted edge (edge, base) that is the forward image of a piece
-    of the original edge (o_edge, o_base), through the composed integer slot
-    map u = alpha * t + beta from the original parameter t to the current
-    parameter u in [0, 1] (the same composition as periodic_points')."""
-
-    edge: int
-    base: tuple
-    o_edge: int
-    o_base: tuple
-    alpha: int
-    beta: int
-
-    def sort_key(self):
-        return (self.edge, self.base, self.o_edge, self.o_base, self.alpha, self.beta)
-
-    def orig_point(self, u) -> CoverPoint:
-        return cover_point(self.o_edge, Fraction(u - self.beta, self.alpha), self.o_base)
-
-    def orig_interval(self):
-        return sorted((Fraction(-self.beta, self.alpha), Fraction(1 - self.beta, self.alpha)))
-
-
-def _advance(m: TightMap, tr: _Tracked):
-    """All letter pieces of the lifted image of a full tracked edge."""
-    abase = m.A.apply(tr.base)
-    return [_Tracked(s.generator, tuple(map(operator.add, abase, s.offset)), tr.o_edge,
-                     tr.o_base, s.mul * tr.alpha, s.mul * tr.beta + s.add)
-            for s in m.slots[tr.edge]]
-
-
 def _far_gate(gram, theta2):
     """far(e1, n1, e2, n2): whether the unit axis segments n1 + [0,1] e1 and
     n2 + [0,1] e2 lie more than theta apart, where theta2 = theta^2.
@@ -272,65 +244,71 @@ def _unit_min(a, b, g):
 
 
 def _touch(e1, n1, e2, n2):
-    """'ident', the single shared point, or None for two unit axis segments."""
+    """'ident', the lattice point two distinct unit axis segments share, or
+    None. The boxes n + [0, 1] e meet iff their lower corners' maximum lies
+    below both upper corners, and then two distinct segments meet there."""
     if e1 == e2 and n1 == n2:
         return "ident"
-    box = []
-    for i in range(len(n1)):
-        a_lo, a_hi = n1[i], n1[i] + (1 if i == e1 else 0)
-        b_lo, b_hi = n2[i], n2[i] + (1 if i == e2 else 0)
-        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-        if lo > hi:
+    pt = tuple(map(max, n1, n2))
+    for i, (x, a, b) in enumerate(zip(pt, n1, n2)):
+        if x - a > (i == e1) or x - b > (i == e2):
             return None
-        box.append((lo, hi))
-    if any(lo != hi for lo, hi in box):
-        raise RuntimeError("distinct grid segments cannot overlap in a segment")
-    return tuple(lo for lo, _ in box)
+    return pt
 
 
-def _preimages_intersect(p: _Tracked, q: _Tracked) -> bool:
-    plo, phi = p.orig_interval()
-    qlo, qhi = q.orig_interval()
-    for i in range(len(p.o_base)):
-        a_lo = Fraction(p.o_base[i]) + (plo if i == p.o_edge else 0)
-        a_hi = Fraction(p.o_base[i]) + (phi if i == p.o_edge else 0)
-        b_lo = Fraction(q.o_base[i]) + (qlo if i == q.o_edge else 0)
-        b_hi = Fraction(q.o_base[i]) + (qhi if i == q.o_edge else 0)
-        if max(a_lo, b_lo) > min(a_hi, b_hi):
+def _preimages_intersect(p: Chart, q: Chart) -> bool:
+    """Whether the closed original pieces of two charts meet, on integers:
+    scaled by |alpha|, a piece's parameter interval is [lo, lo + 1]."""
+    ap, aq = abs(p.alpha), abs(q.alpha)
+    plo = -p.beta if p.alpha > 0 else p.beta - 1
+    qlo = -q.beta if q.alpha > 0 else q.beta - 1
+    for i, (x, y) in enumerate(zip(p.o_base, q.o_base)):
+        a_lo = x * ap + (plo if i == p.o_edge else 0)
+        b_lo = y * aq + (qlo if i == q.o_edge else 0)
+        if (a_lo * aq > (b_lo + (i == q.o_edge)) * ap
+                or b_lo * ap > (a_lo + (i == p.o_edge)) * aq):
             return False
     return True
 
 
-def _cell_key(p: _Tracked, q: _Tracked):
-    """Translation-invariant germ signature of a benign cell."""
-    t = _touch(p.edge, p.base, q.edge, q.base)
-    if t == "ident":
-        return ("ident", p.edge)
-    if t is None:
+def _same_origin(p: Chart, u: int, q: Chart, v: int, den: int = 1) -> bool:
+    """Whether p carries to the parameter u / den the original point that q
+    carries to v / den: on integers, as coordinates over den * alpha."""
+    for i, (x, y) in enumerate(zip(p.o_base, q.o_base)):
+        a = x * den * p.alpha + (u - p.beta * den if i == p.o_edge else 0)
+        b = y * den * q.alpha + (v - q.beta * den if i == q.o_edge else 0)
+        if a * q.alpha != b * p.alpha:
+            return False
+    return True
+
+
+def _scan(cells):
+    """One pass over a depth's cells: the witnesses (distinct original points
+    that a cell carries to one current point, each pair sorted) and, when
+    every cell is benign (its original pieces meet), the set of their
+    translation-invariant germ signatures, else None."""
+    witnesses, keys = [], set()
+    for p, q in cells:
+        t, key = _touch(p.edge, p.base, q.edge, q.base), None
+        if t == "ident":
+            key = ("ident", p.edge)
+            if p != q:
+                witnesses += [tuple(sorted((p.orig_point(Fraction(u, den)),
+                                            q.orig_point(Fraction(u, den)))))
+                              for u, den in ((0, 1), (1, 2), (1, 1))
+                              if not _same_origin(p, u, q, u, den)]
+        elif t is not None:
+            up, uq = t[p.edge] - p.base[p.edge], t[q.edge] - q.base[q.edge]
+            key = (p.edge, up, q.edge, uq, tuple(map(operator.sub, q.base, p.base)))
+            if not _same_origin(p, up, q, uq):
+                witnesses.append(tuple(sorted((p.orig_point(up), q.orig_point(uq)))))
+        if keys is not None and _preimages_intersect(p, q):
+            keys.add(key)
+        else:
+            keys = None
+    if keys is not None and None in keys and not witnesses:
         raise RuntimeError("benign cell without touching segments")
-
-    def end_dir(tr):
-        return 1 if t[tr.edge] == tr.base[tr.edge] else -1
-
-    rel = tuple(a - b for a, b in zip(q.base, p.base))
-    return (p.edge, end_dir(p), q.edge, end_dir(q), rel)
-
-
-def _witness_from_cell(p: _Tracked, q: _Tracked):
-    """Distinct original points with the same current image, if any."""
-    t = _touch(p.edge, p.base, q.edge, q.base)
-    cands = []
-    if t == "ident":
-        for u in (0, Fraction(1, 2), 1):
-            x, y = p.orig_point(u), q.orig_point(u)
-            if x != y:
-                cands.append((x, y))
-    elif t is not None:
-        x = p.orig_point(t[p.edge] - p.base[p.edge])
-        y = q.orig_point(t[q.edge] - q.base[q.edge])
-        if x != y:
-            cands.append((x, y))
-    return cands
+    return witnesses, keys
 
 
 def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
@@ -338,14 +316,18 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     """Search for distinct cover points whose orbits shadow each other.
 
     Pairs with equal beta stay within 2*delta of each other forever (each
-    is within delta of the same toral orbit), so segment pairs separating
-    beyond 2*delta are discarded. The gate is exact, runs on integers, and
-    is decided once per relative position of the two segments (_far_gate).
-    Surviving exact coincidences with distinct preimages are
-    non-injectivity witnesses. When every survivor is benign
+    is within delta of the same toral orbit), so chart pairs whose
+    segments separate beyond 2*delta are discarded. The gate is exact,
+    runs on integers, and is decided once per relative position of the two
+    segments (_far_gate). Surviving exact coincidences with distinct
+    preimages are non-injectivity witnesses. When every survivor is benign
     (preimage closures intersect) and the survivor germ-signature set
     repeats at consecutive depths, the self-similar regime forces any
     shadowing pair onto the diagonal: CERTIFIED_INJECTIVE.
+
+    Every depth after the first examines at most max_cells * L^2 pairs,
+    L the largest speed, and the depth-0 box of b^2 (2w + 1)^b pairs is
+    held to the same budget before it is built.
     """
     if depth < 0 or max_cells < 0:
         raise ValueError(f"depth and max_cells must be >= 0, got {depth} and {max_cells}")
@@ -355,60 +337,50 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     far = _far_gate(nd.gram, theta * theta)
     b = m.rank
     can_certify = min(m.speeds) >= 2
+    cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=nd.kind)
 
     if nd.kind == "sup":
         row_scale = Fraction(1)
     else:
         row_scale = max(sum(abs(x) for x in r) for r in nd.P.rows)
     w = int(row_scale * theta) + 2
+    box_pairs, bound = b * b * (2 * w + 1) ** b, max_cells * max(m.speeds) ** 2
+    if box_pairs > bound:
+        raise BudgetExceeded(f"depth-0 box of {box_pairs} segment pairs exceeds "
+                             f"max_cells * L^2 = {bound}")
 
     zero = (0,) * b
-    box = ((_Tracked(e, zero, e, zero, 1, 0), _Tracked(e2, base, e2, base, 1, 0))
+    box = ((Chart(e, zero, e, zero, 1, 0), Chart(e2, base, e2, base, 1, 0))
            for e in range(b) for base in itertools.product(range(-w, w + 1), repeat=b)
            for e2 in range(b))
     cells = _cells(box, far, max_cells)
-    prev_keys = _stable_state(cells)
+    _, prev_keys = _scan(cells)
 
     for d in range(1, depth + 1):
         # product() builds q's pieces once per cell
         cells = _cells((pq for p, q in cells
-                        for pq in itertools.product(_advance(m, p), _advance(m, q))),
+                        for pq in itertools.product(m.advance(p), m.advance(q))),
                        far, max_cells)
-        witnesses = [tuple(sorted(xy)) for p, q in cells for xy in _witness_from_cell(p, q)]
+        witnesses, keys = _scan(cells)
         if witnesses:
             x, y = min(witnesses)
             if m.lift_iter(x, d) != m.lift_iter(y, d):
                 raise RuntimeError("witness verification failed")
-            return InjectivityCertificate(status="NOT_INJECTIVE", depth=d,
-                                          delta=sr.delta, witness=(x, y), norm=nd.kind)
-        keys = _stable_state(cells)
+            return cert(status="NOT_INJECTIVE", depth=d, witness=(x, y))
         if can_certify and keys is not None and keys == prev_keys:
-            return InjectivityCertificate(status="CERTIFIED_INJECTIVE", depth=d,
-                                          delta=sr.delta, witness=None, norm=nd.kind)
+            return cert(status="CERTIFIED_INJECTIVE", depth=d, witness=None)
         prev_keys = keys
-    return InjectivityCertificate(status="UNKNOWN", depth=depth,
-                                  delta=sr.delta, witness=None, norm=nd.kind)
+    return cert(status="UNKNOWN", depth=depth, witness=None)
 
 
 def _cells(pairs, far, max_cells):
-    """The distinct pairs of tracked segments that the gate keeps, each
-    ordered by sort_key, in sorted order. Raises BudgetExceeded as soon as
-    more than max_cells are kept, before any witness search reads them."""
-    cells = {}
+    """The set of distinct chart pairs (p, q), p <= q, that the gate keeps.
+    Raises BudgetExceeded as soon as more than max_cells are kept, before
+    any witness search reads them."""
+    cells = set()
     for p, q in pairs:
         if not far(p.edge, p.base, q.edge, q.base):
-            a, c = sorted((p, q), key=_Tracked.sort_key)
-            cells[a.sort_key(), c.sort_key()] = a, c
+            cells.add((p, q) if p <= q else (q, p))
             if len(cells) > max_cells:
                 raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
-    return [cells[k] for k in sorted(cells)]
-
-
-def _stable_state(cells):
-    """The germ-signature set when every cell is benign, else None."""
-    keys = set()
-    for p, q in cells:
-        if not _preimages_intersect(p, q):
-            return None
-        keys.add(_cell_key(p, q))
-    return frozenset(keys)
+    return cells

@@ -8,6 +8,7 @@ uppercase for inverses, so "aabAB" means a a b a^-1 b^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import ascii_letters
 from typing import NamedTuple
 
 from .errors import NonUniformExpansion, RankMismatch
@@ -53,8 +54,7 @@ class Word:
     def parse(text: str, rank: int) -> "Word":
         letters = []
         for ch in text:
-            low = ch.lower()
-            idx = ord(low) - ord("a")
+            idx = ord(ch.lower()) - ord("a") if ch in ascii_letters else -1
             if not (0 <= idx < rank):
                 raise RankMismatch(f"letter {ch!r} outside rank {rank}")
             letters.append(Letter(idx, 1 if ch.islower() else -1))

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from wedgedyn import parse, semiconj
 from wedgedyn.cli import main
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 RAT = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -271,6 +275,39 @@ def test_shadow_budget_exit(capsys, max_cells):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("wedgedyn.errors.BudgetExceeded: ")
+
+
+def test_shadow_box_budget_exit(tmp_path):
+    """The depth-0 box is held to the budget before it is built. This map's
+    box holds 297,685,449 segment pairs and the 2*delta gate keeps so few
+    that the cell count alone would not stop it; the child runs under a
+    timeout and a 512 MiB address-space cap, so a relapse fails the test
+    instead of exhausting the machine."""
+    mapfile = tmp_path / "wide.map"
+    mapfile.write_text("map wide rank 3 { a -> aaa ; b -> cBBCC ; c -> caca ; }\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "wedgedyn", "shadow", str(mapfile)],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("wedgedyn.errors.BudgetExceeded: depth-0 box of 297685449 "
+                           "segment pairs exceeds max_cells * L^2 = 2500000\n")
+
+
+def test_non_ascii_map_exit(capsys, tmp_path):
+    mapfile = tmp_path / "dotted.map"
+    mapfile.write_text("map m rank 2 {\n  a -> a\u0130b ;\n  b -> b ;\n}\n", encoding="utf-8")
+    code = main(["analyze", str(mapfile)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "wedgedyn.errors.ParseError: 2:9: unexpected character '\u0130'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,9 @@ from wedgedyn import (
     DuplicateRule,
     MapSpec,
     ParseError,
+    RankMismatch,
     UndeclaredGenerator,
+    Word,
     format_map,
     parse,
 )
@@ -106,6 +108,33 @@ def test_error_position_reported():
     with pytest.raises(ParseError) as ei:
         parse("map m rank 1 {\n  a => a ;\n}")
     assert ei.value.line == 2
+
+
+@pytest.mark.parametrize("text, line, column", [
+    # 'İ'.lower() is two characters long
+    ("map m rank 2 {\n  a -> a\u0130b ;\n  b -> b ;\n}", 2, 9),
+    # superscript two is a digit to str.isdigit but no int() literal
+    ("map m rank \u00b2 { a -> a ; }", 1, 12),
+    ("map m rank 1 { a -> a\u00e9 ; }", 1, 22),
+    ("map m\u00e9 rank 1 { a -> a ; }", 1, 6),
+    ("map m rank 1 { \u00e0 -> a ; }", 1, 16),
+    ("map m rank 1 { a -> \uff41 ; }", 1, 21),
+])
+def test_error_non_ascii(text, line, column):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert "unexpected character" in str(ei.value)
+
+
+@pytest.mark.parametrize("text, rank", [
+    ("a\u0130", 2), ("\u00e9", 2), ("a\uff41", 2),
+    # the Kelvin sign lowers to an ASCII k
+    ("\u212a", 11),
+])
+def test_word_parse_non_ascii(text, rank):
+    with pytest.raises(RankMismatch):
+        Word.parse(text, rank)
 
 
 def test_comments_ignored():

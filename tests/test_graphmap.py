@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wedgedyn import (
     BFGroup,
+    Chart,
     Endomorphism,
     MapSpec,
     NotExpanding,
@@ -274,3 +275,20 @@ def test_eval_and_lift_match_word_text(case, data):
         assert cp == cover_point(e, t, base)
         assert x == graph_point(e, t)
         e, t, base = cp.point.edge, cp.point.t, cp.base
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+def test_advance_leaves_follow_lift_iter(request, name):
+    """After k advance steps from a whole lifted edge, each leaf chart's
+    original point at u = 1/3 lifts in k steps to the point u = 1/3 of the
+    leaf's own lifted edge; the leaves are the letters of psi^k(e)."""
+    m = request.getfixturevalue(name)
+    u = F(1, 3)
+    for e in range(m.rank):
+        base = (1, -2)
+        leaves = [Chart(e, base, e, base, 1, 0)]
+        for k in range(1, 4):
+            leaves = [piece for leaf in leaves for piece in m.advance(leaf)]
+            assert len(leaves) == len(m.endo.power(k).images[e])
+            for leaf in leaves:
+                assert m.lift_iter(leaf.orig_point(u), k) == cover_point(leaf.edge, u, leaf.base)

@@ -86,6 +86,11 @@ def test_hull_simple_cases():
     # collinear points collapse to the two ends
     line = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]
     assert set(hull_vertices(line)) == {(0, 0), (2, 2)}
+    # 1-d: one point, a range, duplicates
+    assert hull_vertices([(F(3, 2),)]) == ((F(3, 2),),)
+    assert hull_vertices([(F(1),), (F(-2),), (F(1, 2),), (F(3),)]) == ((-2,), (3,))
+    assert hull_vertices([(F(1),), (F(1),)]) == ((1,),)
+    assert hull_vertices([(F(2),), (F(-1),), (F(2),), (F(-1),)]) == ((-1,), (2,))
 
 
 def test_point_in_hull():

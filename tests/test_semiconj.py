@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wedgedyn import (
     BudgetExceeded,
+    Chart,
     ComplexOrSmallEigenvalue,
     Endomorphism,
     NonUniformExpansion,
@@ -24,7 +25,7 @@ from wedgedyn import (
     tail_bound,
 )
 from wedgedyn.intmat import IntMatrix, rat_inverse
-from wedgedyn.semiconj import _far_gate
+from wedgedyn.semiconj import _far_gate, _preimages_intersect, _same_origin, _touch
 from wedgedyn.words import Letter
 
 F = Fraction
@@ -398,3 +399,77 @@ def test_beta_matches_prefix_lattice_points(images, k):
         for i, val in enumerate(values[e]):
             prefix = (word[:i].count("a"), word[:i].count("b"))
             assert val == tuple(F(x, den) for x in ainv.apply(prefix))
+
+
+def _touch_oracle(e1, n1, e2, n2):
+    """'ident', the single shared point, or None for two unit axis segments,
+    by intersecting their boxes coordinate by coordinate."""
+    if e1 == e2 and n1 == n2:
+        return "ident"
+    box = []
+    for i in range(len(n1)):
+        a_lo, a_hi = n1[i], n1[i] + (1 if i == e1 else 0)
+        b_lo, b_hi = n2[i], n2[i] + (1 if i == e2 else 0)
+        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+        if lo > hi:
+            return None
+        box.append((lo, hi))
+    if any(lo != hi for lo, hi in box):
+        raise RuntimeError("distinct grid segments cannot overlap in a segment")
+    return tuple(lo for lo, _ in box)
+
+
+def _preimages_intersect_oracle(p, q):
+    """Whether the closed original pieces of two charts meet, in Fractions."""
+    def interval(c):
+        return sorted((F(-c.beta, c.alpha), F(1 - c.beta, c.alpha)))
+
+    (plo, phi), (qlo, qhi) = interval(p), interval(q)
+    for i in range(len(p.o_base)):
+        a_lo = F(p.o_base[i]) + (plo if i == p.o_edge else 0)
+        a_hi = F(p.o_base[i]) + (phi if i == p.o_edge else 0)
+        b_lo = F(q.o_base[i]) + (qlo if i == q.o_edge else 0)
+        b_hi = F(q.o_base[i]) + (qhi if i == q.o_edge else 0)
+        if max(a_lo, b_lo) > min(a_hi, b_hi):
+            return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda b: st.tuples(
+    st.integers(0, b - 1), st.tuples(*[st.integers(-2, 2)] * b),
+    st.integers(0, b - 1), st.tuples(*[st.integers(-2, 2)] * b))))
+def test_touch_matches_box_oracle(case):
+    assert _touch(*case) == _touch_oracle(*case)
+
+
+@st.composite
+def chart_pairs(draw):
+    """Two charts of one rank whose original pieces are slot cylinders
+    [i/d, (i+1)/d] of small lifted edges near each other, in either
+    orientation, so that pieces meet, touch and miss."""
+    b = draw(st.integers(1, 3))
+
+    def chart():
+        d = draw(st.sampled_from([1, 2, 3, 4, 7, 16, 49]))
+        i = draw(st.integers(0, d - 1))
+        alpha, beta = (d, -i) if draw(st.booleans()) else (-d, i + 1)
+        o_edge = draw(st.integers(0, b - 1))
+        o_base = draw(st.tuples(*[st.integers(-1, 1)] * b))
+        return Chart(0, (0,) * b, o_edge, o_base, alpha, beta)
+
+    return chart(), chart()
+
+
+@settings(max_examples=500, deadline=None)
+@given(chart_pairs(), st.sampled_from([(0, 1), (1, 2), (1, 1)]),
+       st.sampled_from([(0, 1), (1, 2), (1, 1)]))
+def test_integer_chart_tests_match_fraction_oracles(pq, u, v):
+    p, q = pq
+    assert _preimages_intersect(p, q) == _preimages_intersect_oracle(p, q)
+    assert _preimages_intersect(p, p)
+    # one denominator for both parameters, as the certifier calls it
+    den = u[1] * v[1]
+    same = p.orig_point(F(*u)) == q.orig_point(F(*v))
+    assert _same_origin(p, u[0] * v[1], q, v[0] * u[1], den) == same
+    assert _same_origin(p, u[0] * v[1], p, u[0] * v[1], den)
