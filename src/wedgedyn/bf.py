@@ -6,7 +6,10 @@ monomorphism Psi embeds it into the rational points of the torus fixed by
 the k-th power of the induced toral map.
 
 One Smith form U (A^k - I) V = D serves each group: cosets reduce U n
-modulo the diagonal, and Psi is read off (A^k - I)^-1 = V D^-1 U.
+modulo the diagonal, coset representatives come back through the U^-1
+that snf returns, and Psi is read off (A^k - I)^-1 = V D^-1 U. The
+constructor checks the hypothesis once; BFGroup.level(j) gives BF_j of the
+same A without checking it again, and upsilon reaches its target that way.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, c_matrix, rat_inverse, snf
+from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
+from .intmat import IntMatrix, c_matrix, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
@@ -62,6 +65,16 @@ class BFGroup:
         if has_root_of_unity_factor(char_poly(self.A)):
             raise RootOfUnitySpectrum("A has a root-of-unity eigenvalue; BF groups degenerate")
 
+    def level(self, j: int) -> "BFGroup":
+        """BF_j of the same A. A passed the root-of-unity check when this
+        group was built, so the new group skips the constructor's check."""
+        if j < 1:
+            raise ValueError("k must be >= 1")
+        g = object.__new__(BFGroup)
+        object.__setattr__(g, "A", self.A)
+        object.__setattr__(g, "k", j)
+        return g
+
     @cached_property
     def M(self) -> IntMatrix:
         return self.A ** self.k - IntMatrix.identity(self.A.dim)
@@ -87,11 +100,6 @@ class BFGroup:
         if n != det:
             raise RuntimeError("order mismatch between SNF and determinant")
         return n
-
-    @cached_property
-    def _u_inv(self) -> IntMatrix:
-        # U is unimodular, so its inverse has denominator 1
-        return rat_inverse(self._snf.U)[0]
 
     @cached_property
     def _psi_map(self) -> tuple:
@@ -131,7 +139,7 @@ class BFElement:
 
     def representative(self) -> tuple:
         """An integer vector in this coset."""
-        return self.group._u_inv.apply(self.r)
+        return self.group._snf.U_inv.apply(self.r)
 
     def __add__(self, other: "BFElement") -> "BFElement":
         self._check(other)
@@ -170,22 +178,30 @@ def upsilon(e: BFElement, j: int) -> BFElement:
     i = e.group.k
     if j % i != 0:
         raise NotDivisible(f"{i} does not divide {j}")
-    target = BFGroup(e.group.A, j)
+    target = e.group.level(j)
     c = c_matrix(e.group.A, i, j)
     return target.reduce(c.apply(e.representative()))
 
 
-def enumerate_fixed(a: IntMatrix, k: int):
+def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
     """All points of T^b fixed by the k-th power of the toral map, sorted.
 
     These are exactly the Psi images of BF_k(A); there are |det(A^k - I)|
-    of them. Every coordinate is a numerator over L (see BFGroup._psi_map),
-    so the SNF box is walked on numerators, a step along axis i adding
-    column i of W mod L; the numerator tuples sort in the order of the
-    points, and L is the exponent of BF_k, so the Fraction table has no
-    more entries than there are points.
+    of them, and with a budget BudgetExceeded is raised before the Smith
+    form is built when that count passes it. Every coordinate is a
+    numerator over L (see BFGroup._psi_map), so the SNF box is walked on
+    numerators, a step along axis i adding column i of W mod L; the
+    numerator tuples sort in the order of the points, and L is the
+    exponent of BF_k, so the Fraction table has no more entries than there
+    are points.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     g = BFGroup(a, k)
+    if budget is not None:
+        size = abs(g.M.det())
+        if size > budget:
+            raise BudgetExceeded(f"{size} torus fixed points exceed budget {budget}")
     w, den = g._psi_map
     steps = w.transpose().rows
     nums = [(0,) * a.dim]

@@ -123,7 +123,7 @@ def cmd_bf(args) -> int:
 
 def cmd_fix(args) -> int:
     m = _tight_map(args)
-    pts = m.periodic_points(args.k)
+    pts = m.periodic_points(args.k, budget=args.budget)
     b = m.rank
     w = _csv_writer()
     header = (["edge", "t", "period", "least_period"]
@@ -141,7 +141,7 @@ def cmd_fix(args) -> int:
 
 def cmd_torus(args) -> int:
     m = _tight_map(args)
-    pts = enumerate_fixed(m.A, args.k)
+    pts = enumerate_fixed(m.A, args.k, budget=args.budget)
     w = _csv_writer()
     w.writerow([f"x_{i}" for i in range(m.rank)])
     for p in pts:
@@ -207,6 +207,9 @@ def cmd_shadow(args) -> int:
     return 2 if cert.status == "UNKNOWN" else 0
 
 
+BUDGET = 200000  # the default --budget of every enumerating subcommand
+
+
 @cache  # built on the first call and then shared: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wedgedyn",
@@ -234,16 +237,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fix", help="periodic points of period k (CSV)")
     common(p)
     p.add_argument("--k", type=int, default=1)
+    p.add_argument("--budget", type=int, default=BUDGET,
+                   help="most slot itineraries of length k to walk (the sum of the "
+                        "entries of T^k, T the letter-count matrix); exit 3 beyond it")
     p.set_defaults(fn=cmd_fix)
 
     p = sub.add_parser("torus", help="fixed points of the k-th toral iterate (CSV)")
     common(p)
     p.add_argument("--k", type=int, default=1)
+    p.add_argument("--budget", type=int, default=BUDGET,
+                   help="most fixed points to list, |det(A^k - I)|; exit 3 beyond it")
     p.set_defaults(fn=cmd_torus)
 
     p = sub.add_parser("rotset", help="minimal loops and rotation-set hull (CSV + SVG)")
     common(p)
-    p.add_argument("--budget", type=int, default=200000)
+    p.add_argument("--budget", type=int, default=BUDGET,
+                   help="most candidate loops to enumerate; exit 3 beyond it")
     p.add_argument("--svg", default=None, help="write the hull figure here")
     p.set_defaults(fn=cmd_rotset)
 

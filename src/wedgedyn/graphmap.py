@@ -23,7 +23,7 @@ from operator import add
 from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
-from .errors import AdaptedNormUnavailable, NotExpanding, RootOfUnitySpectrum
+from .errors import AdaptedNormUnavailable, BudgetExceeded, NotExpanding, RootOfUnitySpectrum
 from .intmat import IntMatrix
 from .spectra import LipschitzNormData, rational_sqrt_upper, spectral, sup_norm_data
 from .words import Endomorphism
@@ -292,7 +292,7 @@ class TightMap:
 
     # -- periodic points ---------------------------------------------------
 
-    def periodic_points(self, k: int):
+    def periodic_points(self, k: int, budget: int | None = None):
         """Fix(phi^k) as a deduplicated, sorted list of PeriodicPoint.
 
         Each admissible slot itinerary supports exactly one fixed point of
@@ -301,9 +301,10 @@ class TightMap:
         deduplication is complete. Charts walked k slots deep from each
         edge at the origin enumerate the itineraries; one back on its own
         edge closes one and holds alpha, beta and the lifted translation.
-        The fixed point is t0 = num / den, den = |1 - alpha|, and an integer
-        walk on numerators over den checks that the orbit stays in every
-        slot's cylinder (0 <= mul n + add den <= den) and closes up.
+        The walk keeps its own stack, so Python's recursion limit does not
+        bound k. The fixed point is t0 = num / den, den = |1 - alpha|, and
+        an integer walk on numerators over den checks that the orbit stays
+        in every slot's cylinder (0 <= mul n + add den <= den) and closes up.
 
         A slot breakpoint maps to the vertex, which is fixed, so no other
         periodic orbit meets one: each such point has exactly one itinerary
@@ -311,22 +312,34 @@ class TightMap:
         least d | k whose rotation of the itinerary equals the itinerary.
         The vertex has least period 1 and translation 0 (its lift at the
         origin is fixed), whatever slot cycle it was found on.
+
+        With a budget, BudgetExceeded is raised before any walking when the
+        walk would reach more than budget charts at depth k: the sum of the
+        entries of T^k, T[e][g] the number of letters g or G in psi(e).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if budget is not None:
+            self._check_walk_budget(k, budget)
         slots = self.slots
         zero = (0,) * self.rank
         found, vertex_cycles = [], []
-
-        def walk(chart, path):
+        # depth-first in slot order: each entry is (chart, the path length
+        # before its step, the step (edge, slot, sign) that reached it)
+        stack = [(Chart(e, zero, e, zero, 1, 0), 0, None) for e in reversed(range(self.rank))]
+        path = []
+        while stack:
+            chart, n, step = stack.pop()
+            del path[n:]
+            if step is not None:
+                path.append(step)
             if len(path) < k:
-                for i, (s, piece) in enumerate(zip(slots[chart.edge], self.advance(chart))):
-                    path.append((chart.edge, i, s.sign))
-                    walk(piece, path)
-                    path.pop()
-                return
+                edge, depth = chart.edge, len(path)
+                stack.extend(reversed([(piece, depth, (edge, i, s.sign)) for i, (s, piece)
+                                       in enumerate(zip(slots[edge], self.advance(chart)))]))
+                continue
             if chart.edge != chart.o_edge:
-                return
+                continue
             alpha, beta = chart.alpha, chart.beta
             if alpha == 1:
                 raise NotExpanding("slot cycle composes to the identity; fixed points not isolated")
@@ -346,9 +359,6 @@ class TightMap:
             else:
                 least = next(d for d in range(1, k + 1) if k % d == 0 and cyc[d:] + cyc[:d] == cyc)
                 found.append((GraphPoint(chart.edge, Fraction(num, den)), least, cyc, chart.base))
-
-        for e in range(self.rank):
-            walk(Chart(e, zero, e, zero, 1, 0), [])
         # the vertex is fixed by every power but its itinerary may not close
         # as a slot cycle (its edge-end walk can have a period not dividing k)
         vertex_cycle = vertex_cycles[0] if vertex_cycles else self._vertex_itinerary(k)
@@ -368,6 +378,20 @@ class TightMap:
                                      itinerary=cyc, translation=base,
                                      displacement=disp, alpha_image=alpha_img))
         return out
+
+    def _check_walk_budget(self, k: int, budget: int):
+        """BudgetExceeded unless the census walk reaches at most budget
+        charts at depth k. With T the letter-count matrix, that count is
+        1^T T^k 1; every image word is nonempty, so T^j 1 grows with j and
+        the count is refused as soon as a partial sum passes the budget."""
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        gens = [[s.generator for s in row] for row in self.slots]
+        leaves = [1] * self.rank
+        for _ in range(k):
+            leaves = [sum(leaves[g] for g in row) for row in gens]
+            if sum(leaves) > budget:
+                raise BudgetExceeded(f"more than {budget} slot itineraries of length {k}")
 
     def _vertex_itinerary(self, k: int):
         """The vertex orbit written in slot coordinates, starting at (a, t=0)."""

@@ -2,11 +2,13 @@
 
 Everything here is pure Python over int. One fraction-free Gauss-Jordan
 (Bareiss) elimination, _gauss_jordan, serves IntMatrix.det, rat_inverse
-and kernel; snf is the only other elimination. A rational matrix is always
+and kernel; snf is the only other elimination, and it hands back the
+inverse U_inv of its row transform, which it tracks alongside U, so a
+Smith form needs no second elimination. A rational matrix is always
 an integer matrix over one positive denominator: rat_inverse returns m^-1
 as (N, den), and callers scale their numerators by den instead of building
 Fractions. Matrices are immutable (tuples of tuples) so they can be dict
-keys and set members.
+keys and set members, and IntMatrix.identity(n) is one shared object per n.
 """
 
 from __future__ import annotations
@@ -38,7 +40,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return _int_matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        """I_n, built once per n: matrices are immutable, so one is shared."""
+        if n not in _identity_cache:
+            _identity_cache[n] = _int_matrix(tuple(tuple(int(i == j) for j in range(n))
+                                                   for i in range(n)))
+        return _identity_cache[n]
 
     @staticmethod
     def zero(n: int) -> "IntMatrix":
@@ -58,10 +64,10 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _int_matrix(tuple(tuple(other * x for x in r) for r in self.rows))
+            return _int_matrix(tuple([tuple([other * x for x in r]) for r in self.rows]))
         self._check(other)
-        cols = tuple(zip(*other.rows))
-        return _int_matrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows))
+        cols = list(zip(*other.rows))
+        return _int_matrix(tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows]))
 
     __rmul__ = __mul__
 
@@ -71,14 +77,14 @@ class IntMatrix:
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
             raise ValueError("negative powers are rational; use rat_inverse")
-        out = IntMatrix.identity(self.dim)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return IntMatrix.identity(self.dim) if out is None else out
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product; accepts int or Fraction entries."""
@@ -111,6 +117,9 @@ def _int_matrix(rows: tuple) -> IntMatrix:
     m = object.__new__(IntMatrix)
     object.__setattr__(m, "rows", rows)
     return m
+
+
+_identity_cache = {}
 
 
 def _gauss_jordan(rows):
@@ -180,12 +189,14 @@ def kernel(m: IntMatrix) -> list:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """U * source * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0."""
+    """U * source * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0;
+    U_inv is the integer inverse of U."""
 
     source: IntMatrix
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple:
@@ -203,37 +214,52 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     Pivot selection always takes the smallest-absolute-value nonzero entry of
     the remaining submatrix, ties broken by lowest row index then lowest
     column index, so equal inputs give identical (U, D, V).
+
+    Every elementary operation is also applied, inverted, to U^-1 and V^-1:
+    a row operation on U is the inverse column operation on U^-1, and a
+    column operation on V the inverse row operation on V^-1. U U^-1 = I and
+    V V^-1 = I then certify that U and V are unimodular.
     """
     n = m.dim
     w = [list(r) for r in m.rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, j, q):
-        # row i -= q * row j, applied to W and U
+        # row i -= q * row j, applied to W and U; col j += q * col i of U^-1
         w[i] = [a - q * b for a, b in zip(w[i], w[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        for r in u_inv:
+            r[j] += q * r[i]
 
     def col_sub(i, j, q):
-        # col i -= q * col j, applied to W and V
+        # col i -= q * col j, applied to W and V; row j += q * row i of V^-1
         for r in w:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
+        v_inv[j] = [a + q * b for a, b in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i, j):
         w[i], w[j] = w[j], w[i]
         u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in w:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_neg(i):
         w[i] = [-a for a in w[i]]
         u[i] = [-a for a in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
 
     for t in range(n):
         while True:
@@ -288,12 +314,11 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         if w[t][t] < 0:
             row_neg(t)
 
-    U = IntMatrix(tuple(tuple(r) for r in u))
-    V = IntMatrix(tuple(tuple(r) for r in v))
-    D = IntMatrix(tuple(tuple(r) for r in w))
+    U, V, D, U_inv, V_inv = (_int_matrix(tuple(map(tuple, x))) for x in (u, v, w, u_inv, v_inv))
     if U * m * V != D:
         raise RuntimeError("SNF internal check failed: U*M*V != D")
-    if abs(U.det()) != 1 or abs(V.det()) != 1:
+    one = IntMatrix.identity(n)
+    if U * U_inv != one or V * V_inv != one:
         raise RuntimeError("SNF internal check failed: transforms not unimodular")
     diag = tuple(D.rows[i][i] for i in range(n))
     for i in range(n):
@@ -303,7 +328,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise RuntimeError("SNF internal check failed: divisor chain broken")
-    return SnfDecomposition(source=m, U=U, D=D, V=V)
+    return SnfDecomposition(source=m, U=U, D=D, V=V, U_inv=U_inv)
 
 
 def c_matrix(a: IntMatrix, i: int, j: int) -> IntMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .intmat import IntMatrix, primitive_int
 
@@ -91,19 +92,23 @@ def gcd_primitive(p, q):
 def char_poly(a: IntMatrix):
     """Characteristic polynomial det(xI - A), monic integer, descending.
 
-    Faddeev-LeVerrier in integers: M_1 = A, c_k = -tr(M_k) / k and
-    M_{k+1} = A (M_k + c_k I); every division is exact.
+    Faddeev-LeVerrier in integers on plain rows: M_1 = A, c_k = -tr(M_k) / k
+    and M_{k+1} = A (M_k + c_k I); every division is exact.
     """
-    n = a.dim
+    rows = a.rows
+    n = len(rows)
     coeffs = [1]
-    mk = a
+    mk = rows
     for k in range(1, n + 1):
-        ck, rem = divmod(-mk.trace(), k)
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
         if rem:
             raise RuntimeError("char_poly coefficients must be integers")
         coeffs.append(ck)
         if k < n:
-            mk = a * (mk + ck * IntMatrix.identity(n))
+            shifted = [list(r) for r in mk]
+            for i in range(n):
+                shifted[i][i] += ck
+            mk = [[sum(map(mul, r, c)) for c in zip(*shifted)] for r in rows]
     return tuple(coeffs)
 
 
@@ -138,17 +143,25 @@ def cyclotomic(m: int):
     return num
 
 
+_orders_cache = {}
+
+
+def _unity_orders(b: int) -> tuple:
+    """The m with euler_phi(m) <= b, the orders of the roots of unity of
+    degree <= b over Q, for b >= 0. phi(m) >= sqrt(m/2), so m <= 2*b^2 + 6
+    covers them all. Built once per b."""
+    if b not in _orders_cache:
+        _orders_cache[b] = tuple(m for m in range(1, 2 * b * b + 7) if euler_phi(m) <= b)
+    return _orders_cache[b]
+
+
 def has_root_of_unity_factor(p) -> bool:
     """True when some cyclotomic polynomial divides p (p monic integer).
 
-    Only m with euler_phi(m) <= deg p can contribute, and phi(m) >= sqrt(m/2),
-    so scanning m up to 2*deg^2 + 6 is exhaustive.
+    Only Phi_m with euler_phi(m) <= deg p can divide p; _unity_orders lists
+    those m.
     """
-    b = degree(p)
-    for m in range(1, 2 * b * b + 7):
-        if euler_phi(m) <= b and not pseudo_divmod(p, cyclotomic(m))[1]:
-            return True
-    return False
+    return any(not pseudo_divmod(p, cyclotomic(m))[1] for m in _unity_orders(max(degree(p), 0)))
 
 
 def _heval(p, u, v):

@@ -217,7 +217,7 @@ def _feasible_combination(target, points):
 
 
 def _hull_general(points):
-    """Extreme points in dimension other than 2 by exact LP filtering."""
+    """Extreme points in any dimension but 1 and 2, by exact LP filtering."""
     pts = sorted(set(points))
     if len(pts) <= 1:
         return tuple(pts)
@@ -233,7 +233,12 @@ def hull_vertices(points):
     if not points:
         return ()
     dim = len(next(iter(points)))
-    return _hull_2d(points) if dim == 2 else _hull_general(points)
+    if dim == 2:
+        return _hull_2d(points)
+    if dim == 1:
+        pts = sorted(set(points))
+        return (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
+    return _hull_general(points)
 
 
 def periodic_rotation_vector(m: TightMap, p: PeriodicPoint) -> tuple:

@@ -76,17 +76,25 @@ class _Canvas:
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                    f'viewBox="{x0} {y0} {w} {h}" width="{w}" height="{h}">')
         out.append(f"<style>{style}</style>")
+        memo = {}  # numerator -> px text; deck translates repeat each one
+
+        def px(num):
+            text = memo.get(num)
+            if text is None:
+                text = memo[num] = _px(num, d)
+            return text
+
         for kind, geom, cls in self.shapes:
             if kind == "polyline":
-                pts = " ".join(f"{_px(x, d)},{_px(-y, d)}" for x, y in geom)
+                pts = " ".join(f"{px(x)},{px(-y)}" for x, y in geom)
                 out.append(f'<polyline class="{cls}" points="{pts}"/>')
             elif kind == "circle":
                 x, y, r = geom
-                out.append(f'<circle class="{cls}" cx="{_px(x, d)}" cy="{_px(-y, d)}" r="{r}"/>')
+                out.append(f'<circle class="{cls}" cx="{px(x)}" cy="{px(-y)}" r="{r}"/>')
             elif kind == "line":
                 ax, ay, bx, by = geom
-                out.append(f'<line class="{cls}" x1="{_px(ax, d)}" y1="{_px(-ay, d)}" '
-                           f'x2="{_px(bx, d)}" y2="{_px(-by, d)}"/>')
+                out.append(f'<line class="{cls}" x1="{px(ax)}" y1="{px(-ay)}" '
+                           f'x2="{px(bx)}" y2="{px(-by)}"/>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
 

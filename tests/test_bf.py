@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wedgedyn import (
     BFGroup,
+    BudgetExceeded,
     IntMatrix,
     RootOfUnitySpectrum,
     enumerate_fixed,
@@ -166,3 +167,40 @@ def test_psi_and_enumerate_fixed_match_fraction_oracle(case):
     ak = a ** k
     for c in coords:
         assert all((y - x).denominator == 1 for x, y in zip(c, ak.apply(c)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bf_cases(), st.integers(1, 4))
+@example((IntMatrix(((3, 1), (1, 3))), 1, (4, -7)), 2)
+def test_level_matches_a_fresh_group(case, j):
+    """BF_j reached through level from an already checked BF_i is the group
+    the constructor builds."""
+    a, i, vec = case
+    try:
+        g = BFGroup(a, i)
+    except RootOfUnitySpectrum:
+        assume(False)
+    lifted, fresh = g.level(j), BFGroup(a, j)
+    assert lifted == fresh
+    assert lifted.order == fresh.order
+    assert lifted.diagonal == fresh.diagonal
+    assert lifted._psi_map == fresh._psi_map
+    assert lifted.reduce(vec) == fresh.reduce(vec)
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (1, -2), (2, 0), (2, -2)])
+def test_upsilon_to_a_nonpositive_level_raises(a2, i, j):
+    e = BFGroup(a2, i).reduce((1, 0))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        upsilon(e, j)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        e.group.level(j)
+
+
+def test_enumerate_fixed_budget(a2):
+    # |det(A^2 - I)| = 45 fixed points at level 2
+    assert len(enumerate_fixed(a2, 2, budget=45)) == 45
+    with pytest.raises(BudgetExceeded, match="45 torus fixed points exceed budget 44"):
+        enumerate_fixed(a2, 2, budget=44)
+    with pytest.raises(ValueError):
+        enumerate_fixed(a2, 2, budget=-1)

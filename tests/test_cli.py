@@ -175,6 +175,38 @@ def test_rotset_budget_exit(capsys):
     assert code == 3
 
 
+def test_fix_budget_exit(capsys):
+    # 2 * 4^1200 itineraries: refused from the count, before any walking
+    code = main(["fix", str(MAPS / "phi2.map"), "--k", "1200"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("wedgedyn.errors.BudgetExceeded: more than 200000 "
+                            "slot itineraries of length 1200\n")
+
+
+def test_torus_budget_exit(capsys):
+    code = main(["torus", str(MAPS / "phi2.map"), "--k", "12"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("wedgedyn.errors.BudgetExceeded: 68702695425 torus fixed points "
+                            "exceed budget 200000\n")
+
+
+def test_fix_deep_non_expanding_exit(capsys, tmp_path):
+    """1200 slots deep the census still ends in its documented error, not a
+    RecursionError traceback."""
+    mapfile = tmp_path / "shear.map"
+    mapfile.write_text("map shear rank 2 { a -> ab ; b -> b ; }\n")
+    code = main(["fix", str(mapfile), "--k", "1200"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("wedgedyn.errors.NotExpanding: slot cycle composes to the "
+                            "identity; fixed points not isolated\n")
+
+
 def test_rotset_rank3_svg_exit(capsys, tmp_path):
     # the figure is refused before any CSV row is written or the file opened
     mapfile = tmp_path / "rank3.map"
@@ -314,6 +346,8 @@ def test_non_ascii_map_exit(capsys, tmp_path):
     ("shadow", "phi2.map", "--depth", "-1"),
     ("shadow", "phi3.map", "--max-cells", "-5"),
     ("rotset", "phi1.map", "--budget", "-1"),
+    ("fix", "phi2.map", "--budget", "-1"),
+    ("torus", "phi2.map", "--budget", "-1"),
 ])
 def test_negative_budget_exit(capsys, argv):
     command, mapfile, *rest = argv

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wedgedyn import (
     BFGroup,
+    BudgetExceeded,
     Chart,
     Endomorphism,
     MapSpec,
@@ -292,3 +293,14 @@ def test_advance_leaves_follow_lift_iter(request, name):
             assert len(leaves) == len(m.endo.power(k).images[e])
             for leaf in leaves:
                 assert m.lift_iter(leaf.orig_point(u), k) == cover_point(leaf.edge, u, leaf.base)
+
+
+def test_periodic_points_budget_is_the_itinerary_count(phi2):
+    """phi2's letter-count matrix has row sums 4, so the walk reaches
+    2 * 4^k charts at depth k; the budget admits exactly that many."""
+    assert len(phi2.periodic_points(3, budget=128)) == len(phi2.periodic_points(3))
+    with pytest.raises(BudgetExceeded, match="more than 127 slot itineraries of length 3"):
+        phi2.periodic_points(3, budget=127)
+    with pytest.raises(ValueError):
+        phi2.periodic_points(3, budget=-1)
+

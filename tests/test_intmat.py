@@ -167,6 +167,21 @@ def test_det_inverse_kernel_match_sympy(a):
         assert k.row_join(sympy.Matrix.hstack(*null)).rank() == len(null)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.one_of(int_matrix(n), _low_rank(n))))
+@example(IntMatrix.zero(3))
+@example(IntMatrix(((2, 4, 4), (-6, 6, 12), (10, -4, -16))))
+@example(IntMatrix(((0, 0, 3), (0, 5, 0), (7, 0, 0))))  # swaps before any reduction
+def test_snf_u_inv_is_the_inverse_of_u(a):
+    """The U^-1 that snf tracks beside U against the Bareiss inverse of U,
+    on full-rank and singular matrices."""
+    d = snf(a)
+    inv, den = rat_inverse(d.U)
+    assert den == 1
+    assert d.U_inv == inv
+    assert d.U * d.U_inv == IntMatrix.identity(a.dim)
+
+
 def test_c_matrix_identity(a2):
     # (A^j - I) = C_ij (A^i - I) by construction
     i2 = IntMatrix.identity(2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import wedgedyn.polys
 from wedgedyn import IntMatrix, char_poly, has_root_of_unity_factor
 from wedgedyn.polys import (
+    _unity_orders,
     all_roots_outside_closed_disk,
     cauchy_bound,
     cyclotomic,
@@ -113,6 +114,40 @@ def test_root_of_unity_matches_exact_oracle(rows):
     a = IntMatrix(tuple(tuple(r) for r in rows))
     brute = any(_det_power_minus_identity(rows, m) == 0 for m in range(1, 13))
     assert has_root_of_unity_factor(char_poly(a)) == brute
+
+
+def square_rows(lo, hi, min_n=1, max_n=6):
+    return st.integers(min_n, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_rows(-5, 5))
+@example([[7]])
+@example([[0] * 6] * 6)
+def test_char_poly_matches_sympy_charpoly(rows):
+    want = tuple(int(c) for c in sympy.Matrix(rows).charpoly().all_coeffs())
+    assert char_poly(IntMatrix(tuple(map(tuple, rows)))) == want
+
+
+def test_unity_orders_are_the_orders_of_low_degree_roots_of_unity():
+    for b in range(8):
+        assert _unity_orders(b) == tuple(m for m in range(1, 400) if sympy.totient(m) <= b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_rows(-2, 2, max_n=4))
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # a 3-cycle: eigenvalues of order 3
+@example([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])  # x^4 + 1: order 8
+@example([[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, -1], [0, 0, 1, 1]])  # Phi_10: order 10
+@example([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]])  # Phi_12: order 12
+def test_root_of_unity_matches_singular_power_over_admissible_orders(rows):
+    """A has an eigenvalue of order m exactly when A^m - I is singular, and
+    phi(m) <= deg forces m into _unity_orders(deg)."""
+    n = len(rows)
+    s = sympy.Matrix(rows)
+    brute = any((s ** m - sympy.eye(n)).det() == 0 for m in _unity_orders(n))
+    assert has_root_of_unity_factor(char_poly(IntMatrix(tuple(map(tuple, rows))))) == brute
 
 
 def test_sturm_and_isolation():

@@ -1,7 +1,11 @@
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgedyn import (
     BudgetExceeded,
@@ -18,6 +22,8 @@ from wedgedyn import (
     rotation_set,
     transition_matrix,
 )
+
+from wedgedyn.rotation import _hull_general
 
 F = Fraction
 
@@ -91,6 +97,22 @@ def test_hull_simple_cases():
     assert hull_vertices([(F(1),), (F(-2),), (F(1, 2),), (F(3),)]) == ((-2,), (3,))
     assert hull_vertices([(F(1),), (F(1),)]) == ((1,),)
     assert hull_vertices([(F(2),), (F(-1),), (F(2),), (F(-1),)]) == ((-1,), (2,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(-5, 5, max_denominator=6), min_size=1, max_size=8))
+def test_hull_1d_matches_lp_filter(xs):
+    pts = [(x,) for x in xs]
+    assert hull_vertices(pts) == _hull_general(pts)
+
+
+def test_hull_1d_is_a_sort():
+    # the LP filter needs about a minute for these 200 points; min and max do not
+    pts = [(F(i, 7),) for i in range(-100, 100)]
+    random.Random(3).shuffle(pts)
+    start = time.perf_counter()
+    assert hull_vertices(pts) == ((F(-100, 7),), (F(99, 7),))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_point_in_hull():

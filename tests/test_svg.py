@@ -13,6 +13,7 @@ from wedgedyn import (
     rotation_set,
     rotset_figure,
 )
+from wedgedyn import svg
 from wedgedyn.svg import _px
 
 F = Fraction
@@ -102,3 +103,19 @@ def test_rotset_figure_marks(phi1):
     assert fig.count('class="fix"') == 6
     assert fig.count('class="per2"') == 4
     assert 'class="hull"' in fig
+
+
+def test_render_formats_each_numerator_once(phi2, monkeypatch):
+    # every deck translate shifts a numerator already drawn on another
+    # polyline, so a numerator recurs across the canvas
+    calls = []
+
+    def counting_px(num, den):
+        calls.append(num)
+        return _px(num, den)
+
+    monkeypatch.setattr(svg, "_px", counting_px)
+    text = beta_figure(beta_breakpoints(phi2, 3), window=1)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls))
+    assert text == beta_figure(beta_breakpoints(phi2, 3), window=1)
