@@ -238,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--budget", type=int, default=BUDGET,
-                   help="most slot itineraries of length k to walk (the sum of the "
-                        "entries of T^k, T the letter-count matrix); exit 3 beyond it")
+                   help="most charts the slot walk visits down to depth k (the sum "
+                        "of the entries of T^j over j <= k, T the letter-count matrix); "
+                        "exit 3 beyond it")
     p.set_defaults(fn=cmd_fix)
 
     p = sub.add_parser("torus", help="fixed points of the k-th toral iterate (CSV)")

@@ -23,9 +23,9 @@ from operator import add
 from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
-from .errors import AdaptedNormUnavailable, BudgetExceeded, NotExpanding, RootOfUnitySpectrum
+from .errors import BudgetExceeded, NotExpanding, RootOfUnitySpectrum
 from .intmat import IntMatrix
-from .spectra import LipschitzNormData, rational_sqrt_upper, spectral, sup_norm_data
+from .spectra import LipschitzNormData, norm_data, rational_sqrt_upper, spectral
 from .words import Endomorphism
 
 
@@ -272,16 +272,7 @@ class TightMap:
     def sigma_report(self, norm: str = "adapted") -> SigmaReport:
         """Certified shadowing constants; sigma is affine between breakpoints,
         so the maxima over breakpoints are the true suprema."""
-        if not self.spectral.is_expanding:
-            raise NotExpanding("abelianization is not expanding")
-        if norm == "sup":
-            nd = sup_norm_data(self.A)
-        elif norm == "adapted":
-            nd = self.spectral.lipschitz_like_norm_data
-            if nd is None:
-                raise AdaptedNormUnavailable("no exact adapted norm for this matrix")
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
+        nd = norm_data(self.spectral, norm)
         vals = self.sigma_values()
         c_sup = max(max(abs(x) for x in sig) for _, _, sig in vals)
         q2max = max(nd.q2(sig) for _, _, sig in vals)
@@ -314,8 +305,9 @@ class TightMap:
         origin is fixed), whatever slot cycle it was found on.
 
         With a budget, BudgetExceeded is raised before any walking when the
-        walk would reach more than budget charts at depth k: the sum of the
-        entries of T^k, T[e][g] the number of letters g or G in psi(e).
+        walk would visit more than budget charts on its way to depth k: the
+        sum over j <= k of the entries of T^j, T[e][g] the number of letters
+        g or G in psi(e).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -380,18 +372,20 @@ class TightMap:
         return out
 
     def _check_walk_budget(self, k: int, budget: int):
-        """BudgetExceeded unless the census walk reaches at most budget
-        charts at depth k. With T the letter-count matrix, that count is
-        1^T T^k 1; every image word is nonempty, so T^j 1 grows with j and
-        the count is refused as soon as a partial sum passes the budget."""
+        """BudgetExceeded unless the census walk visits at most budget charts
+        down to depth k. With T the letter-count matrix, it visits 1^T T^j 1
+        charts at depth j; the running sum over j is refused as soon as it
+        passes the budget, so the count stops early on a large k."""
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         gens = [[s.generator for s in row] for row in self.slots]
-        leaves = [1] * self.rank
+        level = [1] * self.rank
+        charts = self.rank
         for _ in range(k):
-            leaves = [sum(leaves[g] for g in row) for row in gens]
-            if sum(leaves) > budget:
-                raise BudgetExceeded(f"more than {budget} slot itineraries of length {k}")
+            level = [sum(level[g] for g in row) for row in gens]
+            charts += sum(level)
+            if charts > budget:
+                raise BudgetExceeded(f"more than {budget} charts in the slot walk to depth {k}")
 
     def _vertex_itinerary(self, k: int):
         """The vertex orbit written in slot coordinates, starting at (a, t=0)."""

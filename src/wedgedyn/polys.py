@@ -207,22 +207,24 @@ def cauchy_bound(p):
     return 1 + mx / lead
 
 
-def isolate_real_roots(p, width=Fraction(1, 10**13)):
-    """Disjoint rational intervals (lo, hi], one distinct real root each.
+_WIDTH = Fraction(1, 10 ** 13)
+
+
+def isolate_real_roots(p):
+    """Disjoint rational intervals (lo, hi] of width at most _WIDTH, one
+    distinct real root each.
 
     p must be a square-free integer polynomial. Returns a list sorted by
     position. Each interval is held as integer numerators a < c over one
     denominator den > 0, so every sign test runs on ints.
     """
-    if width <= 0:
-        raise ValueError("isolation width must be positive")
     p = trim(p)
     if degree(p) <= 0:
         return []
     seq = sturm_sequence(p)
     p = seq[0]  # a positive multiple of p: the same signs
     bn, den = cauchy_bound(p).as_integer_ratio()
-    wn, wd = width.as_integer_ratio()
+    wn, wd = _WIDTH.as_integer_ratio()
     # endpoints of the Cauchy bound are never roots; an entry carries the
     # sign changes at both of its endpoints
     stack = [(-bn, bn, den, sign_changes(seq, -bn, den), sign_changes(seq, bn, den))]
@@ -242,7 +244,7 @@ def isolate_real_roots(p, width=Fraction(1, 10**13)):
                 if pm == 0:
                     # land exactly on the root; shrink symmetrically around it
                     m = Fraction(mid, den)
-                    found.append((m - width / 2, m + width / 2))
+                    found.append((m - _WIDTH / 2, m + _WIDTH / 2))
                     break
                 if (pm > 0) != sa:
                     c = mid

@@ -179,18 +179,14 @@ class InjectivityCertificate:
     norm: str
 
 
-def _far_gate(gram, theta2):
+def _far_gate(norm, theta2):
     """far(e1, n1, e2, n2): whether the unit axis segments n1 + [0,1] e1 and
-    n2 + [0,1] e2 lie more than theta apart, where theta2 = theta^2.
-
-    The distance is the sup norm when gram is None, else sqrt(w^T G w / d)
-    for the Gram pair gram = (G, d) of an integer matrix G over d > 0.
-    It depends only on (e1, e2, n1 - n2), so each relative position is
-    decided once per gate, in integers: the squared distance is compared
-    with theta2 as a (num, den) pair.
+    n2 + [0,1] e2 lie more than theta apart in the norm, where theta2 =
+    theta^2. The distance depends only on (e1, e2, n1 - n2), so each
+    relative position is decided once per gate, in integers: norm.gap2 is
+    compared with theta2 as a (num, den) pair.
     """
-    h, scale = (None, 1) if gram is None else (gram[0].rows, gram[1])
-    bound, tden = scale * theta2.numerator, theta2.denominator
+    bound, tden = theta2.numerator, theta2.denominator
     memo = {}
 
     def far(e1, n1, e2, n2):
@@ -198,49 +194,11 @@ def _far_gate(gram, theta2):
         key = (e1, e2, c)
         verdict = memo.get(key)
         if verdict is None:
-            if h is None:
-                gap = max(max(x - (i == e2), -x - (i == e1), 0) for i, x in enumerate(c))
-                num, den = gap * gap, 1
-            else:
-                num, den = _box_min(h, e1, e2, c)
+            num, den = norm.gap2(e1, e2, c)
             verdict = memo[key] = num * tden > den * bound
         return verdict
 
     return far
-
-
-def _box_min(h, e1, e2, c):
-    """Exact min of w^T h w over w = c + t e_e1 - u e_e2, (t, u) in [0,1]^2,
-    as (num, den) with den > 0, for integer positive-definite h and c.
-
-    The quadratic is convex: its interior critical point when feasible,
-    else the least of the four edge minima.
-    """
-    hc = [sum(x * y for x, y in zip(r, c)) for r in h]
-    q0 = sum(x * y for x, y in zip(c, hc))
-    l1, l2 = hc[e1], hc[e2]
-    q11, q22, q12 = h[e1][e1], h[e2][e2], h[e1][e2]
-    det = q11 * q22 - q12 * q12
-    if det > 0:
-        tn = q12 * l2 - q22 * l1
-        un = q11 * l2 - q12 * l1
-        if 0 <= tn <= det and 0 <= un <= det:
-            return q0 * det + l1 * tn - l2 * un, det
-    best = None
-    for num, den in (_unit_min(q0, -l2, q22), _unit_min(q0 + 2 * l1 + q11, -l2 - q12, q22),
-                     _unit_min(q0, l1, q11), _unit_min(q0 - 2 * l2 + q22, l1 - q12, q11)):
-        if best is None or num * best[1] < best[0] * den:
-            best = num, den
-    return best
-
-
-def _unit_min(a, b, g):
-    """Min of a + 2 b x + g x^2 over x in [0, 1], g > 0, as (num, den)."""
-    if b >= 0:
-        return a, 1
-    if b + g <= 0:
-        return a + 2 * b + g, 1
-    return a * g - b * b, g
 
 
 def _touch(e1, n1, e2, n2):
@@ -334,16 +292,11 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     sr = m.sigma_report(norm=norm)
     nd = sr.norm
     theta = 2 * sr.delta
-    far = _far_gate(nd.gram, theta * theta)
+    far = _far_gate(nd, theta * theta)
     b = m.rank
     can_certify = min(m.speeds) >= 2
     cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=nd.kind)
-
-    if nd.kind == "sup":
-        row_scale = Fraction(1)
-    else:
-        row_scale = max(sum(abs(x) for x in r) for r in nd.P.rows)
-    w = int(row_scale * theta) + 2
+    w = int(nd.radius * theta) + 2
     box_pairs, bound = b * b * (2 * w + 1) ** b, max_cells * max(m.speeds) ** 2
     if box_pairs > bound:
         raise BudgetExceeded(f"depth-0 box of {box_pairs} segment pairs exceeds "

@@ -1,8 +1,9 @@
 """Certified spectral analysis of integer matrices.
 
 Eigenvalues of small integer matrices with exact or rigorously bounded
-values, an exact root-of-unity test, an exact expansion test, and adapted
-norm data used by the shadowing machinery.
+values, an exact root-of-unity test, an exact expansion test, and the one
+norm constructor, norm_data, whose norms the shadowing machinery asks for
+squared lengths, segment gaps and a sup-norm radius.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import isqrt
 from operator import mul
 
 from . import polys
-from .errors import NotExpanding
+from .errors import AdaptedNormUnavailable, NotExpanding
 from .intmat import IntMatrix, kernel, primitive_int, rat_inverse
 
 
@@ -62,24 +63,69 @@ class Eigenvalue:
 class LipschitzNormData:
     """A norm in which A certifiably expands by lam (and A^-1 contracts).
 
-    kind "eigenbasis": ||v|| = ||P^-1 v||_2 with P an integer eigenbasis;
-    with P^-1 = N / den, gram = (N^T N, den^2) is the Gram form over one
-    denominator, so ||v||^2 = v^T (N^T N) v / den^2 exactly.
-    kind "sup": plain sup norm, usable when ||A^-1||_inf < 1.
+    With gram = (G, d), G an integer positive-definite matrix over d > 0,
+    ||v||^2 = v^T G v / d exactly: kind "eigenbasis" is ||P^-1 v||_2 for an
+    integer eigenbasis P, and with P^-1 = N / den, gram = (N^T N, den^2).
+    With gram None it is the sup norm, kind "sup". radius is an integer
+    with ||v||_inf <= radius ||v||. Build one with norm_data.
     """
 
     kind: str
-    P: "IntMatrix | None"
     gram: "tuple | None"
     lam: Fraction
+    radius: int
 
     def q2(self, vec) -> Fraction:
         """Squared norm of a rational vector, exact."""
-        if self.kind == "sup":
+        if self.gram is None:
             m = max(abs(Fraction(x)) for x in vec)
             return m * m
         g, den2 = self.gram
         return Fraction(sum(map(mul, vec, g.apply(vec))), den2)
+
+    def gap2(self, e1, e2, c):
+        """Squared distance between the unit axis segments n1 + [0,1] e_e1
+        and n2 + [0,1] e_e2, c = n1 - n2, exact as (num, den) with den > 0."""
+        if self.gram is None:
+            gap = max(max(x - (i == e2), -x - (i == e1), 0) for i, x in enumerate(c))
+            return gap * gap, 1
+        g, den2 = self.gram
+        num, den = _box_min(g.rows, e1, e2, c)
+        return num, den * den2
+
+
+def _box_min(h, e1, e2, c):
+    """Exact min of w^T h w over w = c + t e_e1 - u e_e2, (t, u) in [0,1]^2,
+    as (num, den) with den > 0, for integer positive-definite h and c.
+
+    The quadratic is convex: its interior critical point when feasible,
+    else the least of the four edge minima.
+    """
+    hc = [sum(x * y for x, y in zip(r, c)) for r in h]
+    q0 = sum(x * y for x, y in zip(c, hc))
+    l1, l2 = hc[e1], hc[e2]
+    q11, q22, q12 = h[e1][e1], h[e2][e2], h[e1][e2]
+    det = q11 * q22 - q12 * q12
+    if det > 0:
+        tn = q12 * l2 - q22 * l1
+        un = q11 * l2 - q12 * l1
+        if 0 <= tn <= det and 0 <= un <= det:
+            return q0 * det + l1 * tn - l2 * un, det
+    best = None
+    for num, den in (_unit_min(q0, -l2, q22), _unit_min(q0 + 2 * l1 + q11, -l2 - q12, q22),
+                     _unit_min(q0, l1, q11), _unit_min(q0 - 2 * l2 + q22, l1 - q12, q11)):
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den
+    return best
+
+
+def _unit_min(a, b, g):
+    """Min of a + 2 b x + g x^2 over x in [0, 1], g > 0, as (num, den)."""
+    if b >= 0:
+        return a, 1
+    if b + g <= 0:
+        return a + 2 * b + g, 1
+    return a * g - b * b, g
 
 
 @dataclass(frozen=True)
@@ -90,7 +136,6 @@ class SpectralReport:
     is_expanding: bool
     has_root_of_unity: bool
     lambda_lower: "Fraction | None"
-    lipschitz_like_norm_data: "LipschitzNormData | None"
 
 
 def _integer_roots(p):
@@ -240,8 +285,6 @@ def spectral(a: IntMatrix) -> SpectralReport:
     else:
         lam = _bisect_lambda(p)
 
-    norm_data = _build_norm_data(a, eigs, all_rational, expanding, lam)
-
     return SpectralReport(
         matrix=a,
         charpoly=p,
@@ -249,7 +292,6 @@ def spectral(a: IntMatrix) -> SpectralReport:
         is_expanding=expanding,
         has_root_of_unity=unity,
         lambda_lower=lam,
-        lipschitz_like_norm_data=norm_data,
     )
 
 
@@ -271,31 +313,34 @@ def _bisect_lambda(p):
     return Fraction(lo, den)
 
 
-def _build_norm_data(a, eigs, all_rational, expanding, lam):
-    if not expanding:
-        return None
-    n = a.dim
-    if all_rational:
+def norm_data(report: SpectralReport, kind: str = "adapted") -> LipschitzNormData:
+    """The norm of the given kind for an expanding A = report.matrix.
+
+    kind "adapted": the exact eigenbasis norm when every eigenvalue is
+    exact (an integer) and their eigenvectors span, otherwise the sup norm
+    when it certifies; AdaptedNormUnavailable when neither does. kind
+    "sup": the sup norm, NotExpanding unless ||A^-1||_inf < 1.
+    """
+    if not report.is_expanding:
+        raise NotExpanding("abelianization is not expanding")
+    if kind not in ("adapted", "sup"):
+        raise ValueError(f"unknown norm {kind!r}")
+    a = report.matrix
+    if kind == "adapted" and all(e.exact for e in report.eigenvalues):
         basis = []
         # every eigenvalue is an integer: the charpoly is monic over Z
-        for lam_i in sorted({e.re.numerator for e in eigs}):
-            basis.extend(kernel(a - lam_i * IntMatrix.identity(n)))
-        if len(basis) == n:
+        for lam_i in sorted({e.re.numerator for e in report.eigenvalues}):
+            basis.extend(kernel(a - lam_i * IntMatrix.identity(a.dim)))
+        if len(basis) == a.dim:
             P = IntMatrix(tuple(zip(*basis)))
             N, den = rat_inverse(P)
-            return LipschitzNormData(kind="eigenbasis", P=P, gram=(N.transpose() * N, den * den),
-                                     lam=lam)
-    try:
-        return sup_norm_data(a)
-    except NotExpanding:
-        return None
-
-
-def sup_norm_data(a: IntMatrix) -> LipschitzNormData:
-    """Sup-norm certificate: the norm="sup" path, and the fallback when A has
-    no exact rational eigenbasis."""
+            return LipschitzNormData(kind="eigenbasis", gram=(N.transpose() * N, den * den),
+                                     lam=report.lambda_lower,
+                                     radius=max(sum(map(abs, r)) for r in P.rows))
     N, den = rat_inverse(a)
     row = max(sum(map(abs, r)) for r in N.rows)
-    if row >= den:
+    if row < den:
+        return LipschitzNormData(kind="sup", gram=None, lam=Fraction(den, row), radius=1)
+    if kind == "sup":
         raise NotExpanding("matrix does not contract the sup norm backwards")
-    return LipschitzNormData(kind="sup", P=None, gram=None, lam=Fraction(den, row))
+    raise AdaptedNormUnavailable("no exact adapted norm for this matrix")

@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,13 +177,13 @@ def test_rotset_budget_exit(capsys):
 
 
 def test_fix_budget_exit(capsys):
-    # 2 * 4^1200 itineraries: refused from the count, before any walking
+    # 2 * 4^j charts at depth j: refused from the count, before any walking
     code = main(["fix", str(MAPS / "phi2.map"), "--k", "1200"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == ("wedgedyn.errors.BudgetExceeded: more than 200000 "
-                            "slot itineraries of length 1200\n")
+                            "charts in the slot walk to depth 1200\n")
 
 
 def test_torus_budget_exit(capsys):
@@ -199,12 +200,30 @@ def test_fix_deep_non_expanding_exit(capsys, tmp_path):
     RecursionError traceback."""
     mapfile = tmp_path / "shear.map"
     mapfile.write_text("map shear rank 2 { a -> ab ; b -> b ; }\n")
-    code = main(["fix", str(mapfile), "--k", "1200"])
+    # about 722,000 charts down to depth 1200, over the default budget
+    code = main(["fix", str(mapfile), "--k", "1200", "--budget", "1000000"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == ("wedgedyn.errors.NotExpanding: slot cycle composes to the "
                             "identity; fixed points not isolated\n")
+
+
+def test_fix_thin_deep_walk_budget_exit(capsys, tmp_path):
+    """Only 1,202 itineraries reach depth 1200, but the walk visits about
+    722,000 charts on the way there: the default budget counts those and
+    refuses at once."""
+    mapfile = tmp_path / "shear.map"
+    mapfile.write_text("map shear rank 2 { a -> ab ; b -> b ; }\n")
+    start = time.perf_counter()
+    code = main(["fix", str(mapfile), "--k", "1200"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("wedgedyn.errors.BudgetExceeded: more than 200000 "
+                            "charts in the slot walk to depth 1200\n")
+    assert elapsed < 0.5
 
 
 def test_rotset_rank3_svg_exit(capsys, tmp_path):
@@ -330,6 +349,26 @@ def test_shadow_box_budget_exit(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == ("wedgedyn.errors.BudgetExceeded: depth-0 box of 297685449 "
                            "segment pairs exceeds max_cells * L^2 = 2500000\n")
+
+
+# expanding, but with no integer eigenbasis and ||A^-1||_inf >= 1
+TWISTED = "map twisted rank 3 { a -> b ; b -> c ; c -> aabca ; }\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "shadow"])
+@pytest.mark.parametrize("norm, err", [
+    ([], "wedgedyn.errors.AdaptedNormUnavailable: no exact adapted norm for this matrix\n"),
+    (["--norm", "sup"],
+     "wedgedyn.errors.NotExpanding: matrix does not contract the sup norm backwards\n"),
+])
+def test_norm_refusal_exit(capsys, tmp_path, command, norm, err):
+    mapfile = tmp_path / "twisted.map"
+    mapfile.write_text(TWISTED)
+    code = main([command, str(mapfile), *norm])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_non_ascii_map_exit(capsys, tmp_path):

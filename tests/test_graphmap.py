@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
+    AdaptedNormUnavailable,
     BFGroup,
     BudgetExceeded,
     Chart,
@@ -89,6 +90,23 @@ def test_sigma_reports(phi2, phi3):
 def test_sigma_report_not_expanding(phi1):
     with pytest.raises(NotExpanding):
         phi1.sigma_report()
+
+
+def test_sigma_report_norm_precedence():
+    """Expansion is checked before the norm name, and the name before the
+    norm itself: an unknown norm is a ValueError on an expanding map with
+    neither norm, and NotExpanding on a map that does not expand."""
+    twisted = TightMap(Endomorphism.from_strings(3, "b", "c", "aabca"))
+    assert twisted.spectral.is_expanding
+    with pytest.raises(AdaptedNormUnavailable, match="no exact adapted norm for this matrix"):
+        twisted.sigma_report()
+    with pytest.raises(NotExpanding, match="matrix does not contract the sup norm backwards"):
+        twisted.sigma_report(norm="sup")
+    with pytest.raises(ValueError, match="unknown norm 'l2'"):
+        twisted.sigma_report(norm="l2")
+    shear = TightMap(Endomorphism.from_strings(2, "ab", "b"))
+    with pytest.raises(NotExpanding, match="abelianization is not expanding"):
+        shear.sigma_report(norm="l2")
 
 
 def test_fixed_points_phi2(phi2):
@@ -295,12 +313,13 @@ def test_advance_leaves_follow_lift_iter(request, name):
                 assert m.lift_iter(leaf.orig_point(u), k) == cover_point(leaf.edge, u, leaf.base)
 
 
-def test_periodic_points_budget_is_the_itinerary_count(phi2):
-    """phi2's letter-count matrix has row sums 4, so the walk reaches
-    2 * 4^k charts at depth k; the budget admits exactly that many."""
-    assert len(phi2.periodic_points(3, budget=128)) == len(phi2.periodic_points(3))
-    with pytest.raises(BudgetExceeded, match="more than 127 slot itineraries of length 3"):
-        phi2.periodic_points(3, budget=127)
+def test_periodic_points_budget_is_the_chart_count(phi2):
+    """phi2's letter-count matrix has row sums 4, so the walk visits
+    2 * 4^j charts at depth j, 2 + 8 + 32 + 128 = 170 down to depth 3; the
+    budget admits exactly that many."""
+    assert len(phi2.periodic_points(3, budget=170)) == len(phi2.periodic_points(3))
+    with pytest.raises(BudgetExceeded, match="more than 169 charts in the slot walk to depth 3"):
+        phi2.periodic_points(3, budget=169)
     with pytest.raises(ValueError):
         phi2.periodic_points(3, budget=-1)
 

@@ -234,12 +234,6 @@ def test_evaluate_and_root_deflation():
     assert cauchy_bound(p) >= 3
 
 
-@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
-def test_isolation_rejects_nonpositive_width(width):
-    with pytest.raises(ValueError):
-        isolate_real_roots((1, 0, -2), width)
-
-
 def _np_roots_max_abs(coeffs):
     return max(abs(r) for r in np.roots(np.array(coeffs, dtype=float)))
 

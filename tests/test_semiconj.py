@@ -10,6 +10,7 @@ from wedgedyn import (
     Chart,
     ComplexOrSmallEigenvalue,
     Endomorphism,
+    LipschitzNormData,
     NonUniformExpansion,
     NotExpanding,
     TightMap,
@@ -334,32 +335,34 @@ def gate_cases(draw):
             for _ in range(b)]
     gram = tuple(tuple(sum(r[i] * r[j] for r in rows) + (diag[i] if i == j else 0)
                        for j in range(b)) for i in range(b))
-    # the gate takes the Gram form as an integer matrix over one denominator,
-    # not necessarily the least one
+    # a norm holds its Gram form as an integer matrix over one denominator,
+    # not necessarily the least one; lam and radius play no part in the gate
     scale = math.lcm(*(x.denominator for r in gram for x in r)) * draw(st.integers(1, 3))
     pair = (IntMatrix(tuple(tuple(int(x * scale) for x in r) for r in gram)), scale)
+    norm = LipschitzNormData(kind="eigenbasis", gram=pair, lam=F(2), radius=1)
     e1, e2 = draw(st.integers(0, b - 1)), draw(st.integers(0, b - 1))
     n1, n2, shift = draw(vec), draw(vec), draw(vec)
     # theta^2 as a multiple of the squared distance, so both verdicts occur;
     # a ratio of 1 puts theta on the distance itself, which is not beyond it
     ratio = draw(st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 10), max_value=3,
                                                        max_denominator=20)))
-    return gram, pair, e1, n1, e2, n2, shift, ratio
+    return gram, norm, e1, n1, e2, n2, shift, ratio
 
 
 @settings(max_examples=300, deadline=None)
 @given(gate_cases())
 def test_far_gate_matches_fraction_oracle(case):
-    gram, pair, e1, n1, e2, n2, shift, ratio = case
+    gram, norm, e1, n1, e2, n2, shift, ratio = case
     c = tuple(x - y for x, y in zip(n1, n2))
     moved1 = tuple(x + v for x, v in zip(n1, shift))
     moved2 = tuple(x + v for x, v in zip(n2, shift))
-    for g, dist2 in ((pair, _box_min_oracle(gram, e1, e2, c)),
-                     (None, _sup_oracle(e1, n1, e2, n2))):
+    sup = LipschitzNormData(kind="sup", gram=None, lam=F(2), radius=1)
+    for nd, dist2 in ((norm, _box_min_oracle(gram, e1, e2, c)),
+                      (sup, _sup_oracle(e1, n1, e2, n2))):
         t2 = dist2 * ratio if dist2 > 0 else ratio
-        verdict = _far_gate(g, t2)(e1, n1, e2, n2)
+        verdict = _far_gate(nd, t2)(e1, n1, e2, n2)
         assert verdict == (dist2 > t2)
-        assert _far_gate(g, t2)(e1, moved1, e2, moved2) == verdict
+        assert _far_gate(nd, t2)(e1, moved1, e2, moved2) == verdict
 
 
 @pytest.mark.parametrize("images, cap, status, depth, delta", [

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import IntMatrix, NotExpanding, rational_sqrt_upper, spectral
-from wedgedyn.spectra import Eigenvalue, _squarefree_decomposition, sup_norm_data
+from wedgedyn.intmat import rat_inverse
+from wedgedyn.spectra import Eigenvalue, _squarefree_decomposition, norm_data
 
 
 def test_a2_exact_spectrum():
@@ -19,7 +21,7 @@ def test_a2_exact_spectrum():
     assert sp.is_expanding
     assert not sp.has_root_of_unity
     assert sp.lambda_lower == 2
-    nd = sp.lipschitz_like_norm_data
+    nd = norm_data(sp, "adapted")
     assert nd is not None and nd.kind == "eigenbasis"
     assert nd.lam == 2
     # adapted norm: q2((1,1)) = |P^-1 (1,1)|^2, eigenvectors (1,1),(1,-1)
@@ -117,11 +119,46 @@ def test_lambda_lower_is_certified_bound():
 
 
 def test_sup_norm_data():
-    nd = sup_norm_data(IntMatrix(((3, 1), (1, 3))))
+    nd = norm_data(spectral(IntMatrix(((3, 1), (1, 3)))), "sup")
     assert nd.kind == "sup"
     assert nd.lam == 2  # 1 / |A^-1|_inf = 1/(1/2)
     with pytest.raises(NotExpanding):
-        sup_norm_data(IntMatrix(((1, 1), (0, 1))))
+        norm_data(spectral(IntMatrix(((1, 1), (0, 1)))), "sup")
+
+
+@st.composite
+def _eigenbasis_matrices(draw):
+    """A = P D P^-1 with P a random unimodular matrix (a product of
+    elementary integer shears) and integers |d_i| >= 2."""
+    n = draw(st.integers(2, 4))
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            f = draw(st.integers(-2, 2))
+            p[i] = [x + f * y for x, y in zip(p[i], p[j])]
+    d = [draw(st.integers(2, 5)) * draw(st.sampled_from([1, -1])) for _ in range(n)]
+    big_p = IntMatrix(tuple(map(tuple, p)))
+    p_inv, den = rat_inverse(big_p)
+    assert den == 1
+    diag = IntMatrix(tuple(tuple(d[i] * (i == j) for j in range(n)) for i in range(n)))
+    return big_p * diag * p_inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_eigenbasis_matrices(), st.data())
+def test_norm_radius_bounds_the_sup_norm(a, data):
+    """max |v_i|^2 <= radius^2 q2(v) in the eigenbasis norm, and in the sup
+    norm whenever it certifies."""
+    sp = spectral(a)
+    norms = [norm_data(sp, "adapted")]
+    assert norms[0].kind == "eigenbasis"
+    with contextlib.suppress(NotExpanding):
+        norms.append(norm_data(sp, "sup"))
+    vec = st.lists(st.integers(-50, 50), min_size=a.dim, max_size=a.dim)
+    for nd in norms:
+        for v in data.draw(st.lists(vec, min_size=1, max_size=10)):
+            assert max(map(abs, v)) ** 2 <= nd.radius ** 2 * nd.q2(v)
 
 
 def test_rational_sqrt_upper():
