@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rotset", help="minimal loops and rotation-set hull (CSV + SVG)")
     common(p)
     p.add_argument("--budget", type=int, default=BUDGET,
-                   help="most candidate loops to enumerate; exit 3 beyond it")
+                   help="most minimal loops to list; exit 3 beyond it")
     p.add_argument("--svg", default=None, help="write the hull figure here")
     p.set_defaults(fn=cmd_rotset)
 

@@ -307,12 +307,15 @@ class TightMap:
         With a budget, BudgetExceeded is raised before any walking when the
         walk would visit more than budget charts on its way to depth k: the
         sum over j <= k of the entries of T^j, T[e][g] the number of letters
-        g or G in psi(e).
+        g or G in psi(e). After that, and also before any walking,
+        NotExpanding is raised when a closed itinerary of length k composes
+        to the identity, whose fixed points are not isolated.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         if budget is not None:
             self._check_walk_budget(k, budget)
+        self._refuse_identity_cycles(k)
         slots = self.slots
         zero = (0,) * self.rank
         found, vertex_cycles = [], []
@@ -333,8 +336,6 @@ class TightMap:
             if chart.edge != chart.o_edge:
                 continue
             alpha, beta = chart.alpha, chart.beta
-            if alpha == 1:
-                raise NotExpanding("slot cycle composes to the identity; fixed points not isolated")
             num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
             # defensive: confirm the orbit really follows the itinerary
             n = num
@@ -386,6 +387,25 @@ class TightMap:
             charts += sum(level)
             if charts > budget:
                 raise BudgetExceeded(f"more than {budget} charts in the slot walk to depth {k}")
+
+    def _refuse_identity_cycles(self, k: int):
+        """NotExpanding when some closed slot itinerary of length k composes
+        to the identity. The composed alpha is the product of the slot muls
+        and |mul| is the speed of the slot's edge, so alpha = 1 only on a
+        cycle of speed-1 edges, which follows each edge's one slot, with an
+        even number of inverse letters in all."""
+        for e in range(self.rank):
+            edge, sign = e, 1
+            for length in range(1, self.rank + 1):
+                if self.speeds[edge] != 1:
+                    break
+                slot = self.slots[edge][0]
+                edge, sign = slot.generator, sign * slot.sign
+                if edge == e:
+                    if k % length == 0 and (sign == 1 or k // length % 2 == 0):
+                        raise NotExpanding("slot cycle composes to the identity; "
+                                           "fixed points not isolated")
+                    break
 
     def _vertex_itinerary(self, k: int):
         """The vertex orbit written in slot coordinates, starting at (a, t=0)."""

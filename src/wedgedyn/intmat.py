@@ -189,10 +189,9 @@ def kernel(m: IntMatrix) -> list:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """U * source * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0;
-    U_inv is the integer inverse of U."""
+    """U * M * V = D for the decomposed matrix M, with U, V unimodular and D
+    diagonal, d_i | d_{i+1} >= 0; U_inv is the integer inverse of U."""
 
-    source: IntMatrix
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
@@ -328,7 +327,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise RuntimeError("SNF internal check failed: divisor chain broken")
-    return SnfDecomposition(source=m, U=U, D=D, V=V, U_inv=U_inv)
+    return SnfDecomposition(U=U, D=D, V=V, U_inv=U_inv)
 
 
 def c_matrix(a: IntMatrix, i: int, j: int) -> IntMatrix:

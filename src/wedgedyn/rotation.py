@@ -95,37 +95,34 @@ def transition_matrix(m: TightMap) -> GroupRingMatrix:
 def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
     """All vertex-simple loops (no repeated edge-vertex), canonical and sorted.
 
-    These are exactly the loops with no proper sub-loop. Raises
-    BudgetExceeded rather than returning a truncated list.
+    These are exactly the loops with no proper sub-loop. Vertex orders are
+    walked depth-first from each loop's least vertex along existing arcs
+    only, so each loop comes out once, already in its canonical rotation.
+    The budget counts loops as the walk finds them; BudgetExceeded is
+    raised rather than returning a truncated list.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    b = g.rank
-    loops = set()
-    count = 0
-    for size in range(1, b + 1):
-        for nodes in itertools.combinations(range(b), size):
-            first = nodes[0]
-            for perm in itertools.permutations(nodes[1:]):
-                order = (first,) + perm
-                # slot choices for each step order[s] -> order[s+1]
-                step_opts = []
-                ok = True
-                for s in range(size):
-                    src = order[s]
-                    dst = order[(s + 1) % size]
-                    occs = g.occurrences(dst, src)
-                    if not occs:
-                        ok = False
-                        break
-                    step_opts.append([(src, dst, slot.offset, i) for i, slot in occs])
-                if not ok:
-                    continue
-                for combo in itertools.product(*step_opts):
-                    count += 1
-                    if count > budget:
-                        raise BudgetExceeded(f"loop enumeration exceeded budget {budget}")
-                    loops.add(Loop.from_transitions(combo))
+    loops = []
+
+    def steps(src, dst):
+        return [(src, dst, slot.offset, i) for i, slot in g.occurrences(dst, src)]
+
+    for first in range(g.rank):
+        # each entry: a vertex order from first, with the slot choices of its arcs
+        stack = [((first,), [])]
+        while stack:
+            order, opts = stack.pop()
+            last = order[-1]
+            for combo in itertools.product(*opts, steps(last, first)):
+                if len(loops) == budget:
+                    raise BudgetExceeded(f"loop enumeration exceeded budget {budget}")
+                loops.append(Loop(combo))
+            for nxt in range(first + 1, g.rank):
+                if nxt not in order:
+                    arc = steps(last, nxt)
+                    if arc:
+                        stack.append((order + (nxt,), opts + [arc]))
     return sorted(loops, key=lambda l: (l.length, l.transitions))
 
 

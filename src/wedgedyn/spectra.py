@@ -138,30 +138,6 @@ class SpectralReport:
     lambda_lower: "Fraction | None"
 
 
-def _integer_roots(p):
-    """(root, multiplicity) pairs over Z, plus the deflated remainder."""
-    p = polys.trim(p)
-    roots = []
-    if polys.degree(p) <= 0:
-        return roots, p
-    while p[-1] == 0 and polys.degree(p) > 0:
-        roots.append(0)
-        p = p[:-1]
-    const = abs(p[-1]) if p else 0
-    if const:
-        cands = sorted({d for d in range(1, isqrt(const) + 1) if const % d == 0}
-                       | {const // d for d in range(1, isqrt(const) + 1) if const % d == 0})
-        for base in cands:
-            for r in (base, -base):
-                while polys.degree(p) > 0 and polys.evaluate(p, r) == 0:
-                    roots.append(r)
-                    p = polys.pseudo_divmod(p, (1, -r))[0]
-    grouped = []
-    for r in sorted(set(roots)):
-        grouped.append((r, roots.count(r)))
-    return grouped, p
-
-
 def _squarefree_decomposition(p):
     """Musser's algorithm over Z on primitive parts led positive, exact
     quotients by pseudo-division; returns (primitive factor, multiplicity)."""
@@ -216,23 +192,25 @@ def spectral(a: IntMatrix) -> SpectralReport:
     p = polys.char_poly(a)
     unity = polys.has_root_of_unity_factor(p)
     eigs = []
-    all_rational = True
-
-    int_roots, rest = _integer_roots(p)
-    for r, mult in int_roots:
-        eigs.append(Eigenvalue(Fraction(r), Fraction(0), Fraction(0), mult))
-
-    for sf, mult in _squarefree_decomposition(rest):
-        deg = polys.degree(sf)
+    for sf, mult in _squarefree_decomposition(p):
         intervals = polys.isolate_real_roots(sf)
+        # an interval is at most _WIDTH < 1 wide, so it holds at most one
+        # integer; the exact integer roots are divided out and the rest of
+        # the factor isolated again
+        ints = [r for lo, hi in intervals
+                if lo <= (r := round(lo)) <= hi and polys.evaluate(sf, r) == 0]
+        if ints:
+            for r in ints:
+                eigs.append(Eigenvalue(Fraction(r), Fraction(0), Fraction(0), mult))
+                sf = polys.pseudo_divmod(sf, (1, -r))[0]
+            intervals = polys.isolate_real_roots(sf)
         for lo, hi in intervals:
             mid = (lo + hi) / 2
             eigs.append(Eigenvalue(mid, Fraction(0), (hi - lo) / 2, mult))
-            all_rational = False
+        deg = polys.degree(sf)
         ncomplex = deg - len(intervals)
         if ncomplex == 0:
             continue
-        all_rational = False
         if ncomplex == 2:
             # exactly one conjugate pair: pin it down through Vieta
             top, const = Fraction(sf[1], sf[0]), Fraction(sf[-1], sf[0])
@@ -277,10 +255,10 @@ def spectral(a: IntMatrix) -> SpectralReport:
 
     eigs.sort(key=lambda e: (e.re, e.im))
 
-    det = a.det()
-    expanding = det != 0 and polys.all_roots_outside_closed_disk(p, Fraction(1))
+    # a root at 0 (det A = 0) already fails the disk test
+    expanding = polys.all_roots_outside_closed_disk(p, Fraction(1))
 
-    if all_rational:
+    if all(e.exact for e in eigs):
         lam = min((abs(e.re) for e in eigs), default=Fraction(0))
     else:
         lam = _bisect_lambda(p)

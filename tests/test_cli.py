@@ -2,6 +2,7 @@ import json
 import os
 import re
 import resource
+import string
 import subprocess
 import sys
 import time
@@ -176,6 +177,30 @@ def test_rotset_budget_exit(capsys):
     assert code == 3
 
 
+def test_rotset_identity_rank20(capsys, tmp_path):
+    """The loop walk follows existing arcs only: the rank-20 identity map has
+    20 one-letter loops and no other vertex order to try."""
+    mapfile = tmp_path / "id20.map"
+    letters = string.ascii_lowercase[:20]
+    mapfile.write_text("map id20 rank 20 {\n" + "".join(f"  {c} -> {c} ;\n" for c in letters) + "}\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "rotset", str(mapfile))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert [r[:2] for r in csv_rows(out)[1:] if r[0] == "loop"] == [["loop", "1"]] * 20
+    assert elapsed < 1
+
+
+def test_name_selects_a_later_map(capsys, tmp_path):
+    mapfile = tmp_path / "two.map"
+    mapfile.write_text((MAPS / "phi1.map").read_text() + (MAPS / "phi2.map").read_text())
+    code, out = run(capsys, "analyze", str(mapfile), "--name", "phi2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["name"] == "phi2"
+    assert data["abelianization"] == [[3, 1], [1, 3]]
+
+
 def test_fix_budget_exit(capsys):
     # 2 * 4^j charts at depth j: refused from the count, before any walking
     code = main(["fix", str(MAPS / "phi2.map"), "--k", "1200"])
@@ -200,13 +225,17 @@ def test_fix_deep_non_expanding_exit(capsys, tmp_path):
     RecursionError traceback."""
     mapfile = tmp_path / "shear.map"
     mapfile.write_text("map shear rank 2 { a -> ab ; b -> b ; }\n")
-    # about 722,000 charts down to depth 1200, over the default budget
+    # about 722,000 charts down to depth 1200, over the default budget; b's
+    # one-letter slot cycle is refused before any of them is walked
+    start = time.perf_counter()
     code = main(["fix", str(mapfile), "--k", "1200", "--budget", "1000000"])
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == ("wedgedyn.errors.NotExpanding: slot cycle composes to the "
                             "identity; fixed points not isolated\n")
+    assert elapsed < 0.5
 
 
 def test_fix_thin_deep_walk_budget_exit(capsys, tmp_path):
@@ -326,6 +355,16 @@ def test_shadow_budget_exit(capsys, max_cells):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("wedgedyn.errors.BudgetExceeded: ")
+
+
+def test_shadow_cell_budget_exit(capsys):
+    """phi3's depth-0 box fits 3 * L^2 segment pairs, but more than 3 cells
+    pass the 2*delta gate: the per-depth cell cap refuses."""
+    code = main(["shadow", str(MAPS / "phi3.map"), "--max-cells", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "wedgedyn.errors.BudgetExceeded: segment-pair cells exceeded 3\n"
 
 
 def test_shadow_box_budget_exit(tmp_path):

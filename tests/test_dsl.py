@@ -110,6 +110,25 @@ def test_error_position_reported():
     assert ei.value.line == 2
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("map p rank 2 {", ParseError, "1:15: expected '}' or a rule, got end of input"),
+    ("map p", ParseError, "1:6: expected keyword 'rank', got end of input"),
+    ("map p rank 2 { A -> a ; b -> b ; }", ParseError,
+     "1:16: rule must start with one lowercase letter, got 'A'"),
+    ("map p rank 2 { ab -> a ; b -> b ; }", ParseError,
+     "1:16: rule must start with one lowercase letter, got 'ab'"),
+    ("map p rank 2 { c -> a ; }", UndeclaredGenerator, "1:16: generator 'c' outside rank 2"),
+    ("map p rank 2 { a -> a_b ; b -> b ; }", ParseError, "1:22: bad word character '_'"),
+    ("map p rank 2 { a -> a 3 ; }", ParseError, "1:23: expected word letter or ';', got '3'"),
+    ("map p rank 2 { a -> a b", ParseError, "1:24: expected word letter or ';', got end of input"),
+])
+def test_error_messages_and_positions(text, error, message):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert type(ei.value) is error
+    assert str(ei.value) == message
+
+
 @pytest.mark.parametrize("text, line, column", [
     # 'İ'.lower() is two characters long
     ("map m rank 2 {\n  a -> a\u0130b ;\n  b -> b ;\n}", 2, 9),

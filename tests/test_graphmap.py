@@ -323,3 +323,55 @@ def test_periodic_points_budget_is_the_chart_count(phi2):
     with pytest.raises(ValueError):
         phi2.periodic_points(3, budget=-1)
 
+
+
+@st.composite
+def _slow_maps(draw):
+    """A rank 1-3 map whose image words have one or two letters, so speed-1
+    edges and their slot cycles are common."""
+    rank = draw(st.integers(1, 3))
+    alphabet = string.ascii_lowercase[:rank] + string.ascii_uppercase[:rank]
+    rules = [draw(st.text(alphabet=alphabet, min_size=1, max_size=2)) for _ in range(rank)]
+    return rules, draw(st.integers(1, 4))
+
+
+def _has_identity_cycle(m, k):
+    """Whether some closed itinerary of k letter slots composes to alpha = 1,
+    by multiplying the slot maps' slopes (speed times sign) over every
+    itinerary, read off the image words."""
+    words = [w.letters for w in m.endo.images]
+    walks = [(e, e, 1) for e in range(m.rank)]  # (start edge, edge, alpha)
+    for _ in range(k):
+        walks = [(s, l.generator, alpha * len(words[e]) * l.sign)
+                 for s, e, alpha in walks for l in words[e]]
+    return any(s == e and alpha == 1 for s, e, alpha in walks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slow_maps())
+def test_identity_slot_cycles_are_refused_exactly(case):
+    rules, k = case
+    try:
+        m = TightMap(Endomorphism.from_strings(len(rules), *rules))
+    except ValueError:
+        assume(False)
+    if _has_identity_cycle(m, k):
+        with pytest.raises(NotExpanding, match="slot cycle composes to the identity"):
+            m.periodic_points(k)
+    else:
+        m.periodic_points(k)
+
+
+def test_identity_slot_cycle_needs_an_even_sign():
+    """a -> B -> a is a slot cycle of length 2 whose two inverse letters
+    cancel in sign: the identity at k = 2 and 4, absent at k = 1 and 3."""
+    m = TightMap(Endomorphism.from_strings(2, "B", "A"))
+    for k in (2, 4):
+        with pytest.raises(NotExpanding):
+            m.periodic_points(k)
+    for k in (1, 3):
+        assert [p.point for p in m.periodic_points(k)] == [VERTEX]
+    flip = TightMap(Endomorphism.from_strings(1, "A"))
+    assert [p.point for p in flip.periodic_points(3)] == [VERTEX, graph_point(0, F(1, 2))]
+    with pytest.raises(NotExpanding):
+        flip.periodic_points(2)

@@ -1,7 +1,8 @@
 import random
+import string
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from wedgedyn import (
     transition_matrix,
 )
 
-from wedgedyn.rotation import _hull_general
+from wedgedyn.rotation import Loop, _hull_general
 
 F = Fraction
 
@@ -194,3 +195,48 @@ def test_eigen_rotation_number(phi1, phi2):
     assert rho == p.translation[0]
     with pytest.raises(NotEigenvectorOne):
         eigen_rotation_number(phi2, phi2.periodic_points(1)[0], (1, 0))
+
+
+def _loops_by_vertex_orders(g, budget):
+    """Every vertex order tried in turn (combinations times permutations),
+    each loop rotated to its least rotation and deduplicated."""
+    b = g.rank
+    loops, count = set(), 0
+    for size in range(1, b + 1):
+        for nodes in combinations(range(b), size):
+            for perm in permutations(nodes[1:]):
+                order = (nodes[0],) + perm
+                steps = [[(src, dst, slot.offset, i) for i, slot in g.occurrences(dst, src)]
+                         for src, dst in zip(order, order[1:] + order[:1])]
+                for combo in product(*steps):
+                    count += 1
+                    if count > budget:
+                        raise BudgetExceeded("oracle")
+                    loops.add(Loop.from_transitions(combo))
+    return sorted(loops, key=lambda l: (l.length, l.transitions))
+
+
+@st.composite
+def _identity_action_maps(draw):
+    """A rank 1-4 map acting as the identity on homology: psi(a_j) is
+    u a_j v with v a rearrangement of the inverse letters of u."""
+    rank = draw(st.integers(1, 4))
+    alphabet = string.ascii_lowercase[:rank] + string.ascii_uppercase[:rank]
+    rules = []
+    for j in range(rank):
+        u = draw(st.text(alphabet=alphabet, max_size=4))
+        v = draw(st.permutations(u.swapcase()))
+        rules.append(u + alphabet[j] + "".join(v))
+    return TightMap(Endomorphism.from_strings(rank, *rules))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_identity_action_maps())
+def test_minimal_loops_match_vertex_order_oracle(m):
+    g = transition_matrix(m)
+    want = _loops_by_vertex_orders(g, 10 ** 6)
+    assert minimal_loops(g) == want
+    assert len(minimal_loops(g, budget=len(want))) == len(want)
+    if want:
+        with pytest.raises(BudgetExceeded):
+            minimal_loops(g, budget=len(want) - 1)

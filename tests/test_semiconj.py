@@ -226,6 +226,13 @@ def test_holder_bounds(phi2, phi3):
     assert true - 1e-6 < h <= true + 1e-12
 
 
+def test_holder_bound_is_one_when_lambda_reaches_the_speed():
+    # A = 2I expands by 2 and both edges have speed 2
+    m = TightMap(Endomorphism.from_strings(2, "aa", "bb"))
+    assert m.spectral.lambda_lower == 2
+    assert holder_bound(m) == 1
+
+
 def test_shadow_phi2_not_injective(phi2):
     for norm in ("adapted", "sup"):
         cert = shadow_pairs(phi2, depth=12, norm=norm)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -193,3 +194,49 @@ def test_squarefree_decomposition_matches_sympy(factors, unit):
     _, want = poly.sqf_list()
     assert _squarefree_decomposition(p) == [(tuple(int(c) for c in f.all_coeffs()), k)
                                             for f, k in want]
+
+
+@st.composite
+def _small_matrices(draw):
+    """A square matrix of dimension 1-4 with entries in [-6, 6]; upper
+    triangular half the time, so integer and repeated eigenvalues are
+    common."""
+    n = draw(st.integers(1, 4))
+    tri = draw(st.booleans())
+    return IntMatrix(tuple(tuple(0 if tri and j < i else draw(st.integers(-6, 6))
+                                 for j in range(n)) for i in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_matrices())
+@example(IntMatrix(((2, 5, 1), (0, 2, -3), (0, 0, -1))))
+@example(IntMatrix(((0, 1, 0), (0, 0, 0), (0, 0, 3))))
+def test_exact_eigenvalues_are_the_integer_roots(a):
+    """The exact eigenvalues are sympy's integer roots of the charpoly, with
+    multiplicity, and every other certified real eigenvalue's interval holds
+    exactly one root."""
+    sp = spectral(a)
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sp.charpoly, x)
+    exact = {int(e.re): e.multiplicity for e in sp.eigenvalues if e.exact}
+    assert all(e.re.denominator == 1 and e.im == 0 for e in sp.eigenvalues if e.exact)
+    assert len(exact) == sum(e.exact for e in sp.eigenvalues)
+    assert exact == {int(r): k for r, k in sympy.roots(poly, filter="Z").items()}
+    square_free = poly.sqf_part()
+    for e in sp.eigenvalues:
+        if e.im == 0 and e.eps:
+            lo, hi = e.re - e.eps, e.re + e.eps
+            assert square_free.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                           sympy.Rational(hi.numerator, hi.denominator)) == 1
+
+
+def test_large_integer_eigenvalues_come_out_of_the_isolation():
+    """A constant term of about 4.8e15 costs no divisor search."""
+    a = IntMatrix(((40000001, 2, 0), (2, 40000001, 0), (0, 0, 3)))
+    start = time.perf_counter()
+    sp = spectral(a)
+    elapsed = time.perf_counter() - start
+    assert [(e.re, e.eps, e.multiplicity) for e in sp.eigenvalues] == [
+        (3, 0, 1), (39999999, 0, 1), (40000003, 0, 1)]
+    assert sp.is_expanding and sp.lambda_lower == 3
+    assert elapsed < 1
