@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
 from .intmat import IntMatrix, c_matrix, snf
@@ -110,13 +111,24 @@ class BFGroup:
         return IntMatrix(tuple(tuple(v * (L // d) for v, d in zip(row, diag))
                                for row in self._snf.V.rows)), L
 
+    @cached_property
+    def _coords(self) -> dict:
+        """Numerator n -> Fraction(n, L), filled as psi meets each n, so each
+        coordinate Fraction of this group is built once; at most L entries."""
+        return {}
+
+    @cached_property
+    def _reducer(self) -> tuple:
+        """(row i of U, d_i) for each coordinate i of a class."""
+        return tuple(zip(self._snf.U.rows, self.diagonal))
+
     def reduce(self, n) -> "BFElement":
-        """The class of the integer vector n."""
-        if len(n) != self.A.dim:
+        """The class of the integer vector n: U n reduced modulo the diagonal."""
+        reducer = self._reducer
+        if len(n) != len(reducer):
             raise DimensionMismatch("vector length mismatch")
-        un = self._snf.U.apply(tuple(int(x) for x in n))
-        r = tuple(x % d for x, d in zip(un, self.diagonal))
-        return BFElement(self, r)
+        n = [*map(int, n)]
+        return _bf_element(self, tuple([sum(map(mul, row, n)) % d for row, d in reducer]))
 
     def zero(self) -> "BFElement":
         return BFElement(self, (0,) * self.A.dim)
@@ -162,6 +174,15 @@ class BFElement:
         return "[" + ", ".join(str(x) for x in self.r) + "]"
 
 
+def _bf_element(group: BFGroup, r: tuple) -> BFElement:
+    """A BFElement from int coordinates already reduced into the SNF box,
+    built without the constructor's box check."""
+    e = object.__new__(BFElement)
+    object.__setattr__(e, "group", group)
+    object.__setattr__(e, "r", r)
+    return e
+
+
 def psi(e: BFElement) -> TorusPoint:
     """The monomorphism BF_k -> T^b, n + Gamma |-> (A^k - I)^-1 n mod 1.
 
@@ -170,7 +191,15 @@ def psi(e: BFElement) -> TorusPoint:
     of Psi images is the canonical equality test in the direct limit.
     """
     w, den = e.group._psi_map
-    return _torus_point(tuple(Fraction(x % den, den) for x in w.apply(e.r)))
+    coords, r = e.group._coords, e.r
+    out = []
+    for row in w.rows:
+        x = sum(map(mul, row, r)) % den
+        c = coords.get(x)
+        if c is None:
+            c = coords[x] = Fraction(x, den)
+        out.append(c)
+    return _torus_point(tuple(out))
 
 
 def upsilon(e: BFElement, j: int) -> BFElement:

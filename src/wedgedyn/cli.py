@@ -175,7 +175,7 @@ def cmd_beta(args) -> int:
     if args.window < 0:
         raise ValueError(f"window must be >= 0, got {args.window}")
     m = _tight_map(args)
-    approx = beta_breakpoints(m, args.k)
+    approx = beta_breakpoints(m, args.k, budget=args.budget)
     # render first, so a bad figure request fails before any CSV is written
     figure = None if args.svg is None else beta_figure(approx, window=args.window)
     w = _csv_writer()
@@ -261,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--window", type=int, default=1)
+    p.add_argument("--budget", type=int, default=BUDGET,
+                   help="most breakpoint rows, rank * (M^k + 1); exit 3 beyond it")
     p.add_argument("--svg", default=None, help="write the polyline figure here")
     p.set_defaults(fn=cmd_beta)
 

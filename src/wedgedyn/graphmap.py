@@ -291,11 +291,16 @@ class TightMap:
         [0,1] into the slot cylinder), so enumeration plus endpoint
         deduplication is complete. Charts walked k slots deep from each
         edge at the origin enumerate the itineraries; one back on its own
-        edge closes one and holds alpha, beta and the lifted translation.
+        edge closes one and holds alpha, beta and the lifted translation,
+        so the last step keeps only the slots that run along that edge.
         The walk keeps its own stack, so Python's recursion limit does not
         bound k. The fixed point is t0 = num / den, den = |1 - alpha|, and
         an integer walk on numerators over den checks that the orbit stays
         in every slot's cylinder (0 <= mul n + add den <= den) and closes up.
+
+        The displacement is the class of the translation in BF_k, reduced
+        on ints; Psi runs once per class, and the points of one class share
+        its alpha image, one TorusPoint.
 
         A slot breakpoint maps to the vertex, which is fixed, so no other
         periodic orbit meets one: each such point has exactly one itinerary
@@ -319,6 +324,7 @@ class TightMap:
         slots = self.slots
         zero = (0,) * self.rank
         found, vertex_cycles = [], []
+        divisors = [d for d in range(1, k) if k % d == 0]
         # depth-first in slot order: each entry is (chart, the path length
         # before its step, the step (edge, slot, sign) that reached it)
         stack = [(Chart(e, zero, e, zero, 1, 0), 0, None) for e in reversed(range(self.rank))]
@@ -328,30 +334,35 @@ class TightMap:
             del path[n:]
             if step is not None:
                 path.append(step)
-            if len(path) < k:
-                edge, depth = chart.edge, len(path)
-                stack.extend(reversed([(piece, depth, (edge, i, s.sign)) for i, (s, piece)
-                                       in enumerate(zip(slots[edge], self.advance(chart)))]))
+            edge, depth = chart.edge, len(path)
+            pieces = zip(slots[edge], self.advance(chart))
+            if depth < k - 1:
+                stack.extend(reversed([(piece, depth, (edge, i, s.sign))
+                                       for i, (s, piece) in enumerate(pieces)]))
                 continue
-            if chart.edge != chart.o_edge:
-                continue
-            alpha, beta = chart.alpha, chart.beta
-            num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
-            # defensive: confirm the orbit really follows the itinerary
-            n = num
-            for e, i, _ in path:
-                s = slots[e][i]
-                n = s.mul * n + s.add * den
-                if not 0 <= n <= den:
-                    raise RuntimeError("slot cycle solve left its cylinder")
-            if n != num:
-                raise RuntimeError("slot cycle solve did not close up")
-            cyc = tuple(path)
-            if num == 0 or num == den:
-                vertex_cycles.append(cyc)
-            else:
-                least = next(d for d in range(1, k + 1) if k % d == 0 and cyc[d:] + cyc[:d] == cyc)
-                found.append((GraphPoint(chart.edge, Fraction(num, den)), least, cyc, chart.base))
+            # the last step, in slot order: only a piece back on the
+            # original edge closes an itinerary
+            for i, (s, piece) in enumerate(pieces):
+                if s.generator != chart.o_edge:
+                    continue
+                cyc = (*path, (edge, i, s.sign))
+                alpha, beta = piece.alpha, piece.beta
+                num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
+                # defensive: confirm the orbit really follows the itinerary
+                n = num
+                for e, j, _ in cyc:
+                    slot = slots[e][j]
+                    n = slot.mul * n + slot.add * den
+                    if not 0 <= n <= den:
+                        raise RuntimeError("slot cycle solve left its cylinder")
+                if n != num:
+                    raise RuntimeError("slot cycle solve did not close up")
+                if num == 0 or num == den:
+                    vertex_cycles.append(cyc)
+                else:
+                    # a rotation by d | k fixes cyc exactly when cyc is d-periodic
+                    least = next((d for d in divisors if cyc[d:] == cyc[:-d]), k)
+                    found.append((GraphPoint(piece.edge, Fraction(num, den)), least, cyc, piece.base))
         # the vertex is fixed by every power but its itinerary may not close
         # as a slot cycle (its edge-end walk can have a period not dividing k)
         vertex_cycle = vertex_cycles[0] if vertex_cycles else self._vertex_itinerary(k)
@@ -363,13 +374,17 @@ class TightMap:
             bf_group = BFGroup(self.A, k)
         except RootOfUnitySpectrum:
             bf_group = None
+        images = {}  # displacement coordinates -> the class's one alpha image
         out = []
         for pt, least, cyc, base in found:
-            disp = bf_group.reduce(base) if bf_group is not None else None
-            alpha_img = psi(disp) if disp is not None else None
-            out.append(PeriodicPoint(point=pt, period=k, least_period=least,
-                                     itinerary=cyc, translation=base,
-                                     displacement=disp, alpha_image=alpha_img))
+            disp = alpha_img = None
+            if bf_group is not None:
+                disp = bf_group.reduce(base)
+                alpha_img = images.get(disp.r)
+                if alpha_img is None:
+                    alpha_img = images[disp.r] = psi(disp)
+            # positional, in field order: binding keywords costs more per point
+            out.append(PeriodicPoint(pt, k, least, cyc, base, disp, alpha_img))
         return out
 
     def _check_walk_budget(self, k: int, budget: int):
@@ -426,10 +441,20 @@ class TightMap:
         return sorted(classes, key=lambda e: e.r)
 
     def shadowing_classes(self, k: int):
-        """Fix(phi^k) grouped by alpha image: list of (TorusPoint, points)."""
+        """Fix(phi^k) grouped by alpha image: list of (TorusPoint, points),
+        sorted on the image's coordinates.
+
+        Psi is injective, so the groups are those of the displacement's SNF
+        coordinates, and the points of one class share one TorusPoint. Every
+        coordinate is a numerator over L, the exponent of BF_k, so the
+        classes sort on integer numerator tuples in the Fractions' order."""
+        pts = self.periodic_points(k)
+        # the vertex is always listed, and either every point has a class or none has
+        if pts[0].displacement is None:
+            raise RootOfUnitySpectrum("shadowing classes need the standing hypothesis")
+        L = pts[0].displacement.group.diagonal[-1]  # the exponent of BF_k
         groups = {}
-        for p in self.periodic_points(k):
-            if p.alpha_image is None:
-                raise RootOfUnitySpectrum("shadowing classes need the standing hypothesis")
-            groups.setdefault(p.alpha_image, []).append(p)
-        return sorted(groups.items(), key=lambda item: item[0].coords)
+        for p in pts:
+            groups.setdefault(p.displacement.r, []).append(p)
+        return sorted(((members[0].alpha_image, members) for members in groups.values()),
+                      key=lambda c: [x.numerator * (L // x.denominator) for x in c[0].coords])

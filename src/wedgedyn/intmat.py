@@ -212,7 +212,9 @@ def snf(m: IntMatrix) -> SnfDecomposition:
 
     Pivot selection always takes the smallest-absolute-value nonzero entry of
     the remaining submatrix, ties broken by lowest row index then lowest
-    column index, so equal inputs give identical (U, D, V).
+    column index, so equal inputs give identical (U, D, V). The row-major
+    scan stops at the first entry of absolute value 1, which no later
+    entry can beat.
 
     Every elementary operation is also applied, inverted, to U^-1 and V^-1:
     a row operation on U is the inverse column operation on U^-1, and a
@@ -260,15 +262,21 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         for r in u_inv:
             r[i] = -r[i]
 
+    def pivot(t):
+        # (|entry|, row, col) of the pivot in the submatrix from (t, t), or None
+        best = None
+        for i in range(t, n):
+            for j in range(t, n):
+                a = abs(w[i][j])
+                if a and (best is None or a < best[0]):
+                    best = (a, i, j)
+                    if a == 1:
+                        return best
+        return best
+
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if w[i][j] != 0:
-                        key = (abs(w[i][j]), i, j)
-                        if best is None or key < best:
-                            best = key
+            best = pivot(t)
             if best is None:
                 break
             _, pi, pj = best

@@ -98,6 +98,9 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
     These are exactly the loops with no proper sub-loop. Vertex orders are
     walked depth-first from each loop's least vertex along existing arcs
     only, so each loop comes out once, already in its canonical rotation.
+    An order only grows by a vertex that can still get back to its first
+    vertex through vertices above it (one reverse search from each first
+    vertex), so no branch of the walk is cut off from every loop.
     The budget counts loops as the walk finds them; BudgetExceeded is
     raised rather than returning a truncated list.
     """
@@ -109,6 +112,13 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
         return [(src, dst, slot.offset, i) for i, slot in g.occurrences(dst, src)]
 
     for first in range(g.rank):
+        back, todo = {first}, [first]
+        while todo:
+            dst = todo.pop()
+            for src in range(first + 1, g.rank):
+                if src not in back and g.occurrences(dst, src):
+                    back.add(src)
+                    todo.append(src)
         # each entry: a vertex order from first, with the slot choices of its arcs
         stack = [((first,), [])]
         while stack:
@@ -119,7 +129,7 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
                     raise BudgetExceeded(f"loop enumeration exceeded budget {budget}")
                 loops.append(Loop(combo))
             for nxt in range(first + 1, g.rank):
-                if nxt not in order:
+                if nxt in back and nxt not in order:
                     arc = steps(last, nxt)
                     if arc:
                         stack.append((order + (nxt,), opts + [arc]))

@@ -60,17 +60,26 @@ def kappa(m: TightMap, letter: Letter, k: int):
     return tuple(Fraction(letter.sign * r[letter.generator], den) for r in ainv.rows)
 
 
-def beta_breakpoints(m: TightMap, k: int) -> BetaApproximation:
+def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaApproximation:
     """Beta at every i/M^k breakpoint, by partial sums of kappa.
 
     The i-th breakpoint of edge e is carried by phi^k onto the lattice
     point reached after the first i letters of psi^k(e), so its beta value
     is the exact partial sum; the full edge telescopes to e_e.
+
+    The table has rank * (M^k + 1) rows; with a budget, BudgetExceeded is
+    raised before psi^k is built when that count passes it.
     """
     _check_level(k)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     mexp = m.endo.require_uniform_expansion()
     if not m.spectral.is_expanding:
         raise NotExpanding("beta needs an expanding abelianization")
+    # M >= 2, so M^j > budget once j passes its bit length: the capped
+    # power is exact or already over the budget
+    if budget is not None and m.rank * (mexp ** min(k, budget.bit_length() + 1) + 1) > budget:
+        raise BudgetExceeded(f"more than {budget} beta rows at level {k}")
     # integer numerators over the common denominator of A^-k
     ainv, den = rat_inverse(m.A ** k)
     steps = {Letter(g, s): tuple(s * r[g] for r in ainv.rows)

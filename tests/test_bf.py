@@ -6,8 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
+    BFElement,
     BFGroup,
     BudgetExceeded,
+    DimensionMismatch,
     IntMatrix,
     RootOfUnitySpectrum,
     enumerate_fixed,
@@ -204,3 +206,37 @@ def test_enumerate_fixed_budget(a2):
         enumerate_fixed(a2, 2, budget=44)
     with pytest.raises(ValueError):
         enumerate_fixed(a2, 2, budget=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bf_cases())
+def test_reduce_is_u_n_modulo_the_diagonal(case):
+    """reduce gives plain int coordinates U n mod d_i, inside the SNF box,
+    for int or integral Fraction input, and refuses a vector of the wrong
+    length."""
+    a, k, vec = case
+    try:
+        g = BFGroup(a, k)
+    except RootOfUnitySpectrum:
+        assume(False)
+    e = g.reduce(vec)
+    want = tuple(x % d for x, d in zip(g._snf.U.apply(vec), g.diagonal))
+    assert e.r == want
+    assert all(type(x) is int for x in e.r)
+    assert e == BFElement(g, want)
+    assert g.reduce(tuple(Fraction(x) for x in vec)).r == want
+    with pytest.raises(DimensionMismatch):
+        g.reduce(vec + (0,))
+    with pytest.raises(DimensionMismatch):
+        g.reduce(vec[:-1])
+
+
+def test_psi_builds_each_coordinate_once(a2):
+    """Over all of BF_2, equal coordinates are one Fraction object, and the
+    group's table holds at most L = 15 of them."""
+    g = BFGroup(a2, 2)
+    coords = [c for e in g.elements() for c in psi(e).coords]
+    assert len({id(c) for c in coords}) == len(set(coords)) <= g._psi_map[1]
+    assert len(g._coords) == len(set(coords))
+    # (A^2 - I)^-1 (1, 0) = (9, -6) / 45
+    assert psi(g.reduce((1, 0))).coords == (Fraction(1, 5), Fraction(13, 15))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -201,6 +202,18 @@ def test_name_selects_a_later_map(capsys, tmp_path):
     assert data["abelianization"] == [[3, 1], [1, 3]]
 
 
+@pytest.mark.parametrize("mapfile, k, digest", [
+    ("phi2.map", 5, "7ff91e14cd1b6bcb24bcfc66e292a4454c1f73ee35fc28d03a8ebd5e05e31074"),
+    ("phi3.map", 3, "fee9e4643bc0f7424f4004ae00488daf2618018967ac38fc0d2003988c5fa6a1"),
+])
+def test_fix_output_is_pinned(capsys, mapfile, k, digest):
+    """SHA-256 of the whole fix table (points, translations, displacements
+    and alpha images): a faster census must not move a byte of it."""
+    code, out = run(capsys, "fix", str(MAPS / mapfile), "--k", str(k))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_fix_budget_exit(capsys):
     # 2 * 4^j charts at depth j: refused from the count, before any walking
     code = main(["fix", str(MAPS / "phi2.map"), "--k", "1200"])
@@ -218,6 +231,22 @@ def test_torus_budget_exit(capsys):
     assert captured.out == ""
     assert captured.err == ("wedgedyn.errors.BudgetExceeded: 68702695425 torus fixed points "
                             "exceed budget 200000\n")
+
+
+def test_beta_budget_exit(capsys, tmp_path):
+    """2 * (4^12 + 1) rows at level 12: refused before psi^12 is built, and
+    an SVG request writes nothing."""
+    svg = tmp_path / "beta.svg"
+    start = time.perf_counter()
+    code = main(["beta", str(MAPS / "phi2.map"), "--k", "12", "--svg", str(svg)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("wedgedyn.errors.BudgetExceeded: more than 200000 "
+                            "beta rows at level 12\n")
+    assert not svg.exists()
+    assert elapsed < 0.5
 
 
 def test_fix_deep_non_expanding_exit(capsys, tmp_path):
@@ -426,6 +455,7 @@ def test_non_ascii_map_exit(capsys, tmp_path):
     ("rotset", "phi1.map", "--budget", "-1"),
     ("fix", "phi2.map", "--budget", "-1"),
     ("torus", "phi2.map", "--budget", "-1"),
+    ("beta", "phi2.map", "--budget", "-1"),
 ])
 def test_negative_budget_exit(capsys, argv):
     command, mapfile, *rest = argv

@@ -14,6 +14,7 @@ from wedgedyn import (
     Endomorphism,
     MapSpec,
     NotExpanding,
+    RootOfUnitySpectrum,
     TightMap,
     VERTEX,
     cover_from_coords,
@@ -375,3 +376,50 @@ def test_identity_slot_cycle_needs_an_even_sign():
     assert [p.point for p in flip.periodic_points(3)] == [VERTEX, graph_point(0, F(1, 2))]
     with pytest.raises(NotExpanding):
         flip.periodic_points(2)
+
+
+@st.composite
+def _expanding_maps(draw):
+    """A rank 2-3 map whose image words have 2 to 4 letters, and k <= 3."""
+    rank = draw(st.integers(2, 3))
+    alphabet = string.ascii_lowercase[:rank] + string.ascii_uppercase[:rank]
+    rules = [draw(st.text(alphabet=alphabet, min_size=2, max_size=4)) for _ in range(rank)]
+    return rules, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expanding_maps())
+def test_census_classes_match_a_fresh_group(case):
+    """Each point's displacement is the class of its translation in a fresh
+    BF_k and its alpha image is psi of that; shadowing_classes equals the
+    points grouped by alpha image and sorted on its Fraction coordinates,
+    and the points of one class share one TorusPoint."""
+    rules, k = case
+    try:
+        m = TightMap(Endomorphism.from_strings(len(rules), *rules))
+    except ValueError:
+        assume(False)
+    assume(min(m.speeds) >= 2)
+    try:
+        group = BFGroup(m.A, k)
+    except RootOfUnitySpectrum:
+        group = None
+    pts = m.periodic_points(k)
+    for p in pts:
+        if group is None:
+            assert p.displacement is None and p.alpha_image is None
+        else:
+            fresh = BFGroup(m.A, k).reduce(p.translation)
+            assert p.displacement == fresh
+            assert p.alpha_image == psi(fresh)
+    if group is None:
+        with pytest.raises(RootOfUnitySpectrum):
+            m.shadowing_classes(k)
+        return
+    groups = {}
+    for p in pts:
+        groups.setdefault(p.alpha_image, []).append(p)
+    classes = m.shadowing_classes(k)
+    assert classes == sorted(groups.items(), key=lambda item: item[0].coords)
+    for image, members in classes:
+        assert all(p.alpha_image is image for p in members)

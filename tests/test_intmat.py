@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,68 @@ def test_snf_u_inv_is_the_inverse_of_u(a):
     assert den == 1
     assert d.U_inv == inv
     assert d.U * d.U_inv == IntMatrix.identity(a.dim)
+
+
+def _snf_full_scan(a):
+    """(U, D, V) by snf's elimination with the pivot found by a scan of the
+    whole remaining submatrix for the least (|entry|, row, col)."""
+    n = a.dim
+    w = [list(r) for r in a.rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_sub(i, j, q):
+        w[i] = [x - q * y for x, y in zip(w[i], w[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        for r in w + v:
+            r[i] -= q * r[j]
+
+    for t in range(n):
+        while True:
+            keys = [(abs(w[i][j]), i, j) for i in range(t, n) for j in range(t, n) if w[i][j]]
+            if not keys:
+                break
+            _, pi, pj = min(keys)
+            w[t], w[pi], u[t], u[pi] = w[pi], w[t], u[pi], u[t]
+            for r in w + v:
+                r[t], r[pj] = r[pj], r[t]
+            if w[t][t] < 0:
+                w[t], u[t] = [-x for x in w[t]], [-x for x in u[t]]
+            p = w[t][t]
+            for i in range(t + 1, n):
+                row_sub(i, t, w[i][t] // p)
+            for j in range(t + 1, n):
+                col_sub(j, t, w[t][j] // p)
+            if any(w[i][t] for i in range(t + 1, n)) or any(w[t][j] for j in range(t + 1, n)):
+                continue
+            viol = next((i for i in range(t + 1, n) for j in range(t + 1, n) if w[i][j] % p), None)
+            if viol is None:
+                break
+            row_sub(t, viol, -1)
+    for t in range(n):
+        if w[t][t] < 0:
+            w[t], u[t] = [-x for x in w[t]], [-x for x in u[t]]
+    return tuple(IntMatrix(tuple(map(tuple, x))) for x in (u, w, v))
+
+
+def test_snf_pivot_search_matches_the_full_scan():
+    """The early-stopping pivot search picks the full scan's pivot, so U, D,
+    V and U^-1 are the same, on seeded random matrices of dimension 1-5 with
+    small entries (many units), wide entries (few) and low rank."""
+    rng = random.Random(20261018)
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        lo = (1, 3, 40)[trial % 3]
+        rows = [[rng.randint(-lo, lo) for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0 and n > 1:
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1 % n])]
+        a = IntMatrix(tuple(map(tuple, rows)))
+        d = snf(a)
+        U, D, V = _snf_full_scan(a)
+        assert (d.U, d.D, d.V) == (U, D, V)
+        assert d.U_inv == rat_inverse(U)[0]
 
 
 def test_c_matrix_identity(a2):

@@ -240,3 +240,20 @@ def test_minimal_loops_match_vertex_order_oracle(m):
     if want:
         with pytest.raises(BudgetExceeded):
             minimal_loops(g, budget=len(want) - 1)
+
+
+def test_loop_walk_skips_vertices_that_cannot_return():
+    """a -> bc...t a T...CB, b -> c...t b T...C, ...: each generator conjugated
+    by all later ones, so A = I and every arc but the self-loops goes up.
+    Each vertex reaches only later ones, so the walk from it tries no
+    vertex order beyond itself; trying every simple path instead doubles
+    the work per rank."""
+    rank = 20
+    gens = string.ascii_lowercase[:rank]
+    rules = [gens[j + 1:] + gens[j] + gens[j + 1:][::-1].upper() for j in range(rank)]
+    g = transition_matrix(TightMap(Endomorphism.from_strings(rank, *rules)))
+    start = time.perf_counter()
+    loops = minimal_loops(g)
+    elapsed = time.perf_counter() - start
+    assert [(l.length, l.transitions[0][:2]) for l in loops] == [(1, (j, j)) for j in range(rank)]
+    assert elapsed < 0.5

@@ -65,6 +65,26 @@ def test_negative_level_refused(phi2):
     assert beta_breakpoints(phi2, 0).values == (((0, 0), (1, 0)), ((0, 0), (0, 1)))
 
 
+def test_beta_budget_is_the_row_count(phi2):
+    """phi2 at level 2: 2 * (16 + 1) = 34 rows, admitted by a budget of 34
+    and refused by 33; level 10^9 is refused without computing 4^(10^9)."""
+    assert beta_breakpoints(phi2, 2, budget=34).values == beta_breakpoints(phi2, 2).values
+    with pytest.raises(BudgetExceeded, match="^more than 33 beta rows at level 2$"):
+        beta_breakpoints(phi2, 2, budget=33)
+    with pytest.raises(BudgetExceeded):
+        beta_breakpoints(phi2, 10 ** 9, budget=200000)
+    with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
+        beta_breakpoints(phi2, 2, budget=-1)
+    # M = 2 is the slowest growth: 2^k + 1 rows pass 1000 from k = 10 on
+    doubling = TightMap(Endomorphism.from_strings(1, "aa"))
+    for k in range(1, 15):
+        if 2 ** k + 1 <= 1000:
+            assert len(beta_breakpoints(doubling, k, budget=1000).values[0]) == 2 ** k + 1
+        else:
+            with pytest.raises(BudgetExceeded):
+                beta_breakpoints(doubling, k, budget=1000)
+
+
 def test_beta_level1_phi2(phi2):
     ap = beta_breakpoints(phi2, 1)
     assert ap.level == 1 and ap.M == 4
