@@ -59,7 +59,6 @@ from .semiconj import (
     BetaApproximation,
     InjectivityCertificate,
     beta_breakpoints,
-    beta_mu,
     holder_bound,
     kappa,
     shadow_pairs,

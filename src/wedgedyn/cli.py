@@ -11,8 +11,8 @@ import argparse
 import ast
 import csv
 import json
+import math
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .bf import BFGroup, enumerate_fixed
@@ -182,9 +182,14 @@ def cmd_beta(args) -> int:
     b = m.rank
     w.writerow(["edge", "i", "t"] + [f"beta_{i}" for i in range(b)])
     denom = approx.M ** approx.level
-    for e in range(b):
-        for i, val in enumerate(approx.values[e]):
-            w.writerow([e, i, Fraction(i, denom), *val])
+    # every edge shares the t column i / denom: each entry is reduced by one
+    # gcd and formatted once, with no Fraction built
+    ts = []
+    for i in range(denom + 1):
+        g = math.gcd(i, denom)
+        ts.append(str(i // g) if g == denom else f"{i // g}/{denom // g}")
+    for e, rows in enumerate(approx.values):
+        w.writerows((e, i, t, *val) for i, (t, val) in enumerate(zip(ts, rows)))
     if figure is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(figure)

@@ -1,6 +1,6 @@
 """The Franks semiconjugacy beta: exact breakpoint values, tail bounds,
-eigen-direction projections, Holder exponents, and injectivity certification
-by symbolic segment-pair tracking in the abelian cover.
+Holder exponents, and injectivity certification by symbolic segment-pair
+tracking in the abelian cover.
 
 For a uniformly expanding map (all speeds M), the points i/M^k on an edge
 are exactly the points whose k-th lifted image is a lattice point n, and
@@ -19,13 +19,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceeded,
-    ComplexOrSmallEigenvalue,
-    NotExpanding,
-)
+from .errors import BudgetExceeded, NotExpanding
 from .graphmap import Chart, TightMap
-from .intmat import IntMatrix, kernel, rat_inverse
+from .intmat import rat_inverse
 from .words import Letter
 
 
@@ -67,6 +63,13 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     point reached after the first i letters of psi^k(e), so its beta value
     is the exact partial sum; the full edge telescopes to e_e.
 
+    Uniform expansion rules out cancellation at every junction, so psi^k(e)
+    is the plain concatenation of image words, an inverse letter taking
+    its image reversed and inverted. Its letters are streamed from the
+    image table, k rounds deep, with no Word reduction. Each coordinate's
+    numerators over the common denominator of A^-k are running sums of
+    integer steps, and one Fraction is built per distinct numerator.
+
     The table has rank * (M^k + 1) rows; with a budget, BudgetExceeded is
     raised before psi^k is built when that count passes it.
     """
@@ -80,27 +83,30 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     # power is exact or already over the budget
     if budget is not None and m.rank * (mexp ** min(k, budget.bit_length() + 1) + 1) > budget:
         raise BudgetExceeded(f"more than {budget} beta rows at level {k}")
-    # integer numerators over the common denominator of A^-k
     ainv, den = rat_inverse(m.A ** k)
-    steps = {Letter(g, s): tuple(s * r[g] for r in ainv.rows)
-             for g in range(m.rank) for s in (1, -1)}
-    power = m.endo.power(k)
-    values = []
+    # letter (g, s) is code 2g + (s < 0), so code ^ 1 is its inverse;
+    # table[code] is the letter's image, steps[i][code] its coordinate-i step
+    table = []
+    for img in m.endo.images:
+        image = tuple(2 * l.generator + (l.sign < 0) for l in img)
+        table += [image, tuple(c ^ 1 for c in reversed(image))]
+    steps = [tuple(s * x for x in r for s in (1, -1)) for r in ainv.rows]
+    columns = []
     for e in range(m.rank):
-        word = power.images[e]
+        word = [2 * e]
+        for _ in range(k):
+            word = list(itertools.chain.from_iterable(map(table.__getitem__, word)))
         if len(word) != mexp ** k:
             raise RuntimeError("uniform expansion must give M^k letters at level k")
-        acc = (0,) * m.rank
-        row = [acc]
-        for letter in word:
-            acc = tuple(map(operator.add, acc, steps[letter]))
-            row.append(acc)
-        if acc != tuple(den * (i == e) for i in range(m.rank)):
+        cols = [list(itertools.accumulate(map(st.__getitem__, word), initial=0))
+                for st in steps]
+        if [c[-1] for c in cols] != [den * (i == e) for i in range(m.rank)]:
             raise RuntimeError("edge endpoint must telescope to the basis vector")
-        values.append(row)
+        columns.append(cols)
     # one Fraction per distinct numerator
-    frac = {a: Fraction(a, den) for a in {a for row in values for v in row for a in v}}
-    values = tuple(tuple(tuple(frac[a] for a in v) for v in row) for row in values)
+    frac = {a: Fraction(a, den) for a in set(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(columns)))}
+    values = tuple(tuple(zip(*(map(frac.__getitem__, c) for c in cols))) for cols in columns)
     return BetaApproximation(map=m, level=k, M=mexp, values=values,
                              tail_bound=tail_bound(m, k))
 
@@ -109,26 +115,6 @@ def tail_bound(m: TightMap, k: int, norm: str = "adapted") -> Fraction:
     """tau_k = delta(f) / lambda^k; tau_0 is the shadowing constant itself."""
     sr = m.sigma_report(norm=norm)
     return sr.delta / sr.lam ** k
-
-
-def beta_mu(m: TightMap, approx: BetaApproximation, mu):
-    """Projection of the breakpoint table onto an expanding eigenline of A^T.
-
-    mu must be an exact rational eigenvalue with |mu| > 1; the eigenvector
-    is computed exactly and normalized to a primitive integer vector.
-    Returns one tuple of scalars per edge.
-    """
-    mu = Fraction(mu)
-    if abs(mu) <= 1:
-        raise ComplexOrSmallEigenvalue(f"|mu| must exceed 1, got {mu}")
-    # ker(A^T - mu I) = ker(q A^T - p I) for mu = p / q
-    p, q = mu.numerator, mu.denominator
-    basis = kernel(q * m.A.transpose() - p * IntMatrix.identity(m.rank))
-    if not basis:
-        raise ComplexOrSmallEigenvalue(f"{mu} is not a rational eigenvalue of A^T")
-    v = basis[0]
-    return tuple(tuple(sum(Fraction(a) * b for a, b in zip(v, val)) for val in edge_vals)
-                 for edge_vals in approx.values)
 
 
 def holder_bound(m: TightMap) -> Fraction:
@@ -191,21 +177,14 @@ class InjectivityCertificate:
 def _far_gate(norm, theta2):
     """far(e1, n1, e2, n2): whether the unit axis segments n1 + [0,1] e1 and
     n2 + [0,1] e2 lie more than theta apart in the norm, where theta2 =
-    theta^2. The distance depends only on (e1, e2, n1 - n2), so each
-    relative position is decided once per gate, in integers: norm.gap2 is
-    compared with theta2 as a (num, den) pair.
+    theta^2. Exact and in integers: norm.gap2 of the relative position
+    (e1, e2, n1 - n2) is compared with theta2 as a (num, den) pair.
     """
     bound, tden = theta2.numerator, theta2.denominator
-    memo = {}
 
     def far(e1, n1, e2, n2):
-        c = tuple(x - y for x, y in zip(n1, n2))
-        key = (e1, e2, c)
-        verdict = memo.get(key)
-        if verdict is None:
-            num, den = norm.gap2(e1, e2, c)
-            verdict = memo[key] = num * tden > den * bound
-        return verdict
+        num, den = norm.gap2(e1, e2, tuple(map(operator.sub, n1, n2)))
+        return num * tden > den * bound
 
     return far
 
@@ -284,9 +263,15 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
 
     Pairs with equal beta stay within 2*delta of each other forever (each
     is within delta of the same toral orbit), so chart pairs whose
-    segments separate beyond 2*delta are discarded. The gate is exact,
-    runs on integers, and is decided once per relative position of the two
-    segments (_far_gate). Surviving exact coincidences with distinct
+    segments separate beyond 2*delta are discarded. That gate depends only
+    on the relative position (e1, e2, n1 - n2) of the two segments, and
+    every position within 2*delta lies inside the depth-0 box of
+    half-width w: ||v||_inf <= radius ||v|| bounds each |c_i| by
+    radius * 2*delta + 1 < w. So the box pass decides every unordered
+    position once, exactly and on integers (_far_gate; the gap of
+    (e1, e2, c) is the gap of (e2, e1, -c)), the depth-0 cells come from
+    the near positions, and every later depth only looks its positions up
+    in that near set. Surviving exact coincidences with distinct
     preimages are non-injectivity witnesses. When every survivor is benign
     (preimage closures intersect) and the survivor germ-signature set
     repeats at consecutive depths, the self-similar regime forces any
@@ -301,7 +286,6 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     sr = m.sigma_report(norm=norm)
     nd = sr.norm
     theta = 2 * sr.delta
-    far = _far_gate(nd, theta * theta)
     b = m.rank
     can_certify = min(m.speeds) >= 2
     cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=nd.kind)
@@ -311,18 +295,26 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
         raise BudgetExceeded(f"depth-0 box of {box_pairs} segment pairs exceeds "
                              f"max_cells * L^2 = {bound}")
 
+    far = _far_gate(nd, theta * theta)
     zero = (0,) * b
-    box = ((Chart(e, zero, e, zero, 1, 0), Chart(e2, base, e2, base, 1, 0))
-           for e in range(b) for base in itertools.product(range(-w, w + 1), repeat=b)
-           for e2 in range(b))
-    cells = _cells(box, far, max_cells)
+    near = set()
+    for e1, e2 in itertools.combinations_with_replacement(range(b), 2):
+        for c in itertools.product(range(1 - w, w), repeat=b):
+            neg = tuple(map(operator.neg, c))
+            if (e1 < e2 or c >= neg) and not far(e1, c, e2, zero):
+                near.update(((e1, e2, c), (e2, e1, neg)))
+    # near is closed under (e1, e2, c) -> (e2, e1, -c), so each near
+    # position gives the box pair of an e2 segment at the origin and an e1
+    # segment at c, whose position is the mirror (e2, e1, -c)
+    box = ((Chart(e2, zero, e2, zero, 1, 0), Chart(e1, c, e1, c, 1, 0)) for e1, e2, c in near)
+    cells = _cells(box, near, max_cells)
     _, prev_keys = _scan(cells)
 
     for d in range(1, depth + 1):
         # product() builds q's pieces once per cell
         cells = _cells((pq for p, q in cells
                         for pq in itertools.product(m.advance(p), m.advance(q))),
-                       far, max_cells)
+                       near, max_cells)
         witnesses, keys = _scan(cells)
         if witnesses:
             x, y = min(witnesses)
@@ -335,13 +327,14 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     return cert(status="UNKNOWN", depth=depth, witness=None)
 
 
-def _cells(pairs, far, max_cells):
-    """The set of distinct chart pairs (p, q), p <= q, that the gate keeps.
+def _cells(pairs, near, max_cells):
+    """The set of distinct chart pairs (p, q), p <= q, whose relative
+    position (p.edge, q.edge, p.base - q.base) is in the near set.
     Raises BudgetExceeded as soon as more than max_cells are kept, before
     any witness search reads them."""
     cells = set()
     for p, q in pairs:
-        if not far(p.edge, p.base, q.edge, q.base):
+        if (p.edge, q.edge, tuple(map(operator.sub, p.base, q.base))) in near:
             cells.add((p, q) if p <= q else (q, p))
             if len(cells) > max_cells:
                 raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")

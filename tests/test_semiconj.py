@@ -1,11 +1,14 @@
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
+    AdaptedNormUnavailable,
     BudgetExceeded,
     Chart,
     ComplexOrSmallEigenvalue,
@@ -15,8 +18,8 @@ from wedgedyn import (
     NotExpanding,
     TightMap,
     TorusPoint,
+    Word,
     beta_breakpoints,
-    beta_mu,
     cover_point,
     holder_bound,
     iota,
@@ -25,7 +28,7 @@ from wedgedyn import (
     shadow_pairs,
     tail_bound,
 )
-from wedgedyn.intmat import IntMatrix, rat_inverse
+from wedgedyn.intmat import IntMatrix, kernel, rat_inverse
 from wedgedyn.semiconj import _far_gate, _preimages_intersect, _same_origin, _touch
 from wedgedyn.words import Letter
 
@@ -211,6 +214,26 @@ def test_beta_needs_uniform_expansion():
 def test_beta_needs_expanding(phi1):
     with pytest.raises(NotExpanding):
         beta_breakpoints(phi1, 1)
+
+
+def beta_mu(m, approx, mu):
+    """Projection of the breakpoint table onto an expanding eigenline of A^T.
+
+    mu must be an exact rational eigenvalue with |mu| > 1; the eigenvector
+    is computed exactly and normalized to a primitive integer vector.
+    Returns one tuple of scalars per edge.
+    """
+    mu = Fraction(mu)
+    if abs(mu) <= 1:
+        raise ComplexOrSmallEigenvalue(f"|mu| must exceed 1, got {mu}")
+    # ker(A^T - mu I) = ker(q A^T - p I) for mu = p / q
+    p, q = mu.numerator, mu.denominator
+    basis = kernel(q * m.A.transpose() - p * IntMatrix.identity(m.rank))
+    if not basis:
+        raise ComplexOrSmallEigenvalue(f"{mu} is not a rational eigenvalue of A^T")
+    v = basis[0]
+    return tuple(tuple(sum(Fraction(a) * b for a, b in zip(v, val)) for val in edge_vals)
+                 for edge_vals in approx.values)
 
 
 def test_beta_mu_projection(phi2):
@@ -429,6 +452,119 @@ def test_beta_matches_prefix_lattice_points(images, k):
         for i, val in enumerate(values[e]):
             prefix = (word[:i].count("a"), word[:i].count("b"))
             assert val == tuple(F(x, den) for x in ainv.apply(prefix))
+
+
+@st.composite
+def expanding_maps_with_inverses(draw):
+    """Expanding maps of rank 2-3 whose reduced images share one length M
+    in 4..5 and start and end with positive letters, no two images with
+    the same first or the same last letter: then no junction of reduced
+    words can cancel, so they expand uniformly. The second letter of a's
+    image is an inverse letter."""
+    b = draw(st.integers(2, 3))
+    length = draw(st.integers(4, 5))
+    firsts, lasts = draw(st.permutations(range(b))), draw(st.permutations(range(b)))
+    images = []
+    for g in range(b):
+        word = [Letter(firsts[g], 1)]
+        for j in range(length - 2):
+            banned = {word[-1].inverse(), Letter(lasts[g], -1) if j == length - 3 else None}
+            signs = (-1,) if g == j == 0 else (1, -1)
+            word.append(draw(st.sampled_from([Letter(h, s) for h in range(b) for s in signs
+                                              if Letter(h, s) not in banned])))
+        images.append(Word((*word, Letter(lasts[g], 1))))
+    m = TightMap(Endomorphism(b, tuple(images)))
+    assume(m.spectral.is_expanding)
+    # beta's tail bound needs the adapted norm, which not every expanding
+    # matrix has yet
+    try:
+        m.sigma_report()
+    except AdaptedNormUnavailable:
+        assume(False)
+    assert m.endo.uniform_expansion() == length
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(expanding_maps_with_inverses(), st.integers(0, 3))
+def test_streamed_beta_matches_reduced_power_prefix_walk(m, k):
+    """The letters streamed from the image table are those of the freely
+    reduced word psi^k(e): each row is the prefix walk over
+    Endomorphism.power(k), summed with kappa."""
+    values = beta_breakpoints(m, k).values
+    steps = {}
+    for e, word in enumerate(m.endo.power(k).images):
+        acc = (F(0),) * m.rank
+        walk = [acc]
+        for letter in word:
+            if letter not in steps:
+                steps[letter] = kappa(m, letter, k)
+            acc = tuple(map(operator.add, acc, steps[letter]))
+            walk.append(acc)
+        assert values[e] == tuple(walk)
+
+
+@pytest.mark.parametrize("images, kind", [("aaab,bbba", "eigenbasis"),
+                                          ("aaabaaa,bbbabbb", "eigenbasis"),
+                                          ("BaBB,aaa", "sup")])
+def test_far_gate_box_and_symmetry(images, kind):
+    """Every relative position with some |c_i| >= w, w the half-width of
+    the certifier's depth-0 box, is far: that is why the box pass can
+    decide every near position. The gate gives (e1, e2, c) and
+    (e2, e1, -c) one verdict, so the pass decides each unordered position
+    once. Checked on phi2, phi3 and a sup-norm map, on a box two wider
+    than w, which holds near positions."""
+    m = TightMap(Endomorphism.from_strings(2, *images.split(",")))
+    sr = m.sigma_report()
+    theta = 2 * sr.delta
+    w = int(sr.norm.radius * theta) + 2
+    far = _far_gate(sr.norm, theta * theta)
+    zero = (0,) * m.rank
+    near = 0
+    for e1, e2 in itertools.product(range(m.rank), repeat=2):
+        for c in itertools.product(range(-w - 2, w + 3), repeat=m.rank):
+            verdict = far(e1, c, e2, zero)
+            assert far(e2, zero, e1, c) == verdict
+            if max(map(abs, c)) >= w:
+                assert verdict
+            near += not verdict
+    assert near
+    assert sr.norm.kind == kind
+
+
+# shadow_pairs(depth=6) on each letter order of phi2's images, under both
+# norms: (status, depth, delta, witness as (edge, t, base) pairs)
+_PHI2_ORDER_CERTS = {
+    ("aaab", "abbb"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 8), (0, 0)), (1, F(1, 8), (0, 0)))),
+    ("aaab", "babb"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(3, 4), (-1, 1)), (1, F(3, 4), (0, 0)))),
+    ("aaab", "bbab"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 2), (-1, 1)), (1, F(1, 2), (0, 0)))),
+    ("aaab", "bbba"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 2), (-1, 1)), (1, F(1, 2), (0, 0)))),
+    ("aaba", "abbb"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 8), (0, 0)), (1, F(1, 8), (0, 0)))),
+    ("aaba", "babb"): ("UNKNOWN", 6, F(1, 2), None),
+    ("aaba", "bbab"): ("NOT_INJECTIVE", 1, F(1, 2), ((0, F(1, 2), (-1, 1)), (1, F(1, 2), (0, 0)))),
+    ("aaba", "bbba"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 2), (-1, 1)), (1, F(1, 2), (0, 0)))),
+    ("abaa", "abbb"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 8), (0, 0)), (1, F(1, 8), (0, 0)))),
+    ("abaa", "babb"): ("NOT_INJECTIVE", 1, F(1, 2), ((0, F(1, 2), (0, 0)), (1, F(1, 2), (0, 0)))),
+    ("abaa", "bbab"): ("UNKNOWN", 6, F(1, 2), None),
+    ("abaa", "bbba"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(3, 4), (-1, 1)), (1, F(3, 4), (0, 0)))),
+    ("baaa", "abbb"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 2), (0, 0)), (1, F(1, 2), (0, 0)))),
+    ("baaa", "babb"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 8), (0, 0)), (1, F(1, 8), (0, 0)))),
+    ("baaa", "bbab"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 8), (0, 0)), (1, F(1, 8), (0, 0)))),
+    ("baaa", "bbba"): ("NOT_INJECTIVE", 1, F(3, 4), ((0, F(1, 8), (0, 0)), (1, F(1, 8), (0, 0)))),
+}
+
+
+def test_phi2_letter_orders_keep_their_certificates():
+    orders = [sorted({"".join(p) for p in itertools.permutations(w)}) for w in ("aaab", "bbba")]
+    assert sorted(itertools.product(*orders)) == sorted(_PHI2_ORDER_CERTS)
+    for images, (status, depth, delta, witness) in _PHI2_ORDER_CERTS.items():
+        m = TightMap(Endomorphism.from_strings(2, *images))
+        for norm, kind in (("adapted", "eigenbasis"), ("sup", "sup")):
+            cert = shadow_pairs(m, depth=6, norm=norm)
+            got = None if cert.witness is None else tuple(
+                (cp.point.edge, cp.point.t, cp.base) for cp in cert.witness)
+            assert (cert.status, cert.depth, cert.delta, cert.norm, got) == (
+                status, depth, delta, kind, witness)
 
 
 def _touch_oracle(e1, n1, e2, n2):
