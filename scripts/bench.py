@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
 """Benchmark this checkout against a parent commit, in alternating pairs.
 
-    python3 scripts/bench.py --out BENCH.json --parent HEAD --pairs 5 \\
-        --claim semiconj:wall_s
+    python3 scripts/bench.py --out BENCH.json --parent HEAD~1 --claim semiconj:wall_s
 
 The change is the working tree of the checkout this file sits in. The
-parent is the commit --parent (default HEAD), checked out into a
-temporary `git worktree` that is removed again; --parent-dir runs an
-existing checkout of the parent instead. For every workload and seed,
-both sides run `perfbench/run.py --workload W --seed S --trace 0`, and the
-side that runs first alternates from pair to pair. The output holds, per
-metric, the median and quartiles of each side's runs, the runs themselves
-and the pairs the change won and lost; per workload and seed, the output
-digests and whether every run passed its gates; and the non-blank line
-count of src/wedgedyn on both sides.
+parent is the committed tree of --parent, unpacked by `git archive` into a
+temporary directory that is removed again; nothing under .git is written.
+For every workload and for seeds 1 and 5, both sides run
+`perfbench/run.py --workload W --seed S --seconds 12 --trace 0` in 10
+pairs, and the side that runs first alternates from pair to pair. The
+output holds, per metric, the median and quartiles of each side's runs,
+the runs themselves and the pairs the change won and lost; per workload
+and seed, the output digests and whether every run passed its gates; and
+the non-blank line count of src/wedgedyn on both sides.
 
-A claimed workload runs at least 10 pairs. The claim is met on a seed
-when the change wins at least 9 of 10 pairs and its median beats the
-parent's by more than the parent's interquartile range.
+The claim is met on a seed when the change wins at least 9 of the 10
+pairs and its median beats the parent's by more than the parent's
+interquartile range.
 
 The script writes only the --out file; the checkout is left as it was.
 """
@@ -37,7 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("census", "semiconj", "lattice", "reproduce")
-CLAIM_PAIRS = 10
+SEEDS = (1, 5)
+SECONDS = 12
+PAIRS = 10
 with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
     # end-to-end metric -> 1 when lower is better, -1 when higher is
     METRICS = {m["name"]: 1 if m["better"] == "lower" else -1
@@ -45,10 +46,10 @@ with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
 SEED_NOTES = {1: "the seed used while building", 5: "a seed not used while building"}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One `run.py --trace 0`: its info line, with the metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -88,10 +89,9 @@ def claim_verdict(metric: dict) -> str:
     parent, change = metric["parent"], metric["change"]
     iqr = parent["q3"] - parent["q1"]
     gain = sign * (parent["median"] - change["median"])
-    wins = sum(sign * c < sign * p for p, c in
-               zip(metric["parent_runs"][:CLAIM_PAIRS], metric["change_runs"][:CLAIM_PAIRS]))
-    met = wins >= CLAIM_PAIRS - 1 and gain > iqr
-    return (f"{'met' if met else 'not met'}: {wins} of {CLAIM_PAIRS} pairs, median "
+    wins = metric["change_wins"]
+    met = wins >= 0.9 * PAIRS and gain > iqr
+    return (f"{'met' if met else 'not met'}: {wins} of {PAIRS} pairs, median "
             f"{parent['median']:.4g} -> {change['median']:.4g} "
             f"({-sign * gain / parent['median']:+.1%}), parent IQR {iqr:.4g}")
 
@@ -101,9 +101,8 @@ def src_lines(checkout: Path) -> int:
                for line in f.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
 def machine() -> dict:
@@ -118,44 +117,42 @@ def machine() -> dict:
             "note": "one benchmark process at a time"}
 
 
-def bench(parent: Path, args) -> dict:
-    claimed, _, claimed_metric = (args.claim or "").partition(":")
+def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
+    claimed, _, claimed_metric = (claim or "").partition(":")
     out = {
         "what": "perfbench/run.py end-to-end metrics, parent commit against this change, "
                 "in alternating pairs (the side that runs first alternates); per metric the "
                 "median and quartiles of each side's runs, the runs themselves, and how many "
                 "pairs the change won and lost",
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                    "--trace 0",
-        "parent_commit": args.parent_commit,
+        "parent_commit": parent_commit,
         "machine": machine(),
-        "seeds": {str(s): SEED_NOTES.get(s, "") for s in args.seeds},
+        "seeds": {str(s): SEED_NOTES[s] for s in SEEDS},
         "workloads": {},
         "src_nonblank_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
     }
     dirs = {"parent": parent, "change": ROOT}
-    for w in args.workloads:
-        n = max(args.pairs, CLAIM_PAIRS) if w == claimed else args.pairs
+    for w in WORKLOADS:
         out["workloads"][w] = {}
-        for seed in args.seeds:
+        for seed in SEEDS:
             pairs = []
-            for i in range(n):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                runs = {side: run_once(dirs[side], w, seed, args.seconds) for side in order}
+                runs = {side: run_once(dirs[side], w, seed) for side in order}
                 pairs.append((runs["parent"], runs["change"]))
-                print(f"{w} seed {seed} pair {i + 1}/{n}: wall_s "
+                print(f"{w} seed {seed} pair {i + 1}/{PAIRS}: wall_s "
                       f"{runs['parent']['metrics']['wall_s']:.4f} -> "
                       f"{runs['change']['metrics']['wall_s']:.4f}", file=sys.stderr)
             out["workloads"][w][f"seed_{seed}"] = summarize(pairs)
     if claimed:
         out["claim"] = {
             "metric": claimed_metric, "workload": claimed,
-            "rule": f"the change wins at least {CLAIM_PAIRS - 1} of {CLAIM_PAIRS} pairs and "
-                    "its median beats the parent's by more than the parent's interquartile "
-                    "range, on every seed",
+            "rule": f"the change wins at least 9 of {PAIRS} pairs and its median beats the "
+                    "parent's by more than the parent's interquartile range, on every seed",
             **{f"seed_{s}": claim_verdict(
                 out["workloads"][claimed][f"seed_{s}"]["metrics"][claimed_metric])
-               for s in args.seeds}}
+               for s in SEEDS}}
     return out
 
 
@@ -163,38 +160,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="the JSON file to write")
-    ap.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
-    ap.add_argument("--parent-dir", default=None,
-                    help="an existing checkout of the parent commit, used instead of a "
-                         "temporary git worktree")
-    ap.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload and seed")
-    ap.add_argument("--seconds", type=float, default=12.0, help="run.py --seconds")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
                     help="a claimed gain, judged by the rule above")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2, for quartiles")
     if args.claim is not None:
         workload, _, metric = args.claim.partition(":")
-        if workload not in args.workloads or metric not in METRICS:
-            ap.error(f"--claim {args.claim}: needs a benchmarked workload and an "
+        if workload not in WORKLOADS or metric not in METRICS:
+            ap.error(f"--claim {args.claim}: needs one of {', '.join(WORKLOADS)} and an "
                      f"end-to-end metric ({', '.join(METRICS)})")
-    args.parent_commit = git("rev-parse", args.parent)
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
 
-    if args.parent_dir is not None:
-        result = bench(Path(args.parent_dir).resolve(), args)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        try:
-            git("worktree", "add", "--detach", str(tmp / "parent"), args.parent_commit)
-            result = bench(tmp / "parent", args)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tmp / "parent")],
-                           cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-            shutil.rmtree(tmp, ignore_errors=True)
+    parent = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    try:
+        subprocess.run(["tar", "-x", "-C", str(parent)],
+                       input=git("archive", "--format=tar", parent_commit), check=True)
+        result = bench(parent, parent_commit, args.claim)
+    finally:
+        shutil.rmtree(parent, ignore_errors=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
