@@ -6,7 +6,7 @@ shadowing and injectivity questions for the induced semiconjugacy onto the
 torus, all in exact rational arithmetic.
 """
 
-from .bf import BFElement, BFGroup, TorusPoint, enumerate_fixed, phi_apply, psi, upsilon
+from .bf import BFElement, BFGroup, TorusPoint, enumerate_fixed, psi, upsilon
 from .errors import (
     AdaptedNormUnavailable,
     BudgetExceeded,

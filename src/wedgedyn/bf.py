@@ -14,7 +14,6 @@ same A without checking it again, and upsilon reaches its target that way.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,13 +43,6 @@ def _torus_point(coords: tuple) -> TorusPoint:
     p = object.__new__(TorusPoint)
     object.__setattr__(p, "coords", coords)
     return p
-
-
-def phi_apply(a: IntMatrix, p: TorusPoint) -> TorusPoint:
-    """The toral endomorphism induced by A, applied once."""
-    if a.dim != len(p.coords):
-        raise DimensionMismatch("matrix and point dimensions differ")
-    return TorusPoint(a.apply(p.coords))
 
 
 @dataclass(frozen=True)
@@ -132,11 +124,6 @@ class BFGroup:
 
     def zero(self) -> "BFElement":
         return BFElement(self, (0,) * self.A.dim)
-
-    def elements(self):
-        """All elements, in lexicographic order of their SNF coordinates."""
-        for r in itertools.product(*(range(d) for d in self.diagonal)):
-            yield BFElement(self, r)
 
 
 @dataclass(frozen=True)

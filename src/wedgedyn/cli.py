@@ -102,8 +102,10 @@ def cmd_bf(args) -> int:
         a = m.A
         label = m.name
     rows = []
+    # the constructor checks the spectrum once; level(k) skips the check
+    base = BFGroup(a, 1)
     for k in range(1, args.k + 1):
-        g = BFGroup(a, k)
+        g = base.level(k)
         rows.append({
             "k": k,
             "invariant_factors": [str(d) for d in g.invariant_factors],

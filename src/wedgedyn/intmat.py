@@ -345,14 +345,12 @@ def c_matrix(a: IntMatrix, i: int, j: int) -> IntMatrix:
     """
     if i <= 0 or j <= 0 or j % i != 0:
         raise NotDivisible(f"{i} does not divide {j}")
-    n = a.dim
-    acc = IntMatrix.zero(n)
+    one = IntMatrix.identity(a.dim)
     step = a ** i
-    term = IntMatrix.identity(n)
-    for _ in range(j // i):
-        acc = acc + term
+    acc = term = one
+    for _ in range(j // i - 1):
         term = term * step
-    one = IntMatrix.identity(n)
-    if acc * (a ** i - one) != a ** j - one:
+        acc = acc + term
+    if acc * (step - one) != a ** j - one:
         raise RuntimeError("c_matrix internal identity failed")
     return acc

@@ -155,13 +155,28 @@ def _unity_orders(b: int) -> tuple:
     return _orders_cache[b]
 
 
+_cyclo_values = {}
+
+
+def _cyclotomic_values(m: int) -> tuple:
+    """(Phi_m, Phi_m(2), Phi_m(3)), built once per m; both values are > 0."""
+    if m not in _cyclo_values:
+        c = cyclotomic(m)
+        _cyclo_values[m] = c, evaluate(c, 2), evaluate(c, 3)
+    return _cyclo_values[m]
+
+
 def has_root_of_unity_factor(p) -> bool:
     """True when some cyclotomic polynomial divides p (p monic integer).
 
     Only Phi_m with euler_phi(m) <= deg p can divide p; _unity_orders lists
-    those m.
+    those m. Phi_m is monic, so Phi_m | p forces Phi_m(x) | p(x) at every
+    integer x: only the Phi_m that pass this test at x = 2 and x = 3 are
+    divided into p.
     """
-    return any(not pseudo_divmod(p, cyclotomic(m))[1] for m in _unity_orders(max(degree(p), 0)))
+    p2, p3 = evaluate(p, 2), evaluate(p, 3)
+    return any(not (p2 % c2 or p3 % c3 or pseudo_divmod(p, c)[1])
+               for c, c2, c3 in map(_cyclotomic_values, _unity_orders(max(degree(p), 0))))
 
 
 def _heval(p, u, v):

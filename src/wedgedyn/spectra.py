@@ -261,7 +261,7 @@ def spectral(a: IntMatrix) -> SpectralReport:
     if all(e.exact for e in eigs):
         lam = min((abs(e.re) for e in eigs), default=Fraction(0))
     else:
-        lam = _bisect_lambda(p)
+        lam = _bisect_lambda(p, min(e.re * e.re + e.im * e.im for e in eigs))
 
     return SpectralReport(
         matrix=a,
@@ -273,22 +273,39 @@ def spectral(a: IntMatrix) -> SpectralReport:
     )
 
 
-def _bisect_lambda(p):
-    """Certified rational lower bound for the smallest root modulus. The
-    bracket [lo, hi] is held as integer numerators over one denominator."""
+def _bisect_lambda(p, hint=None):
+    """Certified rational lower bound for the smallest root modulus rho.
+
+    With hn/den the Cauchy bound and t the first value with
+    hn·10^9 < den·2^t (at most 80), the bound is j·hn/(den·2^t) for the one
+    j with P(j) true and P(j + 1) false, where P(i) says that every root
+    has |z| > i·hn/(den·2^t). P is monotone, so any bracket lo < hi with
+    P(lo) true and P(hi) false closes on j. The hint, an estimate of
+    rho^2, only picks the first indices tested; any hint, or none, gives
+    the same bound.
+    """
     if p[-1] == 0:  # a root at 0
         return Fraction(0)
-    lo, (hi, den) = 0, polys.cauchy_bound(p).as_integer_ratio()
-    for _ in range(80):
-        if (hi - lo) * 10 ** 9 < den:
-            break
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        mid = (lo + hi) // 2
-        if polys.all_roots_outside_closed_disk(p, Fraction(mid, den)):
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, den)
+    hn, den = polys.cauchy_bound(p).as_integer_ratio()
+    t = min(80, (hn * 10 ** 9 // den).bit_length())
+    den <<= t
+    # P(0) holds and P(2^t), at the Cauchy bound, fails: neither is tested
+    lo, hi = 0, 1 << t
+    guesses = ()
+    if hint is not None:
+        # the largest g with (g·hn/den)^2 < hint (0 if none), then its neighbours
+        n, d = Fraction(hint).as_integer_ratio()
+        g = isqrt(max(-(-n * den * den // (d * hn * hn)) - 1, 0))
+        guesses = (g, g + 1, g - 1, g + 2)
+    guesses = iter(guesses)
+    while hi - lo > 1:
+        mid = next(guesses, (lo + hi) // 2)
+        if lo < mid < hi:
+            if polys.all_roots_outside_closed_disk(p, Fraction(mid * hn, den)):
+                lo = mid
+            else:
+                hi = mid
+    return Fraction(lo * hn, den)
 
 
 def norm_data(report: SpectralReport, kind: str = "adapted") -> LipschitzNormData:

@@ -150,6 +150,56 @@ def test_root_of_unity_matches_singular_power_over_admissible_orders(rows):
     assert has_root_of_unity_factor(char_poly(IntMatrix(tuple(map(tuple, rows))))) == brute
 
 
+def _unfiltered_scan(p):
+    """The cyclotomic scan with no value test: one division per order."""
+    return any(not pseudo_divmod(p, cyclotomic(m))[1] for m in _unity_orders(max(len(p) - 1, 0)))
+
+
+def _sympy_has_cyclotomic_factor(p):
+    """Some irreducible factor of p over Q is sympy's Phi_m."""
+    x = sympy.Symbol("x")
+    for f, _ in sympy.Poly(p, x).factor_list()[1]:
+        d = f.degree()
+        if any(sympy.totient(m) == d and f == sympy.Poly(sympy.cyclotomic_poly(m, x), x)
+               for m in range(1, 4 * d * d + 10)):
+            return True
+    return False
+
+
+def _assert_root_of_unity_verdict(p):
+    want = _sympy_has_cyclotomic_factor(p)
+    assert _unfiltered_scan(p) == want
+    assert has_root_of_unity_factor(p) == want
+
+
+# monic integer cofactors of degree 0-3: among them x - 2 and x - 3, so the
+# product has p(2) = 0 or p(3) = 0 and the value test sees 0
+_COFACTORS = ((1,), (1, -2), (1, -3), (1, 0, -2), (1, -5, 6), (1, 1, 0, 7), (1, -2, 0, -3))
+
+
+@pytest.mark.parametrize("m", _unity_orders(4))
+def test_root_of_unity_prefilter_keeps_every_cyclotomic_product(m):
+    for q in _COFACTORS:
+        p = mul(cyclotomic(m), q)
+        assert has_root_of_unity_factor(p)
+        _assert_root_of_unity_verdict(p)
+
+
+_monic = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda c: (1, *c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _monic,
+    st.tuples(st.sampled_from(_unity_orders(4)), _monic).map(lambda t: mul(cyclotomic(t[0]), t[1])),
+    st.tuples(st.sampled_from([2, 3]), _monic).map(lambda t: mul((1, -t[0]), t[1]))))
+@example((1, -2))  # p(2) = 0, no cyclotomic factor
+@example((1, -5, 6))  # p(2) = p(3) = 0
+@example((1, -1, -2))  # (x - 2)(x + 1): p(2) = 0 and Phi_2 divides
+def test_root_of_unity_prefilter_matches_unfiltered_scan_and_sympy(p):
+    _assert_root_of_unity_verdict(p)
+
+
 def test_sturm_and_isolation():
     # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     p = (1, -6, 11, -6)

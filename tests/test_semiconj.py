@@ -24,13 +24,14 @@ from wedgedyn import (
     holder_bound,
     iota,
     kappa,
-    phi_apply,
     shadow_pairs,
     tail_bound,
 )
 from wedgedyn.intmat import IntMatrix, kernel, rat_inverse
 from wedgedyn.semiconj import _far_gate, _preimages_intersect, _same_origin, _touch
 from wedgedyn.words import Letter
+
+from oracles import phi_apply
 
 F = Fraction
 

@@ -2,15 +2,16 @@ import contextlib
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wedgedyn import IntMatrix, NotExpanding, rational_sqrt_upper, spectral
+from wedgedyn import IntMatrix, NotExpanding, polys, rational_sqrt_upper, spectral
 from wedgedyn.intmat import rat_inverse
-from wedgedyn.spectra import Eigenvalue, _squarefree_decomposition, norm_data
+from wedgedyn.spectra import Eigenvalue, _bisect_lambda, _squarefree_decomposition, norm_data
 
 
 def test_a2_exact_spectrum():
@@ -76,6 +77,94 @@ def test_spectrum_pins_rank3_complex_pair():
     )
     assert sp.is_expanding
     assert sp.lambda_lower == Fraction(43583523919, 17179869184)
+
+
+def _bisect_lambda_oracle(p):
+    """The full bisection of [0, Cauchy bound] that _bisect_lambda replaces:
+    a disk test at every halving, about 35 per call."""
+    if p[-1] == 0:
+        return Fraction(0)
+    lo, (hi, den) = 0, polys.cauchy_bound(p).as_integer_ratio()
+    for _ in range(80):
+        if (hi - lo) * 10 ** 9 < den:
+            break
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if polys.all_roots_outside_closed_disk(p, Fraction(mid, den)):
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, den)
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+@st.composite
+def _charpolys(draw):
+    """A monic integer polynomial of degree 1-5: random coefficients, or a
+    product of integer linear factors, so that every eigenvalue is exact;
+    a factor x adds a root at 0 some of the time."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        p = (1, *draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    else:
+        p = (1,)
+        for r in draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)):
+            p = _poly_mul(p, (1, -r))
+    if n < 5 and draw(st.integers(0, 4)) == 0:
+        p += (0,)
+    return p
+
+
+def _least_modulus2(p):
+    """min |z|^2 over the roots of p, from sympy's 40-digit roots of its
+    square-free part, exact as a Fraction."""
+    roots = sympy.Poly(p, sympy.Symbol("x")).sqf_part().nroots(n=40, maxsteps=200)
+    q = sympy.Rational(min(sympy.re(z) ** 2 + sympy.im(z) ** 2 for z in roots))
+    return Fraction(int(q.p), int(q.q))
+
+
+def _companion(p):
+    """An integer matrix with characteristic polynomial p (monic)."""
+    n = len(p) - 1
+    return IntMatrix(tuple(tuple(-p[n - i] if j == n - 1 else int(i == j + 1) for j in range(n))
+                           for i in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_charpolys())
+@example((1, -3, 1))  # the golden pair, pinned below
+@example((1, -3, 3, -25))  # the rank-3 complex pair, pinned below
+@example((1, 0, -4))  # two roots of the least modulus, +-2
+@example((1, -4, 4, 0))  # a root at 0 and a double root
+def test_bisect_lambda_matches_full_bisection(p):
+    """The same Fraction as the full bisection for no hint, the true hint
+    and hints far off on either side, with at most three disk tests for
+    the true hint and at most four more than the full bisection for any
+    other; and through spectral, which passes its own hint."""
+    def disk_tests(f, *args):
+        with mock.patch.object(polys, "all_roots_outside_closed_disk",
+                               wraps=polys.all_roots_outside_closed_disk) as disk:
+            return f(*args), disk.call_count
+
+    want, full = disk_tests(_bisect_lambda_oracle, p)
+    rho2 = _least_modulus2(p)
+    got, calls = disk_tests(_bisect_lambda, p, rho2)
+    assert got == want and calls <= 3
+    for hint in (None, rho2 / 10 ** 6, rho2 * 10 ** 6 + 10 ** 6, Fraction(0), Fraction(-7),
+                 Fraction(10 ** 40)):
+        got, calls = disk_tests(_bisect_lambda, p, hint)
+        assert got == want and calls <= full + 4, hint
+    sp = spectral(_companion(p))
+    assert sp.charpoly == p
+    if not all(e.exact for e in sp.eigenvalues):
+        assert sp.lambda_lower == want
 
 
 def test_root_of_unity_matrix():
