@@ -12,7 +12,8 @@ pairs, and the side that runs first alternates from pair to pair. The
 output holds, per metric, the median and quartiles of each side's runs,
 the runs themselves and the pairs the change won and lost; per workload
 and seed, the output digests and whether every run passed its gates; and
-the non-blank line count of src/wedgedyn on both sides.
+the non-blank line counts of src/wedgedyn and of tests on both sides, so
+that code moved from the package into the tests shows as a move.
 
 The claim is met on a seed when the change wins at least 9 of the 10
 pairs and its median beats the parent's by more than the parent's
@@ -96,8 +97,9 @@ def claim_verdict(metric: dict) -> str:
             f"({-sign * gain / parent['median']:+.1%}), parent IQR {iqr:.4g}")
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(1 for f in sorted((checkout / "src" / "wedgedyn").glob("*.py"))
+def nonblank_lines(directory: Path) -> int:
+    """Non-blank lines of the .py files directly in directory."""
+    return sum(1 for f in sorted(directory.glob("*.py"))
                for line in f.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
@@ -119,6 +121,7 @@ def machine() -> dict:
 
 def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
     claimed, _, claimed_metric = (claim or "").partition(":")
+    dirs = {"parent": parent, "change": ROOT}
     out = {
         "what": "perfbench/run.py end-to-end metrics, parent commit against this change, "
                 "in alternating pairs (the side that runs first alternates); per metric the "
@@ -130,9 +133,10 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
         "machine": machine(),
         "seeds": {str(s): SEED_NOTES[s] for s in SEEDS},
         "workloads": {},
-        "src_nonblank_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
+        "src_nonblank_lines": {side: nonblank_lines(d / "src" / "wedgedyn")
+                               for side, d in dirs.items()},
+        "tests_nonblank_lines": {side: nonblank_lines(d / "tests") for side, d in dirs.items()},
     }
-    dirs = {"parent": parent, "change": ROOT}
     for w in WORKLOADS:
         out["workloads"][w] = {}
         for seed in SEEDS:

@@ -10,7 +10,6 @@ from .bf import BFElement, BFGroup, TorusPoint, enumerate_fixed, psi, upsilon
 from .errors import (
     AdaptedNormUnavailable,
     BudgetExceeded,
-    ComplexOrSmallEigenvalue,
     DimensionMismatch,
     DuplicateRule,
     NonUniformExpansion,
@@ -25,7 +24,7 @@ from .errors import (
     UndeclaredGenerator,
     WedgedynError,
 )
-from .dsl import MapSpec, format_map, parse
+from .dsl import MapSpec, parse
 from .graphmap import (
     Chart,
     CoverPoint,
@@ -34,9 +33,7 @@ from .graphmap import (
     SigmaReport,
     TightMap,
     VERTEX,
-    cover_from_coords,
     cover_point,
-    deck,
     graph_point,
     iota,
 )
@@ -46,7 +43,6 @@ from .rotation import (
     GroupRingMatrix,
     Loop,
     RotationSetReport,
-    concatenate,
     eigen_rotation_number,
     hull_vertices,
     minimal_loops,
@@ -60,7 +56,6 @@ from .semiconj import (
     InjectivityCertificate,
     beta_breakpoints,
     holder_bound,
-    kappa,
     shadow_pairs,
     tail_bound,
 )

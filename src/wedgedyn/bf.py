@@ -122,9 +122,6 @@ class BFGroup:
         n = [*map(int, n)]
         return _bf_element(self, tuple([sum(map(mul, row, n)) % d for row, d in reducer]))
 
-    def zero(self) -> "BFElement":
-        return BFElement(self, (0,) * self.A.dim)
-
 
 @dataclass(frozen=True)
 class BFElement:
@@ -139,23 +136,6 @@ class BFElement:
     def representative(self) -> tuple:
         """An integer vector in this coset."""
         return self.group._snf.U_inv.apply(self.r)
-
-    def __add__(self, other: "BFElement") -> "BFElement":
-        self._check(other)
-        return BFElement(self.group, tuple((x + y) % d for x, y, d in
-                                           zip(self.r, other.r, self.group.diagonal)))
-
-    def __sub__(self, other: "BFElement") -> "BFElement":
-        self._check(other)
-        return BFElement(self.group, tuple((x - y) % d for x, y, d in
-                                           zip(self.r, other.r, self.group.diagonal)))
-
-    def __neg__(self) -> "BFElement":
-        return BFElement(self.group, tuple((-x) % d for x, d in zip(self.r, self.group.diagonal)))
-
-    def _check(self, other):
-        if self.group != other.group:
-            raise DimensionMismatch("elements of different BF groups")
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.r) + "]"

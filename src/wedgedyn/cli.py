@@ -74,7 +74,7 @@ def cmd_analyze(args) -> int:
             for ev in sp.eigenvalues
         ],
         "is_expanding": sp.is_expanding,
-        "lambda_lower": str(sp.lambda_lower) if sp.lambda_lower is not None else None,
+        "lambda_lower": str(sp.lambda_lower),
         "uniform_expansion": m.endo.uniform_expansion(),
     }
     if sp.is_expanding:

@@ -165,12 +165,3 @@ class _Parser:
 def parse(source: str):
     """Parse a map-description text into a list of MapSpec."""
     return _Parser(_tokenize(source)).map_specs()
-
-
-def format_map(spec: MapSpec) -> str:
-    """Canonical pretty-printed form; parse(format_map(s)) == [s]."""
-    lines = [f"map {spec.name} rank {spec.rank} {{"]
-    for i, word in enumerate(spec.rules):
-        lines.append(f"  {chr(ord('a') + i)} -> {' '.join(word)} ;")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

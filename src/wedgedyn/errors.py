@@ -45,10 +45,6 @@ class NotEigenvectorOne(WedgedynError):
     """The supplied vector is not fixed by the transpose action."""
 
 
-class ComplexOrSmallEigenvalue(WedgedynError):
-    """An eigenvalue argument must be real with modulus > 1."""
-
-
 class AdaptedNormUnavailable(WedgedynError):
     """No exact adapted norm certificate could be built for this matrix."""
 

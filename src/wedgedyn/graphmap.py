@@ -87,20 +87,6 @@ def iota(cp: CoverPoint) -> tuple:
     return tuple(Fraction(x) + (p.t if i == p.edge else 0) for i, x in enumerate(base))
 
 
-def cover_from_coords(coords) -> CoverPoint:
-    """Inverse of iota for points actually on the grid."""
-    coords = [Fraction(c) for c in coords]
-    frac_idx = [i for i, c in enumerate(coords) if c.denominator != 1]
-    if len(frac_idx) > 1:
-        raise ValueError(f"{tuple(coords)} is not on the cover grid")
-    if not frac_idx:
-        return CoverPoint(VERTEX, tuple(int(c) for c in coords))
-    i = frac_idx[0]
-    base = tuple(int(c) if j != i else (c.numerator // c.denominator) for j, c in enumerate(coords))
-    t = coords[i] - base[i]
-    return cover_point(i, t, base)
-
-
 class Chart(NamedTuple):
     """A full lifted edge (edge, base) that is the forward image of a piece
     of the lifted edge (o_edge, o_base), through the composed integer slot
@@ -117,10 +103,6 @@ class Chart(NamedTuple):
     def orig_point(self, u) -> CoverPoint:
         """The original point that the chart carries to parameter u."""
         return cover_point(self.o_edge, Fraction(u - self.beta, self.alpha), self.o_base)
-
-
-def deck(cp: CoverPoint, n) -> CoverPoint:
-    return CoverPoint(cp.point, tuple(x + int(y) for x, y in zip(cp.base, n)))
 
 
 @dataclass(frozen=True)
@@ -433,12 +415,6 @@ class TightMap:
             cyc.append((e, i, slot.sign))
             state = (slot.generator, slot.mul * end + slot.add)
         return tuple(cyc)
-
-    def displacement_set(self, k: int):
-        """Distinct displacement classes of Fix(phi^k) in BF_k, sorted."""
-        pts = self.periodic_points(k)
-        classes = {p.displacement for p in pts if p.displacement is not None}
-        return sorted(classes, key=lambda e: e.r)
 
     def shadowing_classes(self, k: int):
         """Fix(phi^k) grouped by alpha image: list of (TorusPoint, points),

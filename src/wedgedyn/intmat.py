@@ -46,10 +46,6 @@ class IntMatrix:
                                                    for i in range(n)))
         return _identity_cache[n]
 
-    @staticmethod
-    def zero(n: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * n for _ in range(n)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -94,9 +90,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
 
     def det(self) -> int:
         """sign * d from _gauss_jordan, or 0 when the rank falls short."""

@@ -32,10 +32,6 @@ class GroupRingMatrix:
     def occurrences(self, i: int, j: int):
         return self.entries[i][j]
 
-    def vectors(self, i: int, j: int):
-        """The underlying multiset of lattice vectors, as a sorted tuple."""
-        return tuple(sorted(slot.offset for _, slot in self.entries[i][j]))
-
     def column_cardinality(self, j: int) -> int:
         return sum(len(self.entries[i][j]) for i in range(self.rank))
 
@@ -48,12 +44,6 @@ class Loop:
     """
 
     transitions: tuple
-
-    @staticmethod
-    def from_transitions(transitions) -> "Loop":
-        ts = tuple(transitions)
-        best = min(ts[r:] + ts[:r] for r in range(len(ts)))
-        return Loop(best)
 
     @property
     def length(self) -> int:
@@ -134,24 +124,6 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
                     if arc:
                         stack.append((order + (nxt,), opts + [arc]))
     return sorted(loops, key=lambda l: (l.length, l.transitions))
-
-
-def concatenate(l1: Loop, l2: Loop) -> Loop:
-    """Join two loops at a shared vertex (used for Farey-style composition)."""
-    nodes1 = {t[0] for t in l1.transitions}
-    shared = sorted(nodes1 & {t[0] for t in l2.transitions})
-    if not shared:
-        raise ValueError("loops share no vertex")
-    v = shared[0]
-
-    def rot_to(loop, vertex):
-        ts = loop.transitions
-        for r, t in enumerate(ts):
-            if t[0] == vertex:
-                return ts[r:] + ts[:r]
-        raise AssertionError
-
-    return Loop.from_transitions(rot_to(l1, v) + rot_to(l2, v))
 
 
 def _hull_2d(points):

@@ -19,10 +19,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotExpanding
+from .errors import AdaptedNormUnavailable, BudgetExceeded, NotExpanding
 from .graphmap import Chart, TightMap
 from .intmat import rat_inverse
-from .words import Letter
 
 
 @dataclass(frozen=True)
@@ -31,33 +30,21 @@ class BetaApproximation:
 
     values[e][i] is beta at i/M^k on edge e (a rational vector); these are
     exact values of the semiconjugacy, not approximations. tail_bound bounds
-    |beta - level-k normalized iterate| everywhere else.
+    |beta - level-k normalized iterate| everywhere else; it is None when A
+    has no certified norm yet (ROADMAP item 8), which the table itself
+    does not need.
     """
 
     map: TightMap
     level: int
     M: int
     values: tuple
-    tail_bound: Fraction
-
-
-def _check_level(k: int) -> None:
-    # level 0 is the edge itself (tau_0 is the shadowing constant)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-
-
-def kappa(m: TightMap, letter: Letter, k: int):
-    """The per-letter increment of beta at level k: sign * A^-k e_gen."""
-    _check_level(k)
-    if not m.spectral.is_expanding:
-        raise NotExpanding("kappa needs an expanding abelianization")
-    ainv, den = rat_inverse(m.A ** k)
-    return tuple(Fraction(letter.sign * r[letter.generator], den) for r in ainv.rows)
+    tail_bound: "Fraction | None"
 
 
 def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaApproximation:
-    """Beta at every i/M^k breakpoint, by partial sums of kappa.
+    """Beta at every i/M^k breakpoint, by partial sums of the per-letter
+    increments: a letter of generator g and sign s adds s * A^-k e_g.
 
     The i-th breakpoint of edge e is carried by phi^k onto the lattice
     point reached after the first i letters of psi^k(e), so its beta value
@@ -73,7 +60,9 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     The table has rank * (M^k + 1) rows; with a budget, BudgetExceeded is
     raised before psi^k is built when that count passes it.
     """
-    _check_level(k)
+    # level 0 is the edge itself (tau_0 is the shadowing constant)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     mexp = m.endo.require_uniform_expansion()
@@ -107,13 +96,16 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     frac = {a: Fraction(a, den) for a in set(itertools.chain.from_iterable(
         itertools.chain.from_iterable(columns)))}
     values = tuple(tuple(zip(*(map(frac.__getitem__, c) for c in cols))) for cols in columns)
-    return BetaApproximation(map=m, level=k, M=mexp, values=values,
-                             tail_bound=tail_bound(m, k))
+    try:
+        tau = tail_bound(m, k)
+    except AdaptedNormUnavailable:
+        tau = None
+    return BetaApproximation(map=m, level=k, M=mexp, values=values, tail_bound=tau)
 
 
-def tail_bound(m: TightMap, k: int, norm: str = "adapted") -> Fraction:
+def tail_bound(m: TightMap, k: int) -> Fraction:
     """tau_k = delta(f) / lambda^k; tau_0 is the shadowing constant itself."""
-    sr = m.sigma_report(norm=norm)
+    sr = m.sigma_report()
     return sr.delta / sr.lam ** k
 
 

@@ -135,7 +135,7 @@ class SpectralReport:
     eigenvalues: tuple
     is_expanding: bool
     has_root_of_unity: bool
-    lambda_lower: "Fraction | None"
+    lambda_lower: Fraction
 
 
 def _squarefree_decomposition(p):

@@ -1,0 +1,81 @@
+"""The pure parts of scripts/bench.py: the claim rule, pair counting and
+the line counts. No benchmark run and no subprocess."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def _metric(better, parent_q, change_median, wins):
+    """A summarized metric: the parent's quartiles, the change's median and
+    its pair wins out of bench.PAIRS."""
+    q1, median, q3 = parent_q
+    return {"better": better, "parent": {"q1": q1, "median": median, "q3": q3},
+            "change": {"q1": change_median, "median": change_median, "q3": change_median},
+            "change_wins": wins}
+
+
+@pytest.mark.parametrize("metric, met", [
+    # lower is better: parent median 1.0, IQR 0.5 (exact in binary)
+    (_metric("lower", (0.75, 1.0, 1.25), 0.25, 9), True),
+    (_metric("lower", (0.75, 1.0, 1.25), 0.25, 10), True),
+    (_metric("lower", (0.75, 1.0, 1.25), 0.25, 8), False),
+    (_metric("lower", (0.75, 1.0, 1.25), 0.5, 10), False),  # gain equal to the IQR
+    (_metric("lower", (0.75, 1.0, 1.25), 0.75, 10), False),  # gain below the IQR
+    (_metric("lower", (0.75, 1.0, 1.25), 1.5, 10), False),  # a loss
+    # higher is better: parent median 10, IQR 1
+    (_metric("higher", (9.5, 10.0, 10.5), 12.0, 9), True),
+    (_metric("higher", (9.5, 10.0, 10.5), 12.0, 8), False),
+    (_metric("higher", (9.5, 10.0, 10.5), 11.0, 10), False),  # gain equal to the IQR
+    (_metric("higher", (9.5, 10.0, 10.5), 8.0, 10), False),  # a loss
+])
+def test_claim_verdict(metric, met):
+    assert bench.PAIRS == 10
+    verdict = bench.claim_verdict(metric)
+    assert verdict.startswith("met: " if met else "not met: ")
+    assert f"{metric['change_wins']} of 10 pairs" in verdict
+
+
+def _run(**values):
+    return {"digest": "d", "correct": True,
+            "metrics": {name: values.get(name, 1.0) for name in bench.METRICS}}
+
+
+def test_summarize_counts_ties_for_neither_side():
+    assert bench.METRICS["wall_s"] == 1 and bench.METRICS["ok_share"] == -1
+    pairs = [(_run(wall_s=1.0, ok_share=1.0), _run(wall_s=1.0, ok_share=1.0)),  # ties
+             (_run(wall_s=1.0, ok_share=0.9), _run(wall_s=0.9, ok_share=1.0)),  # change wins
+             (_run(wall_s=1.0, ok_share=1.0), _run(wall_s=1.1, ok_share=0.9)),  # parent wins
+             (_run(wall_s=2.0, ok_share=0.5), _run(wall_s=1.0, ok_share=0.8))]  # change wins
+    out = bench.summarize(pairs)
+    assert out["pairs"] == 4 and out["digests"] == ["d"] and out["all_correct"]
+    for name in ("wall_s", "ok_share"):
+        m = out["metrics"][name]
+        assert (m["change_wins"], m["change_losses"]) == (2, 1)
+    assert out["metrics"]["wall_s"]["parent_runs"] == [1.0, 1.0, 1.0, 2.0]
+    assert out["metrics"]["ok_share"]["change_runs"] == [1.0, 1.0, 0.9, 0.8]
+    # every other metric tied in every pair
+    m = out["metrics"]["setup_s"]
+    assert (m["change_wins"], m["change_losses"]) == (0, 0)
+
+
+def test_nonblank_lines(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\n\n   \ny = 2\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("\n# a comment counts\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text("z = 3\n", encoding="utf-8")
+    assert bench.nonblank_lines(tmp_path) == 3
+
+
+def test_claim_form_is_workload_colon_metric(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--out", "unused.json", "--parent", "HEAD", "--claim", "lattice/wall_s"])
+    assert exc.value.code == 2
+    assert "--claim lattice/wall_s" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import os
 import re
 import resource
@@ -7,12 +8,15 @@ import string
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wedgedyn import parse, semiconj
+from wedgedyn import TightMap, parse, semiconj
 from wedgedyn.cli import main
+
+from oracles import kappa
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -437,6 +441,36 @@ def test_norm_refusal_exit(capsys, tmp_path, command, norm, err):
     assert code == 1
     assert captured.out == ""
     assert captured.err == err
+
+
+# expanding and uniformly expanding (M = 3), with no certified norm yet
+NORMLESS = "map normless rank 3 { a -> aCb ; b -> bac ; c -> caa ; }\n"
+
+
+def test_beta_needs_no_norm(capsys, tmp_path):
+    """The beta table needs no norm, so beta runs on a map that analyze
+    refuses. Each row is the prefix walk over the reduced image word,
+    summed with kappa."""
+    mapfile = tmp_path / "normless.map"
+    mapfile.write_text(NORMLESS)
+    code, out = run(capsys, "beta", str(mapfile), "--k", "1")
+    assert code == 0
+    m = TightMap(parse(NORMLESS)[0].to_endomorphism())
+    want = []
+    for e, word in enumerate(m.endo.power(1).images):
+        acc = (Fraction(0),) * m.rank
+        want.append([str(e), "0", "0", *map(str, acc)])
+        for i, letter in enumerate(word, 1):
+            acc = tuple(map(operator.add, acc, kappa(m, letter, 1)))
+            want.append([str(e), str(i), str(Fraction(i, 3)), *map(str, acc)])
+    assert len(want) == 12
+    assert csv_rows(out)[1:] == want
+    code = main(["analyze", str(mapfile)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("wedgedyn.errors.AdaptedNormUnavailable: "
+                            "no exact adapted norm for this matrix\n")
 
 
 def test_non_ascii_map_exit(capsys, tmp_path):

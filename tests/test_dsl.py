@@ -11,9 +11,10 @@ from wedgedyn import (
     RankMismatch,
     UndeclaredGenerator,
     Word,
-    format_map,
     parse,
 )
+
+from oracles import format_map
 
 PHI2_TEXT = """\
 # quadratic doubling on two circles

@@ -17,15 +17,13 @@ from wedgedyn import (
     RootOfUnitySpectrum,
     TightMap,
     VERTEX,
-    cover_from_coords,
     cover_point,
-    deck,
     graph_point,
     iota,
     psi,
 )
 
-from oracles import elements
+from oracles import cover_from_coords, deck, displacement_set, elements
 
 F = Fraction
 
@@ -168,7 +166,7 @@ def test_displacements_and_alpha(phi2, a2):
 
 
 def test_displacement_set_covers_group(phi2, a2):
-    classes = phi2.displacement_set(1)
+    classes = displacement_set(phi2, 1)
     assert len(classes) == 3  # all of BF_1(A_2)
     assert len(list(elements(BFGroup(a2, 1)))) == 3
 

@@ -31,14 +31,13 @@ def test_basic_arithmetic():
     assert a ** 2 == IntMatrix(((10, 6), (6, 10)))
     assert a.apply((1, 0)) == (3, 1)
     assert a.transpose() == a
-    assert a.trace() == 6
     assert a.det() == 8
 
 
 def test_det_known_values():
     assert IntMatrix(((1, 2), (3, 4))).det() == -2
     assert IntMatrix(((2, 0, 0), (0, 3, 0), (0, 0, 5))).det() == 30
-    assert IntMatrix.zero(3).det() == 0
+    assert IntMatrix(((0, 0, 0),) * 3).det() == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,7 +141,7 @@ def _low_rank(n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.one_of(int_matrix(n), _low_rank(n))))
-@example(IntMatrix.zero(3))
+@example(IntMatrix(((0, 0, 0),) * 3))
 @example(IntMatrix(((0, 2, 4), (0, 1, 2), (0, 0, 0))))  # first column has no pivot
 def test_det_inverse_kernel_match_sympy(a):
     """det, rat_inverse and kernel share one elimination; check all three
@@ -170,7 +169,7 @@ def test_det_inverse_kernel_match_sympy(a):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.one_of(int_matrix(n), _low_rank(n))))
-@example(IntMatrix.zero(3))
+@example(IntMatrix(((0, 0, 0),) * 3))
 @example(IntMatrix(((2, 4, 4), (-6, 6, 12), (10, -4, -16))))
 @example(IntMatrix(((0, 0, 3), (0, 5, 0), (7, 0, 0))))  # swaps before any reduction
 def test_snf_u_inv_is_the_inverse_of_u(a):

@@ -4,26 +4,25 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
     AdaptedNormUnavailable,
     BudgetExceeded,
     Chart,
-    ComplexOrSmallEigenvalue,
     Endomorphism,
     LipschitzNormData,
     NonUniformExpansion,
     NotExpanding,
     TightMap,
     TorusPoint,
+    WedgedynError,
     Word,
     beta_breakpoints,
     cover_point,
     holder_bound,
     iota,
-    kappa,
     shadow_pairs,
     tail_bound,
 )
@@ -31,7 +30,7 @@ from wedgedyn.intmat import IntMatrix, kernel, rat_inverse
 from wedgedyn.semiconj import _far_gate, _preimages_intersect, _same_origin, _touch
 from wedgedyn.words import Letter
 
-from oracles import phi_apply
+from oracles import kappa, phi_apply
 
 F = Fraction
 
@@ -183,7 +182,7 @@ def test_tail_bounds(phi2, phi3):
     assert tail_bound(phi3, 0) == F(3, 28)
     assert tail_bound(phi3, 0) <= F(1, 4)
     assert tail_bound(phi3, 2) == F(3, 700)
-    sup = tail_bound(phi2, 0, norm="sup")
+    sup = phi2.sigma_report(norm="sup").delta
     assert sup > 0
 
 
@@ -215,6 +214,10 @@ def test_beta_needs_uniform_expansion():
 def test_beta_needs_expanding(phi1):
     with pytest.raises(NotExpanding):
         beta_breakpoints(phi1, 1)
+
+
+class ComplexOrSmallEigenvalue(WedgedynError):
+    """An eigenvalue argument must be real with modulus > 1."""
 
 
 def beta_mu(m, approx, mu):
@@ -476,23 +479,24 @@ def expanding_maps_with_inverses(draw):
         images.append(Word((*word, Letter(lasts[g], 1))))
     m = TightMap(Endomorphism(b, tuple(images)))
     assume(m.spectral.is_expanding)
-    # beta's tail bound needs the adapted norm, which not every expanding
-    # matrix has yet
-    try:
-        m.sigma_report()
-    except AdaptedNormUnavailable:
-        assume(False)
     assert m.endo.uniform_expansion() == length
     return m
 
 
 @settings(max_examples=60, deadline=None)
 @given(expanding_maps_with_inverses(), st.integers(0, 3))
+@example(TightMap(Endomorphism.from_strings(3, "aCb", "bac", "caa")), 1)  # no adapted norm
 def test_streamed_beta_matches_reduced_power_prefix_walk(m, k):
     """The letters streamed from the image table are those of the freely
     reduced word psi^k(e): each row is the prefix walk over
-    Endomorphism.power(k), summed with kappa."""
-    values = beta_breakpoints(m, k).values
+    Endomorphism.power(k), summed with kappa. The table needs no norm:
+    without a certified one the tail bound is None."""
+    approx = beta_breakpoints(m, k)
+    try:
+        assert approx.tail_bound == tail_bound(m, k)
+    except AdaptedNormUnavailable:
+        assert approx.tail_bound is None
+    values = approx.values
     steps = {}
     for e, word in enumerate(m.endo.power(k).images):
         acc = (F(0),) * m.rank
