@@ -17,7 +17,13 @@ from functools import cache
 
 from .bf import BFGroup, enumerate_fixed
 from .dsl import MapSpec, parse
-from .errors import BudgetExceeded, ParseError, WedgedynError
+from .errors import (
+    AdaptedNormUnavailable,
+    BudgetExceeded,
+    NotExpanding,
+    ParseError,
+    WedgedynError,
+)
 from .graphmap import TightMap, iota
 from .intmat import IntMatrix
 from .rotation import rotation_set
@@ -78,15 +84,22 @@ def cmd_analyze(args) -> int:
         "uniform_expansion": m.endo.uniform_expansion(),
     }
     if sp.is_expanding:
-        sr = m.sigma_report(norm=args.norm)
-        report.update({
-            "norm": sr.norm.kind,
-            "c": str(sr.c),
-            "c_sup": str(sr.c_sup),
-            "lam": str(sr.lam),
-            "delta": str(sr.delta),
-            "holder_bound": str(holder_bound(m)),
-        })
+        # the Holder bound needs no norm; without a certified one the
+        # sigma block degrades to its reason
+        report["holder_bound"] = str(holder_bound(m))
+        try:
+            sr = m.sigma_report(norm=args.norm)
+        except (AdaptedNormUnavailable, NotExpanding) as exc:
+            report.update({"norm": None,
+                           "sigma_unavailable": f"{type(exc).__name__}: {exc}"})
+        else:
+            report.update({
+                "norm": sr.norm.kind,
+                "c": str(sr.c),
+                "c_sup": str(sr.c_sup),
+                "lam": str(sr.lam),
+                "delta": str(sr.delta),
+            })
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -239,25 +239,20 @@ class TightMap:
 
     # -- sigma and shadowing constants ------------------------------------
 
-    def sigma_values(self):
-        """Exact sigma at every breakpoint: list of (edge, t, vector)."""
-        out = []
-        for e in range(self.rank):
-            d = self.speeds[e]
-            ae = tuple(self.A.rows[i][e] for i in range(self.rank))
-            for j in range(d + 1):
-                t = Fraction(j, d)
-                sig = tuple(Fraction(p) - t * a for p, a in zip(self.prefixes[e][j], ae))
-                out.append((e, t, sig))
-        return out
-
     def sigma_report(self, norm: str = "adapted") -> SigmaReport:
-        """Certified shadowing constants; sigma is affine between breakpoints,
-        so the maxima over breakpoints are the true suprema."""
+        """Certified shadowing constants. On edge e of speed d, sigma at the
+        breakpoint j/d is the integer vector d * prefixes[e][j] - j * A e_e
+        over d, and sigma is affine between breakpoints, so the maxima over
+        breakpoints are the true suprema. Each edge gives one Fraction per
+        maximum: its largest |coordinate| over d, and its largest q2 over
+        d^2 (q2 has one denominator per norm)."""
         nd = norm_data(self.spectral, norm)
-        vals = self.sigma_values()
-        c_sup = max(max(abs(x) for x in sig) for _, _, sig in vals)
-        q2max = max(nd.q2(sig) for _, _, sig in vals)
+        c_sup = q2max = Fraction(0)
+        for d, pref, col in zip(self.speeds, self.prefixes, zip(*self.A.rows)):
+            sigmas = [tuple(d * p - j * a for p, a in zip(pref[j], col)) for j in range(d + 1)]
+            c_sup = max(c_sup, Fraction(max(abs(x) for sig in sigmas for x in sig), d))
+            num, den = max(map(nd.q2, sigmas))
+            q2max = max(q2max, Fraction(num, den * d * d))
         # exact for the sup norm, whose q2max is the rational square c_sup^2
         c = rational_sqrt_upper(q2max)
         delta = c / (nd.lam - 1)

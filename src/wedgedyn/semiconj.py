@@ -263,11 +263,12 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     position once, exactly and on integers (_far_gate; the gap of
     (e1, e2, c) is the gap of (e2, e1, -c)), the depth-0 cells come from
     the near positions, and every later depth only looks its positions up
-    in that near set. Surviving exact coincidences with distinct
-    preimages are non-injectivity witnesses. When every survivor is benign
-    (preimage closures intersect) and the survivor germ-signature set
-    repeats at consecutive depths, the self-similar regime forces any
-    shadowing pair onto the diagonal: CERTIFIED_INJECTIVE.
+    in that near set, through a move table (_near_children). Surviving
+    exact coincidences with distinct preimages are non-injectivity
+    witnesses. When every survivor is benign (preimage closures
+    intersect) and the survivor germ-signature set repeats at consecutive
+    depths, the self-similar regime forces any shadowing pair onto the
+    diagonal: CERTIFIED_INJECTIVE.
 
     Every depth after the first examines at most max_cells * L^2 pairs,
     L the largest speed, and the depth-0 box of b^2 (2w + 1)^b pairs is
@@ -276,37 +277,13 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     if depth < 0 or max_cells < 0:
         raise ValueError(f"depth and max_cells must be >= 0, got {depth} and {max_cells}")
     sr = m.sigma_report(norm=norm)
-    nd = sr.norm
-    theta = 2 * sr.delta
-    b = m.rank
     can_certify = min(m.speeds) >= 2
-    cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=nd.kind)
-    w = int(nd.radius * theta) + 2
-    box_pairs, bound = b * b * (2 * w + 1) ** b, max_cells * max(m.speeds) ** 2
-    if box_pairs > bound:
-        raise BudgetExceeded(f"depth-0 box of {box_pairs} segment pairs exceeds "
-                             f"max_cells * L^2 = {bound}")
-
-    far = _far_gate(nd, theta * theta)
-    zero = (0,) * b
-    near = set()
-    for e1, e2 in itertools.combinations_with_replacement(range(b), 2):
-        for c in itertools.product(range(1 - w, w), repeat=b):
-            neg = tuple(map(operator.neg, c))
-            if (e1 < e2 or c >= neg) and not far(e1, c, e2, zero):
-                near.update(((e1, e2, c), (e2, e1, neg)))
-    # near is closed under (e1, e2, c) -> (e2, e1, -c), so each near
-    # position gives the box pair of an e2 segment at the origin and an e1
-    # segment at c, whose position is the mirror (e2, e1, -c)
-    box = ((Chart(e2, zero, e2, zero, 1, 0), Chart(e1, c, e1, c, 1, 0)) for e1, e2, c in near)
-    cells = _cells(box, near, max_cells)
+    cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=sr.norm.kind)
+    near, cells = _depth0(m, sr, max_cells)
     _, prev_keys = _scan(cells)
-
+    moves = {}
     for d in range(1, depth + 1):
-        # product() builds q's pieces once per cell
-        cells = _cells((pq for p, q in cells
-                        for pq in itertools.product(m.advance(p), m.advance(q))),
-                       near, max_cells)
+        cells = _cells(_near_children(m, cells, near, moves), max_cells)
         witnesses, keys = _scan(cells)
         if witnesses:
             x, y = min(witnesses)
@@ -319,15 +296,66 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     return cert(status="UNKNOWN", depth=depth, witness=None)
 
 
-def _cells(pairs, near, max_cells):
-    """The set of distinct chart pairs (p, q), p <= q, whose relative
-    position (p.edge, q.edge, p.base - q.base) is in the near set.
+def _depth0(m: TightMap, sr, max_cells):
+    """The near set, every relative position (e1, e2, c) within 2*delta
+    of the sigma report sr, and the depth-0 cells. BudgetExceeded before
+    the box is built when its pair count passes max_cells * L^2."""
+    nd, theta, b = sr.norm, 2 * sr.delta, m.rank
+    w = int(nd.radius * theta) + 2
+    box_pairs, bound = b * b * (2 * w + 1) ** b, max_cells * max(m.speeds) ** 2
+    if box_pairs > bound:
+        raise BudgetExceeded(f"depth-0 box of {box_pairs} segment pairs exceeds "
+                             f"max_cells * L^2 = {bound}")
+    far = _far_gate(nd, theta * theta)
+    zero = (0,) * b
+    near = set()
+    for e1, e2 in itertools.combinations_with_replacement(range(b), 2):
+        for c in itertools.product(range(1 - w, w), repeat=b):
+            neg = tuple(map(operator.neg, c))
+            if (e1 < e2 or c >= neg) and not far(e1, c, e2, zero):
+                near.update(((e1, e2, c), (e2, e1, neg)))
+    # near is closed under (e1, e2, c) -> (e2, e1, -c), so each near
+    # position gives the box pair of an e2 segment at the origin and an e1
+    # segment at c, whose position is the mirror (e2, e1, -c): every box
+    # pair is near
+    box = ((Chart(e2, zero, e2, zero, 1, 0), Chart(e1, c, e1, c, 1, 0)) for e1, e2, c in near)
+    return near, _cells(box, max_cells)
+
+
+def _near_children(m: TightMap, cells, near, moves):
+    """The child pairs (advance(p)[i], advance(q)[j]) of every cell (p, q)
+    whose relative position is in near, in the order of
+    product(advance(p), advance(q)). The child's position
+    (g_i, g_j, A c + off_i - off_j) depends only on the parent position
+    (e1, e2, c), so moves, a dict the caller holds for one certifier run,
+    maps each parent position to its slot pairs (i, j) with a near child,
+    and only cells with a near child are advanced."""
+    apply = m.A.apply
+    # (e1, e2) -> (i, j, g_i, g_j, off_i - off_j) for every slot pair
+    steps = {(e1, e2): [(i, j, s.generator, t.generator,
+                         tuple(map(operator.sub, s.offset, t.offset)))
+                        for i, s in enumerate(ss) for j, t in enumerate(ts)]
+             for (e1, ss), (e2, ts) in itertools.product(enumerate(m.slots), repeat=2)}
+    for p, q in cells:
+        pos = (p.edge, q.edge, tuple(map(operator.sub, p.base, q.base)))
+        ij = moves.get(pos)
+        if ij is None:
+            ac = apply(pos[2])
+            ij = moves[pos] = [(i, j) for i, j, g1, g2, off in steps[pos[:2]]
+                               if (g1, g2, tuple(map(operator.add, ac, off))) in near]
+        if ij:
+            ps, qs = m.advance(p), m.advance(q)
+            for i, j in ij:
+                yield ps[i], qs[j]
+
+
+def _cells(pairs, max_cells):
+    """The set of distinct chart pairs, each ordered (p, q) with p <= q.
     Raises BudgetExceeded as soon as more than max_cells are kept, before
     any witness search reads them."""
     cells = set()
     for p, q in pairs:
-        if (p.edge, q.edge, tuple(map(operator.sub, p.base, q.base))) in near:
-            cells.add((p, q) if p <= q else (q, p))
-            if len(cells) > max_cells:
-                raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
+        cells.add((p, q) if p <= q else (q, p))
+        if len(cells) > max_cells:
+            raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
     return cells

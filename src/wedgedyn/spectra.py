@@ -75,13 +75,15 @@ class LipschitzNormData:
     lam: Fraction
     radius: int
 
-    def q2(self, vec) -> Fraction:
-        """Squared norm of a rational vector, exact."""
+    def q2(self, vec):
+        """Squared norm of an integer vector, exact as (num, den) with
+        den > 0. den depends only on the norm, so the largest num marks
+        the longest vector."""
         if self.gram is None:
-            m = max(abs(Fraction(x)) for x in vec)
-            return m * m
+            m = max(map(abs, vec))
+            return m * m, 1
         g, den2 = self.gram
-        return Fraction(sum(map(mul, vec, g.apply(vec))), den2)
+        return sum(map(mul, vec, g.apply(vec))), den2
 
     def gap2(self, e1, e2, c):
         """Squared distance between the unit axis segments n1 + [0,1] e_e1

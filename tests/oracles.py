@@ -1,20 +1,34 @@
 """Test oracles that the library itself has no use for."""
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from wedgedyn import (
     BFElement,
+    BudgetExceeded,
     CoverPoint,
     DimensionMismatch,
+    Endomorphism,
+    InjectivityCertificate,
     Loop,
     MapSpec,
     NotExpanding,
+    TightMap,
     TorusPoint,
     VERTEX,
+    Word,
     cover_point,
+    rational_sqrt_upper,
 )
 from wedgedyn.intmat import rat_inverse
+from wedgedyn.semiconj import _depth0, _scan
+from wedgedyn.spectra import norm_data
+from wedgedyn.words import Letter
 
 
 def elements(g):
@@ -89,3 +103,92 @@ def kappa(m, letter, k: int):
         raise NotExpanding("kappa needs an expanding abelianization")
     ainv, den = rat_inverse(m.A ** k)
     return tuple(Fraction(letter.sign * r[letter.generator], den) for r in ainv.rows)
+
+
+@st.composite
+def tight_maps(draw):
+    """Maps of rank 2-3 in which the image of each generator g holds g two
+    to four times among up to two other letters of either sign, shuffled
+    and freely reduced; a's image always draws the inverse letter B. Most
+    are expanding, many with a certified norm, and some with neither."""
+    b = draw(st.integers(2, 3))
+    letter = st.builds(Letter, st.integers(0, b - 1), st.sampled_from((1, -1)))
+    images = []
+    for g in range(b):
+        extra = draw(st.lists(letter, max_size=1 if g == 0 else 2))
+        letters = [Letter(g, 1)] * draw(st.integers(2, 4)) + extra
+        if g == 0:
+            letters.append(Letter(1, -1))
+        word = Word(tuple(draw(st.permutations(letters))))
+        assume(len(word) > 0)
+        images.append(word)
+    return TightMap(Endomorphism(b, tuple(images)))
+
+
+def sigma_values(m):
+    """Exact sigma at every breakpoint: list of (edge, t, vector)."""
+    out = []
+    for e in range(m.rank):
+        d = m.speeds[e]
+        ae = tuple(m.A.rows[i][e] for i in range(m.rank))
+        for j in range(d + 1):
+            t = Fraction(j, d)
+            sig = tuple(Fraction(p) - t * a for p, a in zip(m.prefixes[e][j], ae))
+            out.append((e, t, sig))
+    return out
+
+
+def fraction_q2(nd, vec) -> Fraction:
+    """The squared norm of a rational vector in the norm nd, as one Fraction."""
+    if nd.gram is None:
+        x = max(abs(Fraction(x)) for x in vec)
+        return x * x
+    g, den2 = nd.gram
+    return Fraction(sum(map(operator.mul, vec, g.apply(vec))), den2)
+
+
+def sigma_report_fractions(m, norm: str = "adapted"):
+    """(c_sup, q2max, c, delta, lam) of TightMap.sigma_report, from a
+    Fraction sigma vector at every breakpoint."""
+    nd = norm_data(m.spectral, norm)
+    vals = sigma_values(m)
+    c_sup = max(max(abs(x) for x in sig) for _, _, sig in vals)
+    q2max = max(fraction_q2(nd, sig) for _, _, sig in vals)
+    c = rational_sqrt_upper(q2max)
+    return c_sup, q2max, c, c / (nd.lam - 1), nd.lam
+
+
+def product_step(m, cells, near, max_cells):
+    """One depth of the injectivity certifier by the plain product: every
+    child pair of every cell, product(advance(p), advance(q)), kept (each
+    ordered p <= q) when its relative position is in near. BudgetExceeded
+    as soon as more than max_cells are kept."""
+    kept = set()
+    for p, q in cells:
+        for pp, qq in itertools.product(m.advance(p), m.advance(q)):
+            if (pp.edge, qq.edge, tuple(map(operator.sub, pp.base, qq.base))) in near:
+                kept.add((pp, qq) if pp <= qq else (qq, pp))
+                if len(kept) > max_cells:
+                    raise BudgetExceeded(f"segment-pair cells exceeded {max_cells}")
+    return kept
+
+
+def shadow_depths(m, depth: int, norm: str = "adapted", max_cells: int = 100000):
+    """The certificate that shadow_pairs(m, depth, norm, max_cells) should
+    return, and the cell set of every depth it reaches, each depth stepped
+    by product_step."""
+    sr = m.sigma_report(norm=norm)
+    cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=sr.norm.kind)
+    near, cells = _depth0(m, sr, max_cells)
+    depths = [cells]
+    _, prev_keys = _scan(cells)
+    for d in range(1, depth + 1):
+        cells = product_step(m, cells, near, max_cells)
+        depths.append(cells)
+        witnesses, keys = _scan(cells)
+        if witnesses:
+            return cert(status="NOT_INJECTIVE", depth=d, witness=min(witnesses)), depths
+        if min(m.speeds) >= 2 and keys is not None and keys == prev_keys:
+            return cert(status="CERTIFIED_INJECTIVE", depth=d, witness=None), depths
+        prev_keys = keys
+    return cert(status="UNKNOWN", depth=depth, witness=None), depths

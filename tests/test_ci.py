@@ -1,12 +1,13 @@
-"""The CI workflow parses, and names only files and workloads that exist."""
+"""The CI workflow parses, and names only files and workloads that exist;
+the benchmark's tracer names only layers that exist."""
 
+import importlib
+import importlib.util
 import json
 import re
 from pathlib import Path
 
 import pytest
-
-yaml = pytest.importorskip("yaml")
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -16,6 +17,7 @@ _PATH = re.compile(r"(?<![\w$./-])((?:[\w.-]+/)+[\w.*-]+)")
 
 @pytest.fixture(scope="module")
 def workflow():
+    yaml = pytest.importorskip("yaml")
     return yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
 
 
@@ -39,3 +41,25 @@ def test_benchmark_matrix_covers_every_workload(workflow):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     matrix = workflow["jobs"]["benchmark-gates"]["strategy"]["matrix"]["workload"]
     assert matrix == [w["name"] for w in declared]
+
+
+def test_traced_targets_resolve():
+    """Every (module, qualified name) in perfbench/tracer.py's TARGETS is a
+    function of a wedgedyn module or a method that a wedgedyn class itself
+    defines, which is what Tracer.install rebinds. The tracer is loaded by
+    path and only read; a renamed layer fails here, not only in a traced
+    benchmark run."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) == len(set(tracer.TARGETS))
+    missing = []
+    for mod_name, qual in tracer.TARGETS:
+        owner = importlib.import_module(f"wedgedyn.{mod_name}")
+        *path, attr = qual.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        found = vars(owner).get(attr) if owner is not None else None
+        if not callable(found):
+            missing.append(f"{mod_name}.{qual}")
+    assert not missing

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wedgedyn import TightMap, parse, semiconj
+from wedgedyn import TightMap, holder_bound, parse, semiconj
 from wedgedyn.cli import main
 
 from oracles import kappa
@@ -427,20 +427,48 @@ def test_shadow_box_budget_exit(tmp_path):
 TWISTED = "map twisted rank 3 { a -> b ; b -> c ; c -> aabca ; }\n"
 
 
-@pytest.mark.parametrize("command", ["analyze", "shadow"])
 @pytest.mark.parametrize("norm, err", [
     ([], "wedgedyn.errors.AdaptedNormUnavailable: no exact adapted norm for this matrix\n"),
     (["--norm", "sup"],
      "wedgedyn.errors.NotExpanding: matrix does not contract the sup norm backwards\n"),
 ])
-def test_norm_refusal_exit(capsys, tmp_path, command, norm, err):
+def test_norm_refusal_exit(capsys, tmp_path, norm, err):
+    """shadow needs the norm, so it refuses a map without one."""
     mapfile = tmp_path / "twisted.map"
     mapfile.write_text(TWISTED)
-    code = main([command, str(mapfile), *norm])
+    code = main(["shadow", str(mapfile), *norm])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == err
+
+
+def _analyze_without_norm(capsys, mapfile, *norm):
+    """analyze on an expanding map without the norm asked for: exit 0, the
+    spectrum and the Holder bound, and the sigma block's reason in place
+    of its values."""
+    code = main(["analyze", str(mapfile), *norm])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["is_expanding"] is True
+    assert data["norm"] is None
+    assert not {"c", "c_sup", "lam", "delta"} & set(data)
+    m = TightMap(parse(mapfile.read_text())[0].to_endomorphism())
+    assert data["holder_bound"] == str(holder_bound(m))
+    assert data["lambda_lower"] == str(m.spectral.lambda_lower)
+    return data["sigma_unavailable"]
+
+
+@pytest.mark.parametrize("norm, reason", [
+    ([], "AdaptedNormUnavailable: no exact adapted norm for this matrix"),
+    (["--norm", "sup"], "NotExpanding: matrix does not contract the sup norm backwards"),
+])
+def test_analyze_degrades_without_norm(capsys, tmp_path, norm, reason):
+    mapfile = tmp_path / "twisted.map"
+    mapfile.write_text(TWISTED)
+    assert _analyze_without_norm(capsys, mapfile, *norm) == reason
 
 
 # expanding and uniformly expanding (M = 3), with no certified norm yet
@@ -448,9 +476,9 @@ NORMLESS = "map normless rank 3 { a -> aCb ; b -> bac ; c -> caa ; }\n"
 
 
 def test_beta_needs_no_norm(capsys, tmp_path):
-    """The beta table needs no norm, so beta runs on a map that analyze
-    refuses. Each row is the prefix walk over the reduced image word,
-    summed with kappa."""
+    """The beta table needs no norm, so beta runs on a map that has none,
+    and analyze reports the map without its sigma block. Each row is the
+    prefix walk over the reduced image word, summed with kappa."""
     mapfile = tmp_path / "normless.map"
     mapfile.write_text(NORMLESS)
     code, out = run(capsys, "beta", str(mapfile), "--k", "1")
@@ -465,12 +493,8 @@ def test_beta_needs_no_norm(capsys, tmp_path):
             want.append([str(e), str(i), str(Fraction(i, 3)), *map(str, acc)])
     assert len(want) == 12
     assert csv_rows(out)[1:] == want
-    code = main(["analyze", str(mapfile)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == ("wedgedyn.errors.AdaptedNormUnavailable: "
-                            "no exact adapted norm for this matrix\n")
+    assert _analyze_without_norm(capsys, mapfile) == (
+        "AdaptedNormUnavailable: no exact adapted norm for this matrix")
 
 
 def test_non_ascii_map_exit(capsys, tmp_path):

@@ -1,9 +1,10 @@
 import math
+import re
 import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgedyn import (
@@ -23,7 +24,14 @@ from wedgedyn import (
     psi,
 )
 
-from oracles import cover_from_coords, deck, displacement_set, elements
+from oracles import (
+    cover_from_coords,
+    deck,
+    displacement_set,
+    elements,
+    sigma_report_fractions,
+    tight_maps,
+)
 
 F = Fraction
 
@@ -108,6 +116,27 @@ def test_sigma_report_norm_precedence():
     shear = TightMap(Endomorphism.from_strings(2, "ab", "b"))
     with pytest.raises(NotExpanding, match="abelianization is not expanding"):
         shear.sigma_report(norm="l2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(tight_maps(), st.sampled_from(["adapted", "sup"]))
+@example(TightMap(Endomorphism.from_strings(3, "b", "c", "aabca")), "adapted")
+@example(TightMap(Endomorphism.from_strings(3, "aCb", "bac", "caa")), "adapted")
+@example(TightMap(Endomorphism.from_strings(2, "ab", "b")), "sup")
+def test_sigma_report_matches_fraction_oracle(m, norm):
+    """sigma_report over one denominator per edge gives the Fractions that
+    a Fraction sigma vector at every breakpoint gives, and refuses a map
+    with the oracle's error wherever the oracle refuses it."""
+    try:
+        want = sigma_report_fractions(m, norm)
+    except (NotExpanding, AdaptedNormUnavailable) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            m.sigma_report(norm)
+        return
+    sr = m.sigma_report(norm)
+    got = (sr.c_sup, sr.q2max, sr.c, sr.delta, sr.lam)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_fixed_points_phi2(phi2):

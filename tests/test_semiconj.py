@@ -27,10 +27,18 @@ from wedgedyn import (
     tail_bound,
 )
 from wedgedyn.intmat import IntMatrix, kernel, rat_inverse
-from wedgedyn.semiconj import _far_gate, _preimages_intersect, _same_origin, _touch
+from wedgedyn.semiconj import (
+    _cells,
+    _depth0,
+    _far_gate,
+    _near_children,
+    _preimages_intersect,
+    _same_origin,
+    _touch,
+)
 from wedgedyn.words import Letter
 
-from oracles import kappa, phi_apply
+from oracles import kappa, phi_apply, shadow_depths, tight_maps
 
 F = Fraction
 
@@ -440,6 +448,34 @@ def test_certifier_outcomes(images, cap, status, depth, delta):
     else:
         assert cert.witness is None
 
+
+@settings(max_examples=40, deadline=None)
+@given(tight_maps())
+def test_move_table_matches_product_step(m):
+    """The move table keeps, at every depth down to 4, the cells that the
+    product of both charts' pieces keeps, in the same iteration order, so
+    shadow_pairs returns the product walk's certificate and hits its cell
+    budget at the same point: one cell below the largest depth's count,
+    and not at that count."""
+    cap = 4000
+    try:
+        want, depths = shadow_depths(m, 4, max_cells=cap)
+    except (NotExpanding, AdaptedNormUnavailable, BudgetExceeded):
+        assume(False)
+    sr = m.sigma_report()
+    near, cells = _depth0(m, sr, cap)
+    moves = {}
+    for old in depths[1:]:
+        cells = _cells(_near_children(m, cells, near, moves), cap)
+        assert list(cells) == list(old)
+    assert shadow_pairs(m, depth=4) == want
+    n = max(map(len, depths))
+    # the depth-0 box must pass its own budget at n - 1 cells
+    w = int(sr.norm.radius * 2 * sr.delta) + 2
+    assume(m.rank ** 2 * (2 * w + 1) ** m.rank <= (n - 1) * max(m.speeds) ** 2)
+    assert shadow_pairs(m, depth=4, max_cells=n) == want
+    with pytest.raises(BudgetExceeded, match=f"^segment-pair cells exceeded {n - 1}$"):
+        shadow_pairs(m, depth=4, max_cells=n - 1)
 
 @pytest.mark.parametrize("images, k", [("aaabaaa,bbbabbb", 3), ("aaba,babb", 4)])
 def test_beta_matches_prefix_lattice_points(images, k):
