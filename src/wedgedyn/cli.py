@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
         "eigenvalues": [
             {"re": str(ev.re) if ev.exact else float(ev.re),
              "im": str(ev.im) if ev.exact else float(ev.im),
-             "eps": None if ev.eps is None else float(ev.eps),
+             "eps": float(ev.eps),
              "multiplicity": ev.multiplicity}
             for ev in sp.eigenvalues
         ],

@@ -1,8 +1,8 @@
 """Certified spectral analysis of integer matrices.
 
-Eigenvalues of small integer matrices with exact or rigorously bounded
-values, an exact root-of-unity test, an exact expansion test, and the one
-norm constructor, norm_data, whose norms the shadowing machinery asks for
+Eigenvalues of small integer matrices, each an integer or certified to
+within a rational eps, an exact expansion test, and the one norm
+constructor, norm_data, whose norms the shadowing machinery asks for
 squared lengths, segment gaps and a sup-norm radius.
 """
 
@@ -10,22 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, inf, isfinite, isqrt, prod
 from operator import mul
 
 from . import polys
 from .errors import AdaptedNormUnavailable, NotExpanding
 from .intmat import IntMatrix, kernel, primitive_int, rat_inverse
-
-
-def _sqrt_interval(x: Fraction):
-    """Rational lo <= sqrt(x) <= hi with hi - lo = 1e-14."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    scale = 10 ** 28
-    n = (x.numerator * scale) // x.denominator
-    s = isqrt(n)
-    return Fraction(s, 10 ** 14), Fraction(s + 1, 10 ** 14)
 
 
 def rational_sqrt_upper(x: Fraction) -> Fraction:
@@ -43,20 +33,17 @@ def rational_sqrt_upper(x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class Eigenvalue:
-    """One eigenvalue, re + im*i, |true - reported| <= eps (eps=0 means exact).
-
-    eps=None marks a best-effort float estimate with no certificate; the
-    boolean report fields never depend on those.
-    """
+    """One eigenvalue, re + im*i, with |true - reported| <= eps."""
 
     re: Fraction
     im: Fraction
-    eps: "Fraction | None"
+    eps: Fraction
     multiplicity: int
 
     @property
     def exact(self) -> bool:
-        return self.eps == 0
+        """True when the eigenvalue is the integer re."""
+        return self.eps == 0 and self.im == 0
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,6 @@ class SpectralReport:
     charpoly: tuple
     eigenvalues: tuple
     is_expanding: bool
-    has_root_of_unity: bool
     lambda_lower: Fraction
 
 
@@ -163,36 +149,93 @@ def _squarefree_decomposition(p):
     return out
 
 
-def _durand_kerner(p):
-    """Float root estimates for leftovers we cannot certify. Deterministic."""
-    p = polys.trim(p)
-    n = polys.degree(p)
-    lead = p[0]
-    coeffs = [complex(c) / lead for c in p]
-
-    def ev(z):
-        acc = 0j
-        for c in coeffs:
-            acc = acc * z + c
-        return acc
-
-    roots = [(0.4 + 0.9j) ** k for k in range(n)]
+def _seeds(p, s):
+    """Root estimates of p as Gaussian integers (x, y) for (x + y i) / 2^s,
+    from float Durand-Kerner sweeps that start at (0.4 + 0.9i)^k and stop
+    once the largest correction, under 1e-9 of the estimates, stops shrinking."""
+    coeffs = [complex(c) / p[0] for c in p]
+    zs = [(0.4 + 0.9j) ** k for k in range(len(p) - 1)]
+    last = inf
     for _ in range(300):
-        new = []
-        for i, z in enumerate(roots):
-            den = 1 + 0j
-            for j, w in enumerate(roots):
-                if i != j:
-                    den *= (z - w)
-            new.append(z - ev(z) / den if den != 0 else z)
-        roots = new
-    return roots
+        steps = []
+        for i, z in enumerate(zs):
+            den, acc = prod(z - w for j, w in enumerate(zs) if j != i), 0j
+            for c in coeffs:
+                acc = acc * z + c
+            steps.append(acc / den if den else 0j)
+        zs = [z - d for z, d in zip(zs, steps)]
+        big = max(map(abs, steps))
+        if not big < last and big <= 1e-9 * (1 + max(map(abs, zs))):
+            break
+        last = big
+    return [tuple(round(Fraction(c) * (1 << s)) if isfinite(c) else 0
+                  for c in (z.real, z.imag)) for z in zs]
+
+
+def _apart(zs, s):
+    """zs in order, the k-th repeat of a point moved off it by (0.4 + 0.9i)^k
+    on the grid of step 2^-s, as the Durand-Kerner start spreads points."""
+    out = []
+    for x, y in zs:
+        w, k, u, v = (x, y), 0, 1, 0
+        while w in out:
+            k, u, v = k + 1, 4 * u - 9 * v, 9 * u + 4 * v
+            w = (x + (u << s) // 10 ** k, y + (v << s) // 10 ** k)
+        out.append(w)
+    return out
+
+
+def _conjugate_pairs(p, nreal, mult):
+    """The non-real roots of the square-free integer polynomial p, which
+    has nreal real roots, as Eigenvalues of multiplicity mult.
+
+    The points z_i = (x_i + y_i i) / 2^s, one per root, have Weierstrass
+    corrections W_i = p(z_i) / (lead ∏_{j≠i} (z_i - z_j)), and a disk
+    D(z_i, n|W_i|) that meets no other holds exactly one root (B. T. Smith,
+    J. ACM 17, 1970). Once the disks are apart and no wider than a real
+    root's interval, one above the real axis holds a non-real root, its
+    mirror image the conjugate, and (n - nreal)/2 of them hold them all.
+    Until then each point takes its exact Weierstrass step rounded to the
+    grid, and s doubles when a step does not shrink the largest radius.
+    A radius R_i is counted in whole grid steps: eps = R_i / 2^s.
+    """
+    n, lead = len(p) - 1, p[0]
+    s = 56 + ceil(polys.cauchy_bound(p)).bit_length()
+    zs, last = _seeds(p, s), None
+    while True:
+        zs = _apart(zs, s)
+        radii, steps = [], []
+        for i, (x, y) in enumerate(zs):
+            # 2^(ns) p(z_i), lead ∏ (Z_i - Z_j) and 2^s W_i = (nr + ni i) / den
+            pr = pi = 0
+            for k, c in enumerate(p):
+                pr, pi = pr * x - pi * y + (c << s * k), pr * y + pi * x
+            dr, di = lead, 0
+            for u, v in zs[:i] + zs[i + 1:]:
+                dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
+            den = dr * dr + di * di
+            nr, ni = pr * dr + pi * di, pi * dr - pr * di
+            q = -(-n * n * (nr * nr + ni * ni) // (den * den))
+            radii.append(isqrt(q - 1) + 1 if q else 0)
+            steps.append((x - (2 * nr + den) // (2 * den), y - (2 * ni + den) // (2 * den)))
+        big, tol = max(radii), polys._WIDTH * (1 << s) / 2
+        if big <= tol and all((x - u) ** 2 + (y - v) ** 2 > (r + t) ** 2
+                              for i, ((x, y), r) in enumerate(zip(zs, radii))
+                              for (u, v), t in zip(zs[i + 1:], radii[i + 1:])):
+            upper = [(x, y, r) for (x, y), r in zip(zs, radii) if y > r]
+            if 2 * len(upper) == n - nreal:
+                return [Eigenvalue(Fraction(x, 1 << s), Fraction(sign * y, 1 << s),
+                                   Fraction(r, 1 << s), mult)
+                        for x, y, r in upper for sign in (1, -1)]
+        if last is not None and last <= big <= tol:
+            zs, s, last = [(x << s, y << s) for x, y in steps], 2 * s, None
+        else:
+            zs, last = steps, big
 
 
 def spectral(a: IntMatrix) -> SpectralReport:
     """Full certified spectral report for a square integer matrix."""
     p = polys.char_poly(a)
-    unity = polys.has_root_of_unity_factor(p)
     eigs = []
     for sf, mult in _squarefree_decomposition(p):
         intervals = polys.isolate_real_roots(sf)
@@ -209,51 +252,8 @@ def spectral(a: IntMatrix) -> SpectralReport:
         for lo, hi in intervals:
             mid = (lo + hi) / 2
             eigs.append(Eigenvalue(mid, Fraction(0), (hi - lo) / 2, mult))
-        deg = polys.degree(sf)
-        ncomplex = deg - len(intervals)
-        if ncomplex == 0:
-            continue
-        if ncomplex == 2:
-            # exactly one conjugate pair: pin it down through Vieta
-            top, const = Fraction(sf[1], sf[0]), Fraction(sf[-1], sf[0])
-            sum_lo = sum(lo for lo, _ in intervals)
-            sum_hi = sum(hi for _, hi in intervals)
-            re_lo = (-top - sum_hi) / 2
-            re_hi = (-top - sum_lo) / 2
-            prod_lo, prod_hi = Fraction(1), Fraction(1)
-            for lo, hi in intervals:
-                cand = [prod_lo * lo, prod_lo * hi, prod_hi * lo, prod_hi * hi]
-                prod_lo, prod_hi = min(cand), max(cand)
-            total = const if deg % 2 == 0 else -const
-            if intervals:
-                # pair_prod = total / (product of real roots)
-                cand = [total / prod_lo, total / prod_hi]
-                mod2_lo, mod2_hi = min(cand), max(cand)
-            else:
-                mod2_lo = mod2_hi = total
-            re_mid = (re_lo + re_hi) / 2
-            if re_lo <= 0 <= re_hi:
-                re2_lo = Fraction(0)
-            else:
-                re2_lo = min(re_lo * re_lo, re_hi * re_hi)
-            re2_hi = max(re_lo * re_lo, re_hi * re_hi)
-            im2_lo = max(Fraction(0), mod2_lo - re2_hi)
-            im2_hi = max(Fraction(0), mod2_hi - re2_lo)
-            im_lo, _ = _sqrt_interval(im2_lo)
-            _, im_hi = _sqrt_interval(im2_hi)
-            im_mid = (im_lo + im_hi) / 2
-            eps = max((re_hi - re_lo) / 2, (im_hi - im_lo) / 2)
-            eigs.append(Eigenvalue(re_mid, im_mid, eps, mult))
-            eigs.append(Eigenvalue(re_mid, -im_mid, eps, mult))
-        else:
-            seen_real = 0
-            for z in sorted(_durand_kerner(sf), key=lambda z: (z.real, z.imag)):
-                if abs(z.imag) < 1e-9:
-                    if seen_real < len(intervals):
-                        seen_real += 1
-                        continue
-                eigs.append(Eigenvalue(Fraction(z.real).limit_denominator(10 ** 12),
-                                       Fraction(z.imag).limit_denominator(10 ** 12), None, mult))
+        if polys.degree(sf) > len(intervals):
+            eigs.extend(_conjugate_pairs(sf, len(intervals), mult))
 
     eigs.sort(key=lambda e: (e.re, e.im))
 
@@ -270,7 +270,6 @@ def spectral(a: IntMatrix) -> SpectralReport:
         charpoly=p,
         eigenvalues=tuple(eigs),
         is_expanding=expanding,
-        has_root_of_unity=unity,
         lambda_lower=lam,
     )
 

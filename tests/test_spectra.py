@@ -9,7 +9,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wedgedyn import IntMatrix, NotExpanding, polys, rational_sqrt_upper, spectral
+from wedgedyn import (AdaptedNormUnavailable, IntMatrix, NotExpanding, polys,
+                      rational_sqrt_upper, spectra, spectral)
 from wedgedyn.intmat import rat_inverse
 from wedgedyn.spectra import Eigenvalue, _bisect_lambda, _squarefree_decomposition, norm_data
 
@@ -21,7 +22,7 @@ def test_a2_exact_spectrum():
     assert vals == [2, 4]
     assert all(ev.exact and ev.im == 0 for ev in sp.eigenvalues)
     assert sp.is_expanding
-    assert not sp.has_root_of_unity
+    assert not polys.has_root_of_unity_factor(sp.charpoly)
     assert sp.lambda_lower == 2
     nd = norm_data(sp, "adapted")
     assert nd is not None and nd.kind == "eigenbasis"
@@ -45,9 +46,9 @@ def test_irrational_pair_certified():
     # (3 +- sqrt(5))/2, certified to tight intervals
     assert abs(evs[0].re - 0.381966) < 1e-5
     assert abs(evs[1].re - 2.618034) < 1e-5
-    assert all(ev.eps is not None and ev.eps < Fraction(1, 10 ** 10) for ev in evs)
+    assert all(ev.eps < Fraction(1, 10 ** 10) for ev in evs)
     assert not sp.is_expanding  # small eigenvalue inside the unit disk
-    assert not sp.has_root_of_unity
+    assert not polys.has_root_of_unity_factor(sp.charpoly)
 
 
 def test_spectrum_pins_golden_pair():
@@ -63,12 +64,13 @@ def test_spectrum_pins_golden_pair():
 
 
 def test_spectrum_pins_rank3_complex_pair():
-    # one real root and one conjugate pair: the Vieta branch
+    # one real root and one conjugate pair, the pair certified by the
+    # Smith disks of its seeds on the grid of step 2^-61
     sp = spectral(IntMatrix(((1, 2, 0), (0, 1, 3), (4, 0, 1))))
     assert sp.charpoly == (1, -3, 3, -25)
-    re = Fraction(-248964375005161, 562949953421312)
-    im = Fraction(499609906593359, 200000000000000)
-    eps = Fraction(1, 40000000000000)
+    re = Fraction(-7966860000164825, 2 ** 54)
+    im = Fraction(2812553736455595, 2 ** 50)
+    eps = Fraction(323, 2 ** 60)
     assert sp.eigenvalues == (
         Eigenvalue(re, -im, eps, 1),
         Eigenvalue(re, im, eps, 1),
@@ -167,11 +169,89 @@ def test_bisect_lambda_matches_full_bisection(p):
         assert sp.lambda_lower == want
 
 
+def _cluster(a):
+    """(x^2 - 2ax + a^2 + 1)(x^2 - 2ax + a^2 + 4), with roots a +- i and
+    a +- 2i: float seeds do not tell them apart once a is large."""
+    return _poly_mul((1, -2 * a, a * a + 1), (1, -2 * a, a * a + 4))
+
+
+def _assert_certified(sp):
+    """Every eps is a Fraction; the exact eigenvalues are the integer roots;
+    the non-real ones pair up with their conjugates, come in the number
+    sympy counts, and each box re +- eps, im +- eps above the axis holds
+    exactly one root of the square-free part (those below are its mirror
+    images)."""
+    def q(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sp.charpoly, x)
+    square_free = poly.sqf_part()
+    assert all(isinstance(e.eps, Fraction) for e in sp.eigenvalues)
+    assert {e.re for e in sp.eigenvalues if e.exact} == set(sympy.roots(poly, filter="Z"))
+    upper = [(e.re, e.im, e.eps, e.multiplicity) for e in sp.eigenvalues if e.im > 0]
+    lower = [(e.re, -e.im, e.eps, e.multiplicity) for e in sp.eigenvalues if e.im < 0]
+    assert sorted(lower) == sorted(upper)
+    nreal = square_free.count_roots()
+    assert len(sp.eigenvalues) - 2 * len(upper) == nreal
+    assert 2 * len(upper) == square_free.degree() - nreal
+    for re, im, eps, _ in upper:
+        if eps:
+            lo = q(re - eps) + sympy.I * q(im - eps)
+            hi = q(re + eps) + sympy.I * q(im + eps)
+            assert square_free.count_roots(lo, hi) == 1
+        else:
+            assert square_free.eval(q(re) + sympy.I * q(im)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
+@example(list(_cluster(10 ** 5)[1:]))  # the seeds fail; exact steps certify
+@example(list(_cluster(10 ** 7)[1:]))
+@example([1, -7, -15])  # -2 +- i lands on the grid with radius 0
+@example([0, 0, 0, 2])  # x^4 + 2: two pairs, no real root
+def test_every_eigenvalue_is_certified(tail):
+    """spectral() of the companion matrix of a monic integer polynomial of
+    degree 1-8 certifies every eigenvalue; lambda_lower comes from the
+    disk tests unless every eigenvalue is an integer."""
+    p = (1, *tail)
+    sp = spectral(_companion(p))
+    _assert_certified(sp)
+    if not all(e.exact for e in sp.eigenvalues):
+        assert sp.lambda_lower == _bisect_lambda(p)
+
+
+def test_gaussian_integer_pair_is_not_exact():
+    # eps = 0 for -2 +- i, but only an integer eigenvalue is exact, so
+    # lambda_lower comes from the disk tests and there is no eigenbasis norm
+    sp = spectral(IntMatrix(((2, 3, 2), (1, 0, -2), (1, 2, -3))))
+    assert sp.charpoly == (1, 1, -7, -15)
+    assert [(e.re, e.im, e.eps, e.exact) for e in sp.eigenvalues] == [
+        (-2, -1, 0, False), (-2, 1, 0, False), (3, 0, 0, True)]
+    assert sp.lambda_lower == Fraction(600239927, 268435456)
+    with pytest.raises(AdaptedNormUnavailable):
+        norm_data(sp)
+
+
+@pytest.mark.parametrize("p", [(1, 0, 1), (1, 0, 0, 0, 2), (1, -3, 3, -25), (1, 1, -7, -15),
+                               (1, -37, 78, 96, 31, -10, -15, 3, 14), _cluster(10 ** 5)])
+def test_coincident_seeds_raise_nothing(p):
+    """Seeds that all coincide are spread apart before the first exact
+    step, so no Weierstrass correction divides by zero, and the exact
+    steps certify the same spectrum."""
+    want = spectral(_companion(p))
+    with mock.patch.object(spectra, "_seeds", lambda q, s: [(0, 0)] * (len(q) - 1)):
+        got = spectral(_companion(p))
+    _assert_certified(got)
+    assert len(got.eigenvalues) == len(want.eigenvalues)
+    assert got.lambda_lower == want.lambda_lower
+
+
 def test_root_of_unity_matrix():
     sp = spectral(IntMatrix(((0, -1), (1, 0))))
-    assert sp.has_root_of_unity
+    assert polys.has_root_of_unity_factor(sp.charpoly)
     sp = spectral(IntMatrix(((1, 1), (0, 1))))
-    assert sp.has_root_of_unity and not sp.is_expanding
+    assert polys.has_root_of_unity_factor(sp.charpoly) and not sp.is_expanding
 
 
 def test_complex_quartet_certified_expanding():
@@ -179,7 +259,7 @@ def test_complex_quartet_certified_expanding():
     a = IntMatrix(((0, 0, 0, -2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     sp = spectral(a)
     assert sp.charpoly == (1, 0, 0, 0, 2)
-    assert sp.is_expanding  # certified by exact disk test despite float roots
+    assert sp.is_expanding  # certified by the exact disk test
     assert len(sp.eigenvalues) == 4
     assert all(not ev.exact for ev in sp.eigenvalues)
     mod = 2 ** 0.25
@@ -197,7 +277,6 @@ def test_quartic_spectrum_past_a_negative_led_sturm_divisor():
     assert sum(1 for ev in sp.eigenvalues if ev.im == 0) == poly.count_roots() == 2
     roots = sorted(poly.nroots(n=30), key=lambda z: (sympy.re(z), sympy.im(z)))
     for ev, root in zip(sp.eigenvalues, roots):
-        assert ev.eps is not None
         assert abs(complex(ev.re, ev.im) - complex(root)) <= ev.eps + 1e-12
 
 
