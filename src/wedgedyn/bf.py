@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
 from .intmat import IntMatrix, c_matrix, snf
@@ -116,11 +116,16 @@ class BFGroup:
 
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n: U n reduced modulo the diagonal."""
-        reducer = self._reducer
-        if len(n) != len(reducer):
+        if len(n) != len(self._reducer):
             raise DimensionMismatch("vector length mismatch")
-        n = [*map(int, n)]
-        return _bf_element(self, tuple([sum(map(mul, row, n)) % d for row, d in reducer]))
+        return self._classes([[*map(int, n)]])[0]
+
+    def _classes(self, vectors) -> list:
+        """reduce without its checks, for int vectors of the right length
+        that the package built itself, one coordinate over all of them at
+        a time."""
+        coords = [[sum(map(mul, row, n)) % d for n in vectors] for row, d in self._reducer]
+        return [_bf_element(self, r) for r in zip(*coords)]
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
     of them, and with a budget BudgetExceeded is raised before the Smith
     form is built when that count passes it. Every coordinate is a
     numerator over L (see BFGroup._psi_map), so the SNF box is walked on
-    numerators, a step along axis i adding column i of W mod L; the
+    numerators, j steps along axis i adding j times column i of W mod L; the
     numerator tuples sort in the order of the points, and L is the
     exponent of BF_k, so the Fraction table has no more entries than there
     are points.
@@ -200,14 +205,10 @@ def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
             raise BudgetExceeded(f"{size} torus fixed points exceed budget {budget}")
     w, den = g._psi_map
     steps = w.transpose().rows
-    nums = [(0,) * a.dim]
+    nums, dens = [(0,) * a.dim], (den,) * a.dim
     for step, d in zip(steps, g.diagonal):
-        walked = []
-        for v in nums:
-            for _ in range(d):
-                walked.append(v)
-                v = tuple((x + s) % den for x, s in zip(v, step))
-        nums = walked
+        moves = [tuple(j * s for s in step) for j in range(d)]
+        nums = [tuple(map(mod, map(add, v, move), dens)) for v in nums for move in moves]
     nums.sort()
     frac = [Fraction(n, den) for n in range(den)]
-    return [_torus_point(tuple(frac[x] for x in v)) for v in nums]
+    return [_torus_point(tuple(map(frac.__getitem__, v))) for v in nums]

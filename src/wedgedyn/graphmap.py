@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -231,11 +232,16 @@ class TightMap:
     def advance(self, chart: Chart) -> list:
         """The letter pieces of the lifted image of a chart's edge, in slot
         order: slot i of the edge's image word gives the i-th piece."""
-        edge, base, o_edge, o_base, alpha, beta = chart
+        return self._step(chart, self.slots[chart.edge])
+
+    def _step(self, chart: Chart, slots) -> list:
+        """The pieces of the lifted image of a chart's edge through the given
+        slots of its image word, in their order; A base is computed once."""
+        _, base, o_edge, o_base, alpha, beta = chart
         abase = self.A.apply(base)
         return [Chart(s.generator, tuple(map(add, abase, s.offset)), o_edge, o_base,
                       s.mul * alpha, s.mul * beta + s.add)
-                for s in self.slots[edge]]
+                for s in slots]
 
     # -- sigma and shadowing constants ------------------------------------
 
@@ -269,15 +275,18 @@ class TightMap:
         deduplication is complete. Charts walked k slots deep from each
         edge at the origin enumerate the itineraries; one back on its own
         edge closes one and holds alpha, beta and the lifted translation,
-        so the last step keeps only the slots that run along that edge.
-        The walk keeps its own stack, so Python's recursion limit does not
-        bound k. The fixed point is t0 = num / den, den = |1 - alpha|, and
-        an integer walk on numerators over den checks that the orbit stays
-        in every slot's cylinder (0 <= mul n + add den <= den) and closes up.
+        so the last step builds only the pieces through the slots that run
+        along that edge, trace(T^k) of them (T below). The walk keeps its
+        own stack, so Python's recursion limit does not bound k. The fixed
+        point is t0 = num / den, den = |1 - alpha|, and an integer walk on
+        numerators over den checks that the orbit stays in every slot's
+        cylinder (0 <= mul n + add den <= den) and closes up.
 
-        The displacement is the class of the translation in BF_k, reduced
-        on ints; Psi runs once per class, and the points of one class share
-        its alpha image, one TorusPoint.
+        Each point stays ints until its record: the points sort on (edge,
+        num over one common denominator), each distinct (num, den) builds
+        one Fraction, and the displacement is the class of the translation
+        in BF_k, reduced on ints; Psi runs once per class, and the points
+        of one class share its alpha image, one TorusPoint.
 
         A slot breakpoint maps to the vertex, which is fixed, so no other
         periodic orbit meets one: each such point has exactly one itinerary
@@ -286,10 +295,12 @@ class TightMap:
         The vertex has least period 1 and translation 0 (its lift at the
         origin is fixed), whatever slot cycle it was found on.
 
-        With a budget, BudgetExceeded is raised before any walking when the
-        walk would visit more than budget charts on its way to depth k: the
-        sum over j <= k of the entries of T^j, T[e][g] the number of letters
-        g or G in psi(e). After that, and also before any walking,
+        With a budget, BudgetExceeded is raised before any walking when
+        more than budget charts lie on the way to depth k: the sum over
+        j <= k of the entries of T^j, T[e][g] the number of letters g or G
+        in psi(e). That count is an upper bound on the charts the walk
+        builds, since its last step builds only the closing pieces. After
+        that, and also before any walking,
         NotExpanding is raised when a closed itinerary of length k composes
         to the identity, whose fixed points are not isolated.
         """
@@ -300,10 +311,17 @@ class TightMap:
         self._refuse_identity_cycles(k)
         slots = self.slots
         zero = (0,) * self.rank
+        # steps[e][i] = (e, i, sign of slot i), the step of an itinerary
+        # through slot i of psi(e); closing[e][o] = the steps and the slots
+        # of the letters of psi(e) that run along edge o
+        steps = [tuple((e, i, s.sign) for i, s in enumerate(row)) for e, row in enumerate(slots)]
+        closing = [[(tuple(st for st, s in zip(row_steps, row) if s.generator == o),
+                     tuple(s for s in row if s.generator == o)) for o in range(self.rank)]
+                   for row_steps, row in zip(steps, slots)]
         found, vertex_cycles = [], []
         divisors = [d for d in range(1, k) if k % d == 0]
         # depth-first in slot order: each entry is (chart, the path length
-        # before its step, the step (edge, slot, sign) that reached it)
+        # before its step, the step that reached it)
         stack = [(Chart(e, zero, e, zero, 1, 0), 0, None) for e in reversed(range(self.rank))]
         path = []
         while stack:
@@ -312,63 +330,72 @@ class TightMap:
             if step is not None:
                 path.append(step)
             edge, depth = chart.edge, len(path)
-            pieces = zip(slots[edge], self.advance(chart))
             if depth < k - 1:
-                stack.extend(reversed([(piece, depth, (edge, i, s.sign))
-                                       for i, (s, piece) in enumerate(pieces)]))
+                stack.extend(reversed([*zip(self.advance(chart), repeat(depth), steps[edge])]))
                 continue
-            # the last step, in slot order: only a piece back on the
-            # original edge closes an itinerary
-            for i, (s, piece) in enumerate(pieces):
-                if s.generator != chart.o_edge:
-                    continue
-                cyc = (*path, (edge, i, s.sign))
+            # the last step, in slot order, through the slots back on the
+            # original edge only: each piece closes an itinerary
+            o_edge = chart.o_edge
+            closers, last = closing[edge][o_edge]
+            for step, piece in zip(closers, self._step(chart, last)):
                 alpha, beta = piece.alpha, piece.beta
                 num, den = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
+                cyc = (*path, step)
                 # defensive: confirm the orbit really follows the itinerary
-                n = num
+                x = num
                 for e, j, _ in cyc:
                     slot = slots[e][j]
-                    n = slot.mul * n + slot.add * den
-                    if not 0 <= n <= den:
+                    x = slot.mul * x + slot.add * den
+                    if not 0 <= x <= den:
                         raise RuntimeError("slot cycle solve left its cylinder")
-                if n != num:
+                if x != num:
                     raise RuntimeError("slot cycle solve did not close up")
                 if num == 0 or num == den:
                     vertex_cycles.append(cyc)
-                else:
-                    # a rotation by d | k fixes cyc exactly when cyc is d-periodic
-                    least = next((d for d in divisors if cyc[d:] == cyc[:-d]), k)
-                    found.append((GraphPoint(piece.edge, Fraction(num, den)), least, cyc, piece.base))
+                    continue
+                # a rotation by d | k fixes cyc exactly when cyc is d-periodic
+                least = k
+                for d in divisors:
+                    if cyc[d:] == cyc[:-d]:
+                        least = d
+                        break
+                found.append((o_edge, num, den, least, cyc, piece.base))
         # the vertex is fixed by every power but its itinerary may not close
         # as a slot cycle (its edge-end walk can have a period not dividing k)
         vertex_cycle = vertex_cycles[0] if vertex_cycles else self._vertex_itinerary(k)
-        found.append((VERTEX, 1, vertex_cycle, zero))
-        # order on (edge, t), t as an integer numerator over one denominator
-        scale = math.lcm(*(pt.t.denominator for pt, *_ in found))
-        found.sort(key=lambda f: (f[0].edge, f[0].t.numerator * (scale // f[0].t.denominator)))
+        found.append((0, 0, 1, 1, vertex_cycle, zero))
+        # order on (edge, t), t = num / den as an integer numerator over one
+        # common denominator
+        scale = math.lcm(*{f[2] for f in found})
+        found.sort(key=lambda f: (f[0], f[1] * (scale // f[2])))
         try:
             bf_group = BFGroup(self.A, k)
         except RootOfUnitySpectrum:
             bf_group = None
+        disps = repeat(None) if bf_group is None else bf_group._classes([f[5] for f in found])
+        params = {}  # (num, den) -> the Fraction num / den
         images = {}  # displacement coordinates -> the class's one alpha image
         out = []
-        for pt, least, cyc, base in found:
-            disp = alpha_img = None
-            if bf_group is not None:
-                disp = bf_group.reduce(base)
+        for (edge, num, den, least, cyc, base), disp in zip(found, disps):
+            t = params.get((num, den))
+            if t is None:
+                t = params[num, den] = Fraction(num, den)
+            alpha_img = None
+            if disp is not None:
                 alpha_img = images.get(disp.r)
                 if alpha_img is None:
                     alpha_img = images[disp.r] = psi(disp)
             # positional, in field order: binding keywords costs more per point
-            out.append(PeriodicPoint(pt, k, least, cyc, base, disp, alpha_img))
+            out.append(PeriodicPoint(GraphPoint(edge, t), k, least, cyc, base, disp, alpha_img))
         return out
 
     def _check_walk_budget(self, k: int, budget: int):
-        """BudgetExceeded unless the census walk visits at most budget charts
-        down to depth k. With T the letter-count matrix, it visits 1^T T^j 1
-        charts at depth j; the running sum over j is refused as soon as it
-        passes the budget, so the count stops early on a large k."""
+        """BudgetExceeded unless at most budget charts lie on the census
+        walk's way down to depth k. With T the letter-count matrix, there
+        are 1^T T^j 1 charts at depth j, all of which the walk builds below
+        depth k and of which it builds the trace(T^k) closing ones at depth
+        k; the running sum over j is refused as soon as it passes the
+        budget, so the count stops early on a large k."""
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         gens = [[s.generator for s in row] for row in self.slots]

@@ -152,8 +152,18 @@ def _squarefree_decomposition(p):
 def _seeds(p, s):
     """Root estimates of p as Gaussian integers (x, y) for (x + y i) / 2^s,
     from float Durand-Kerner sweeps that start at (0.4 + 0.9i)^k and stop
-    once the largest correction, under 1e-9 of the estimates, stops shrinking."""
-    coeffs = [complex(c) / p[0] for c in p]
+    once the largest correction, under 1e-9 of the estimates, stops shrinking.
+
+    When a coefficient of p = sum c_k x^(n-k) is beyond float range, the
+    sweeps run on p(2^m w) / (c_0 2^(mn)), whose roots are those of p over
+    2^m: m is the largest ceil((bits(c_k) - bits(c_0)) / k), so that
+    |c_k / c_0| < 2^(mk + 1) and every coefficient is a float below 2."""
+    try:
+        coeffs, m = [complex(c) / p[0] for c in p], 0
+    except OverflowError:
+        top = abs(p[0]).bit_length()
+        m = max(-((top - abs(c).bit_length()) // k) for k, c in enumerate(p) if k and c)
+        coeffs = [complex(Fraction(c, p[0]) / Fraction(2) ** (m * k)) for k, c in enumerate(p)]
     zs = [(0.4 + 0.9j) ** k for k in range(len(p) - 1)]
     last = inf
     for _ in range(300):
@@ -168,7 +178,8 @@ def _seeds(p, s):
         if not big < last and big <= 1e-9 * (1 + max(map(abs, zs))):
             break
         last = big
-    return [tuple(round(Fraction(c) * (1 << s)) if isfinite(c) else 0
+    grid = Fraction(2) ** (s + m)
+    return [tuple(round(Fraction(c) * grid) if isfinite(c) else 0
                   for c in (z.real, z.imag)) for z in zs]
 
 

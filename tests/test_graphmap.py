@@ -1,6 +1,7 @@
 import math
 import re
 import string
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from wedgedyn import (
     VERTEX,
     cover_point,
     graph_point,
+    graphmap,
     iota,
     psi,
 )
@@ -341,6 +343,44 @@ def test_advance_leaves_follow_lift_iter(request, name):
             assert len(leaves) == len(m.endo.power(k).images[e])
             for leaf in leaves:
                 assert m.lift_iter(leaf.orig_point(u), k) == cover_point(leaf.edge, u, leaf.base)
+
+
+def test_census_builds_only_the_closing_pieces(phi3, monkeypatch):
+    """Every piece of the census walk goes through TightMap._step. On phi3
+    (speed 7, so a depth-j piece has |alpha| = 7^j) at k = 4 the walk
+    builds all 1^T T^j 1 pieces below depth 4, but at depth 4 only the
+    trace(T^4) = 3,026 closing ones, not the 1^T T^4 1 = 4,802 letters of
+    psi^4; T = A = [[6, 1], [1, 6]] has eigenvalues 7 and 5."""
+    built = Counter()
+    step = TightMap._step
+
+    def counting(self, chart, slots):
+        pieces = step(self, chart, slots)
+        built.update(round(math.log(abs(p.alpha), 7)) for p in pieces)
+        return pieces
+
+    monkeypatch.setattr(TightMap, "_step", counting)
+    phi3.periodic_points(4)
+    assert built == {1: 14, 2: 98, 3: 686, 4: 7 ** 4 + 5 ** 4}
+
+
+def test_shadowing_classes_runs_one_census_and_psi_per_class(phi2, monkeypatch):
+    """shadowing_classes runs TightMap.periodic_points once, and the census
+    calls Psi through graphmap's own binding once per class; the
+    benchmark's tracer counts both calls on those two names."""
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TightMap, "periodic_points", counted("census", TightMap.periodic_points))
+    monkeypatch.setattr(graphmap, "psi", counted("psi", graphmap.psi))
+    classes = phi2.shadowing_classes(3)
+    assert len(classes) == 66
+    assert calls == {"census": 1, "psi": len(classes)}
 
 
 def test_periodic_points_budget_is_the_chart_count(phi2):

@@ -247,6 +247,27 @@ def test_coincident_seeds_raise_nothing(p):
     assert got.lambda_lower == want.lambda_lower
 
 
+def test_coefficients_beyond_float_range_certify():
+    """A coefficient beyond float range sends the seeds through the
+    polynomial with its roots scaled down by a power of two, so
+    x^2 + 10^400 certifies +-10^200 i and x^4 + 10^400 its four roots
+    10^100 (+-1 +- i) / sqrt(2), each box holding the true root."""
+    sp = spectral(IntMatrix(((0, -10 ** 200), (10 ** 200, 0))))
+    _assert_certified(sp)
+    assert [e.im > 0 for e in sp.eigenvalues] == [False, True]
+    assert all(abs(e.re) <= e.eps < 1 and abs(abs(e.im) - 10 ** 200) <= e.eps
+               for e in sp.eigenvalues)
+    sp = spectral(_companion((1, 0, 0, 0, 10 ** 400)))
+    _assert_certified(sp)
+    assert sorted((e.re > 0, e.im > 0) for e in sp.eigenvalues) == [
+        (False, False), (False, True), (True, False), (True, True)]
+    for e in sp.eigenvalues:
+        assert e.eps < 1
+        # |re| and |im| are both 10^100 / sqrt(2), whose square is 10^200 / 2
+        for c in (abs(e.re), abs(e.im)):
+            assert (c - e.eps) ** 2 <= 10 ** 200 // 2 <= (c + e.eps) ** 2
+
+
 def test_root_of_unity_matrix():
     sp = spectral(IntMatrix(((0, -1), (1, 0))))
     assert polys.has_root_of_unity_factor(sp.charpoly)
