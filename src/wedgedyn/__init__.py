@@ -12,7 +12,6 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DuplicateRule,
-    NonUniformExpansion,
     NotDivisible,
     NotEigenvectorOne,
     NotExpanding,

@@ -197,14 +197,11 @@ def cmd_beta(args) -> int:
     b = m.rank
     w.writerow(["edge", "i", "t"] + [f"beta_{i}" for i in range(b)])
     denom = approx.M ** approx.level
-    # every edge shares the t column i / denom: each entry is reduced by one
-    # gcd and formatted once, with no Fraction built
-    ts = []
-    for i in range(denom + 1):
-        g = math.gcd(i, denom)
-        ts.append(str(i // g) if g == denom else f"{i // g}/{denom // g}")
-    for e, rows in enumerate(approx.values):
-        w.writerows((e, i, t, *val) for i, (t, val) in enumerate(zip(ts, rows)))
+    # each distinct t numerator is reduced by one gcd, with no Fraction built
+    ts = {i: str(i // g) if (g := math.gcd(i, denom)) == denom else f"{i // g}/{denom // g}"
+          for i in set().union(*approx.t)}
+    for e, (t, rows) in enumerate(zip(approx.t, approx.values)):
+        w.writerows((e, i, ts[u], *val) for i, (u, val) in enumerate(zip(t, rows)))
     if figure is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(figure)

@@ -33,10 +33,6 @@ class NotExpanding(WedgedynError):
     """An operation requires an expanding matrix (all eigenvalue moduli > 1)."""
 
 
-class NonUniformExpansion(WedgedynError):
-    """An operation requires all edge speeds equal and no junction cancellation."""
-
-
 class NontrivialHomologyAction(WedgedynError):
     """An operation requires the abelianization to be the identity matrix."""
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, islice, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -389,21 +389,26 @@ class TightMap:
             out.append(PeriodicPoint(GraphPoint(edge, t), k, least, cyc, base, disp, alpha_img))
         return out
 
-    def _check_walk_budget(self, k: int, budget: int):
-        """BudgetExceeded unless at most budget charts lie on the census
-        walk's way down to depth k. With T the letter-count matrix, there
-        are 1^T T^j 1 charts at depth j, all of which the walk builds below
-        depth k and of which it builds the trace(T^k) closing ones at depth
-        k; the running sum over j is refused as soon as it passes the
-        budget, so the count stops early on a large k."""
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+    def letter_counts(self):
+        """T^j 1 for j = 0, 1, 2, ..., T[e][g] the letters g or G in psi(e):
+        entry e counts the letters of the unreduced j-fold concatenation of
+        image words from edge e, and so the depth-j charts over edge e."""
         gens = [[s.generator for s in row] for row in self.slots]
         level = [1] * self.rank
-        charts = self.rank
-        for _ in range(k):
+        while True:
+            yield level
             level = [sum(level[g] for g in row) for row in gens]
-            charts += sum(level)
+
+    def _check_walk_budget(self, k: int, budget: int):
+        """BudgetExceeded unless at most budget charts lie on the census
+        walk's way down to depth k. There are 1^T T^j 1 charts at depth j
+        (letter_counts), all of which the walk builds below depth k and of
+        which it builds the trace(T^k) closing ones at depth k; the running
+        sum over j is refused as soon as it passes the budget, so the count
+        stops early on a large k."""
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        for charts in accumulate(map(sum, islice(self.letter_counts(), k + 1))):
             if charts > budget:
                 raise BudgetExceeded(f"more than {budget} charts in the slot walk to depth {k}")
 

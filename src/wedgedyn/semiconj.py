@@ -2,10 +2,11 @@
 Holder exponents, and injectivity certification by symbolic segment-pair
 tracking in the abelian cover.
 
-For a uniformly expanding map (all speeds M), the points i/M^k on an edge
-are exactly the points whose k-th lifted image is a lattice point n, and
-beta there equals A^-k n on the nose. Everything else is bounded by the
-geometric tail of the defect series.
+For an expanding map, the points of an edge that phi^k sends to the vertex
+end the letters of unreduced psi^k, a letter with ancestor speeds
+d_0..d_(k-1) being 1/(d_0...d_(k-1)) wide; beta there is A^-k n on the
+nose, n the lattice point reached. Everything else is bounded by the
+geometric tail.
 
 The certifier tracks pairs of graphmap.Charts, stepped by TightMap.advance,
 and decides touching, preimage overlap and witnesses on integers.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,52 +28,53 @@ from .intmat import rat_inverse
 
 @dataclass(frozen=True)
 class BetaApproximation:
-    """Exact beta values at the level-k breakpoints i/M^k of every edge.
+    """Exact beta values at the level-k breakpoints of every edge.
 
-    values[e][i] is beta at i/M^k on edge e (a rational vector); these are
-    exact values of the semiconjugacy, not approximations. tail_bound bounds
-    |beta - level-k normalized iterate| everywhere else; it is None when A
-    has no certified norm yet (ROADMAP item 8), which the table itself
-    does not need.
+    M is the lcm of the speeds; t[e] holds edge e's breakpoints as int
+    numerators over M^k, from 0 up to M^k (0, 1, ..., M^k when every speed
+    is M), and values[e][i] the exact rational vector beta(t[e][i] / M^k).
+    tail_bound bounds |beta - level-k normalized iterate| elsewhere; it is
+    None when A has no certified norm yet (ROADMAP item 8).
     """
 
     map: TightMap
     level: int
     M: int
+    t: tuple
     values: tuple
     tail_bound: "Fraction | None"
 
 
 def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaApproximation:
-    """Beta at every i/M^k breakpoint, by partial sums of the per-letter
+    """Beta at every level-k breakpoint, by partial sums of the per-letter
     increments: a letter of generator g and sign s adds s * A^-k e_g.
 
-    The i-th breakpoint of edge e is carried by phi^k onto the lattice
-    point reached after the first i letters of psi^k(e), so its beta value
-    is the exact partial sum; the full edge telescopes to e_e.
+    The letters of psi^k(e), the unreduced concatenation of image words
+    (an inverse letter takes its image reversed and inverted), are streamed
+    k rounds deep from the image table. Each carries its width over M^k,
+    its parent's over the parent's speed; the breakpoints are the running
+    sums of the widths, and phi^k carries the i-th onto the lattice point
+    reached after i letters, whose partial sum, over the denominator of
+    A^-k, is exact. One Fraction is built per distinct numerator.
 
-    Uniform expansion rules out cancellation at every junction, so psi^k(e)
-    is the plain concatenation of image words, an inverse letter taking
-    its image reversed and inverted. Its letters are streamed from the
-    image table, k rounds deep, with no Word reduction. Each coordinate's
-    numerators over the common denominator of A^-k are running sums of
-    integer steps, and one Fraction is built per distinct numerator.
-
-    The table has rank * (M^k + 1) rows; with a budget, BudgetExceeded is
-    raised before psi^k is built when that count passes it.
+    The table has rank + 1^T T^k 1 rows (TightMap.letter_counts); with a
+    budget, BudgetExceeded is raised before psi^k is built when that count
+    passes it.
     """
     # level 0 is the edge itself (tau_0 is the shadowing constant)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    mexp = m.endo.require_uniform_expansion()
     if not m.spectral.is_expanding:
         raise NotExpanding("beta needs an expanding abelianization")
-    # M >= 2, so M^j > budget once j passes its bit length: the capped
-    # power is exact or already over the budget
-    if budget is not None and m.rank * (mexp ** min(k, budget.bit_length() + 1) + 1) > budget:
+    # A is invertible, so every generator occurs in some image word and the
+    # row count never falls as j grows: any() stops early on a large k
+    if budget is not None and any(m.rank + sum(level) > budget
+                                  for level in itertools.islice(m.letter_counts(), k + 1)):
         raise BudgetExceeded(f"more than {budget} beta rows at level {k}")
+    big_m = math.lcm(*m.speeds)
+    scale = big_m ** k
     ainv, den = rat_inverse(m.A ** k)
     # letter (g, s) is code 2g + (s < 0), so code ^ 1 is its inverse;
     # table[code] is the letter's image, steps[i][code] its coordinate-i step
@@ -80,19 +83,24 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
         image = tuple(2 * l.generator + (l.sign < 0) for l in img)
         table += [image, tuple(c ^ 1 for c in reversed(image))]
     steps = [tuple(s * x for x in r for s in (1, -1)) for r in ainv.rows]
-    columns = []
+    ts, columns = [], []
     for e in range(m.rank):
-        word = [2 * e]
+        word, widths = [2 * e], [scale]
         for _ in range(k):
-            word = list(itertools.chain.from_iterable(map(table.__getitem__, word)))
-        if len(word) != mexp ** k:
-            raise RuntimeError("uniform expansion must give M^k letters at level k")
+            images = list(map(table.__getitem__, word))
+            ds = list(map(len, images))
+            widths = itertools.chain.from_iterable(  # lazy: only t holds widths
+                map(itertools.repeat, map(operator.floordiv, widths, ds), ds))
+            word = list(itertools.chain.from_iterable(images))
+        t = tuple(itertools.accumulate(widths, initial=0))
+        ts.append(next((u for u in ts if u == t), t))  # equal columns share one tuple
+        if t[-1] != scale:
+            raise RuntimeError("the letter widths must sum to M^k")
         cols = [list(itertools.accumulate(map(st.__getitem__, word), initial=0))
                 for st in steps]
         if [c[-1] for c in cols] != [den * (i == e) for i in range(m.rank)]:
             raise RuntimeError("edge endpoint must telescope to the basis vector")
         columns.append(cols)
-    # one Fraction per distinct numerator
     frac = {a: Fraction(a, den) for a in set(itertools.chain.from_iterable(
         itertools.chain.from_iterable(columns)))}
     values = tuple(tuple(zip(*(map(frac.__getitem__, c) for c in cols))) for cols in columns)
@@ -100,7 +108,8 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
         tau = tail_bound(m, k)
     except AdaptedNormUnavailable:
         tau = None
-    return BetaApproximation(map=m, level=k, M=mexp, values=values, tail_bound=tau)
+    return BetaApproximation(map=m, level=k, M=big_m, t=tuple(ts), values=values,
+                             tail_bound=tau)
 
 
 def tail_bound(m: TightMap, k: int) -> Fraction:
@@ -113,8 +122,11 @@ def holder_bound(m: TightMap) -> Fraction:
     """A rational Holder exponent for beta: min(log lambda / log L, 1).
 
     Exact when the log ratio is rational (integer-power certificate),
-    otherwise a certified rational lower bound within 1e-6; any exponent
-    below the true ratio is valid, so a lower bound is sound.
+    otherwise a lower bound (so still an exponent) from a Stern-Brocot walk
+    on exact comparisons of L^p with lambda^q. It stops once its bracket is
+    narrower than 1e-7 or lambda^q would pass 2^19 bits, so the bound is
+    within 1e-6 unless the ratio lies very near a fraction of small
+    denominator (a modulus such as 2 or sqrt(2) certified from below).
     """
     if not m.spectral.is_expanding:
         raise NotExpanding("Holder bound needs an expanding abelianization")
@@ -124,26 +136,28 @@ def holder_bound(m: TightMap) -> Fraction:
         return Fraction(1)
 
     def cmp_ratio(p, q):
-        # sign of p/q - log(lam)/log(L), by exact comparison of L^p vs lam^q
-        lhs = Fraction(big_l) ** p
-        rhs = lam ** q
-        if lhs == rhs:
-            return 0
-        return 1 if lhs > rhs else -1
+        # sign of p/q - log(lam)/log(L): L^p against lam^q, on integers
+        lhs, rhs = big_l ** p * lam.denominator ** q, lam.numerator ** q
+        return (lhs > rhs) - (lhs < rhs)
 
+    # hi - lo = 1 / (lo_q hi_q); a run of same-sign steps is galloped
     lo, hi = (0, 1), (1, 1)
-    for _ in range(200):
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        c = cmp_ratio(*med)
+    qmax = 2 ** 19 // lam.numerator.bit_length()  # lam > 1: its larger part
+    while lo[1] * hi[1] <= 10 ** 7 and lo[1] + hi[1] <= qmax:
+        c = cmp_ratio(lo[0] + hi[0], lo[1] + hi[1])
         if c == 0:
-            return Fraction(med[0], med[1])
-        if c < 0:
-            lo = med
-        else:
-            hi = med
-        if Fraction(hi[0], hi[1]) - Fraction(lo[0], lo[1]) < Fraction(1, 10 ** 7):
-            break
-    return Fraction(lo[0], lo[1])
+            return Fraction(lo[0] + hi[0], lo[1] + hi[1])
+        (ep, eq), (op, oq) = (lo, hi) if c < 0 else (hi, lo)
+        cap = min(-(-(10 ** 7 // oq + 1 - eq) // oq), (qmax - eq) // oq)
+        j, step = 1, 1
+        while step:
+            if j + step <= cap and cmp_ratio(ep + (j + step) * op, eq + (j + step) * oq) == c:
+                j, step = j + step, 2 * step
+            else:
+                step //= 2
+        end = (ep + j * op, eq + j * oq)
+        lo, hi = (end, hi) if c < 0 else (lo, end)
+    return Fraction(*lo)
 
 
 # ---------------------------------------------------------------------------

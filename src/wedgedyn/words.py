@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from string import ascii_letters
 from typing import NamedTuple
 
-from .errors import NonUniformExpansion, RankMismatch
+from .errors import RankMismatch
 from .intmat import IntMatrix
 
 
@@ -113,8 +113,7 @@ class Endomorphism:
         """psi^k as an endomorphism; k >= 0 (k = 0 is the identity)."""
         if k < 0:
             raise ValueError("negative power of an endomorphism")
-        gens = [Word((Letter(i, 1),)) for i in range(self.rank)]
-        cur = gens
+        cur = [Word((Letter(i, 1),)) for i in range(self.rank)]
         for _ in range(k):
             cur = [self.apply(w) for w in cur]
         return Endomorphism(self.rank, tuple(cur))
@@ -133,22 +132,9 @@ class Endomorphism:
         either condition fails.
         """
         lengths = {len(w) for w in self.images}
-        if len(lengths) != 1:
-            return None
-        m = lengths.pop()
-        if m <= 1:
-            return None
+        m = lengths.pop() if len(lengths) == 1 else 0
         alphabet = [Letter(g, s) for g in range(self.rank) for s in (1, -1)]
-        for x in alphabet:
-            for y in alphabet:
-                if x.generator == y.generator and x.sign == -y.sign:
-                    continue
-                if len(self.apply(Word((x, y)))) != 2 * m:
-                    return None
-        return m
-
-    def require_uniform_expansion(self) -> int:
-        m = self.uniform_expansion()
-        if m is None:
-            raise NonUniformExpansion("image words must share one length > 1 with no junction cancellation")
+        if m <= 1 or any(len(self.apply(Word((x, y)))) != 2 * m
+                         for x in alphabet for y in alphabet if x != y.inverse()):
+            return None
         return m

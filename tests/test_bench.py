@@ -2,6 +2,7 @@
 the line counts. No benchmark run and no subprocess."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,12 @@ def test_claim_verdict(metric, met):
     verdict = bench.claim_verdict(metric)
     assert verdict.startswith("met: " if met else "not met: ")
     assert f"{metric['change_wins']} of 10 pairs" in verdict
+
+
+def test_workloads_and_metrics_come_from_the_benchmark_file():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench.WORKLOADS == tuple(w["name"] for w in spec["workloads"])
+    assert list(bench.METRICS) == [m["name"] for m in spec["end_to_end"]]
 
 
 def _run(**values):

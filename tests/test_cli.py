@@ -472,6 +472,21 @@ def test_analyze_degrades_without_norm(capsys, tmp_path, norm, reason):
 
 
 # expanding and uniformly expanding (M = 3), with no certified norm yet
+def test_beta_on_mixed_speeds(capsys, tmp_path):
+    """Speeds 4 and 3 give M = 12: the t column reads the quarters on a and
+    the thirds on b, and the figure renders."""
+    mapfile, svg = tmp_path / "mixed.map", tmp_path / "beta.svg"
+    mapfile.write_text("map mixed rank 2 { a -> aaab ; b -> bba ; }\n")
+    code, out = run(capsys, "beta", str(mapfile), "--k", "1", "--svg", str(svg))
+    assert code == 0
+    rows = csv_rows(out)[1:]
+    assert [(r[0], r[2]) for r in rows] == [
+        ("0", "0"), ("0", "1/4"), ("0", "1/2"), ("0", "3/4"), ("0", "1"),
+        ("1", "0"), ("1", "1/3"), ("1", "2/3"), ("1", "1")]
+    assert rows[1][3:] == ["2/5", "-1/5"] and rows[-1][3:] == ["0", "1"]
+    assert svg.read_text().count("<polyline") > 2
+
+
 NORMLESS = "map normless rank 3 { a -> aCb ; b -> bac ; c -> caa ; }\n"
 
 

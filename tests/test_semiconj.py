@@ -13,7 +13,6 @@ from wedgedyn import (
     Chart,
     Endomorphism,
     LipschitzNormData,
-    NonUniformExpansion,
     NotExpanding,
     TightMap,
     TorusPoint,
@@ -139,6 +138,47 @@ def test_beta_refinement(phi2):
             assert ap1.values[e][i] == ap2.values[e][4 * i]
 
 
+def _expanding(m):
+    """m, when its abelianization is expanding; hypothesis draws again if not."""
+    assume(m.spectral.is_expanding)
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(tight_maps().map(_expanding), st.integers(0, 3))
+@example(TightMap(Endomorphism.from_strings(2, "aaB", "bbab")), 2)  # B.b cancels at depth 2
+def test_beta_rows_match_lift_oracle_on_every_expanding_map(m, k):
+    """On any expanding map, cancelling images included, each t column
+    climbs strictly from 0 to M^k, M the lcm of the speeds, each row is
+    A^-k applied to the lattice point that the k-th lifted image of its
+    breakpoint lands on, and the budget admits exactly the rank plus the
+    number of depth-k letters."""
+    ap = beta_breakpoints(m, k)
+    scale = math.lcm(*m.speeds) ** k
+    assert ap.M == math.lcm(*m.speeds)
+    zero = (0,) * m.rank
+    for e, (t, rows) in enumerate(zip(ap.t, ap.values)):
+        assert t[0] == 0 and t[-1] == scale and all(map(operator.lt, t, t[1:]))
+        assert rows == tuple(_beta_oracle(m, cover_point(e, F(u, scale), zero), k) for u in t)
+    rows = sum(map(len, ap.values))
+    assert rows == m.rank + sum(next(itertools.islice(m.letter_counts(), k, None)))
+    assert beta_breakpoints(m, k, budget=rows).values == ap.values
+    with pytest.raises(BudgetExceeded):
+        beta_breakpoints(m, k, budget=rows - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tight_maps().map(_expanding), st.integers(1, 3))
+def test_beta_refines_on_every_expanding_map(m, k):
+    """Every level-(k-1) breakpoint reappears at level k, at the same
+    parameter (numerators scale by M) and with the same beta row."""
+    coarse, fine = beta_breakpoints(m, k - 1), beta_breakpoints(m, k)
+    for e in range(m.rank):
+        rows = dict(zip(fine.t[e], fine.values[e]))
+        for u, row in zip(coarse.t[e], coarse.values[e]):
+            assert rows[u * fine.M] == row
+
+
 def test_beta_deck_translation(phi2):
     """Translating the base by n translates the oracle value by n."""
     for e in range(2):
@@ -213,10 +253,18 @@ def test_periodic_point_convergence(phi2):
         assert err <= tail_bound(phi2, n)
 
 
-def test_beta_needs_uniform_expansion():
+def test_beta_runs_on_mixed_speeds():
+    """Speeds 4 and 3: M = 12, the breakpoints of a are the quarters and
+    those of b the thirds, each row is the lift oracle's, and the budget
+    counts rank + 1^T T 1 = 2 + 7 rows."""
     m = TightMap(Endomorphism.from_strings(2, "aaab", "bba"))
-    with pytest.raises(NonUniformExpansion):
-        beta_breakpoints(m, 1)
+    assert m.endo.uniform_expansion() is None
+    ap = beta_breakpoints(m, 1, budget=9)
+    assert ap.M == 12 and ap.t == ((0, 3, 6, 9, 12), (0, 4, 8, 12))
+    for e, (t, rows) in enumerate(zip(ap.t, ap.values)):
+        assert rows == tuple(_beta_oracle(m, cover_point(e, F(u, 12), (0, 0)), 1) for u in t)
+    with pytest.raises(BudgetExceeded, match="^more than 8 beta rows at level 1$"):
+        beta_breakpoints(m, 1, budget=8)
 
 
 def test_beta_needs_expanding(phi1):
@@ -279,6 +327,31 @@ def test_holder_bounds(phi2, phi3):
 
     true = math.log(5) / math.log(7)
     assert true - 1e-6 < h <= true + 1e-12
+
+
+def _simplest_in(lo, hi):
+    """A fraction of least denominator in [lo, hi]."""
+    for q in itertools.count(1):
+        p = -(-lo.numerator * q // lo.denominator)
+        if F(p, q) <= hi:
+            return F(p, q)
+
+
+@pytest.mark.parametrize("a_image, want", [("a" * 99 + "B", None),
+                                           ("a" * 29 + "B", F(76, 7357)),
+                                           ("a" * 9 + "B", F(152, 2927))])
+def test_holder_bound_of_a_small_ratio(a_image, want):
+    """log lambda / log L is about 0.0022 for a -> a^99 B, b -> ab, below
+    1/200: the walk leaves 0/1 all the same, with a positive p/q such that
+    L^p <= lambda^q, and a fraction u in [p/q + 1e-7, p/q + 1e-6] with
+    L^u_p > lambda^u_q shows the ratio is below p/q + 1e-6. All exact. The
+    same map with images of length 30 and 10 keeps its bound."""
+    m = TightMap(Endomorphism.from_strings(2, a_image, "ab"))
+    h, lam, big_l = holder_bound(m), m.spectral.lambda_lower, max(m.speeds)
+    assert h > 0 and F(big_l) ** h.numerator <= lam ** h.denominator
+    u = _simplest_in(h + F(1, 10 ** 7), h + F(1, 10 ** 6))
+    assert F(big_l) ** u.numerator > lam ** u.denominator
+    assert want is None or h == want
 
 
 def test_holder_bound_is_one_when_lambda_reaches_the_speed():

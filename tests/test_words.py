@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wedgedyn.words
-from wedgedyn import Endomorphism, Letter, NonUniformExpansion, RankMismatch, Word
+from wedgedyn import Endomorphism, Letter, RankMismatch, Word
 
 
 def test_module_doctests():
@@ -79,5 +79,3 @@ def test_uniform_expansion(phi1, phi2, phi3):
     assert ident.uniform_expansion() is None  # M must exceed 1
     cancelling = Endomorphism.from_strings(2, "ab", "Ba")
     assert cancelling.uniform_expansion() is None
-    with pytest.raises(NonUniformExpansion):
-        cancelling.require_uniform_expansion()
