@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import add, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, c_matrix, snf
+from .intmat import IntMatrix, c_matrix, fraction, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
@@ -169,7 +169,7 @@ def psi(e: BFElement) -> TorusPoint:
         x = sum(map(mul, row, r)) % den
         c = coords.get(x)
         if c is None:
-            c = coords[x] = Fraction(x, den)
+            c = coords[x] = fraction(x, den)
         out.append(c)
     return _torus_point(tuple(out))
 
@@ -210,5 +210,5 @@ def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
         moves = [tuple(j * s for s in step) for j in range(d)]
         nums = [tuple(map(mod, map(add, v, move), dens)) for v in nums for move in moves]
     nums.sort()
-    frac = [Fraction(n, den) for n in range(den)]
+    frac = [fraction(n, den) for n in range(den)]
     return [_torus_point(tuple(map(frac.__getitem__, v))) for v in nums]

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
 from .errors import BudgetExceeded, NotExpanding, RootOfUnitySpectrum
-from .intmat import IntMatrix
+from .intmat import IntMatrix, fraction
 from .spectra import LipschitzNormData, norm_data, rational_sqrt_upper, spectral
 from .words import Endomorphism
 
@@ -379,7 +379,7 @@ class TightMap:
         for (edge, num, den, least, cyc, base), disp in zip(found, disps):
             t = params.get((num, den))
             if t is None:
-                t = params[num, den] = Fraction(num, den)
+                t = params[num, den] = fraction(num, den)
             alpha_img = None
             if disp is not None:
                 alpha_img = images.get(disp.r)

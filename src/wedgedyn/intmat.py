@@ -7,13 +7,16 @@ inverse U_inv of its row transform, which it tracks alongside U, so a
 Smith form needs no second elimination. A rational matrix is always
 an integer matrix over one positive denominator: rat_inverse returns m^-1
 as (N, den), and callers scale their numerators by den instead of building
-Fractions. Matrices are immutable (tuples of tuples) so they can be dict
-keys and set members, and IntMatrix.identity(n) is one shared object per n.
+Fractions; where a table of one Fraction per numerator is needed after
+all, fraction builds each without the generic Fraction constructor.
+Matrices are immutable (tuples of tuples) so they can be dict keys and set
+members, and IntMatrix.identity(n) is one shared object per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
 
@@ -161,6 +164,28 @@ def rat_inverse(m: IntMatrix) -> tuple:
     inv = [r[n:] if d > 0 else [-x for x in r[n:]] for r in a]
     g = gcd(d, *(x for r in inv for x in r))
     return IntMatrix(tuple(tuple(x // g for x in r) for r in inv)), abs(d) // g
+
+
+def fraction(n: int, d: int) -> Fraction:
+    """The reduced Fraction n / d, for an int n and an int d > 0.
+
+    Fraction(n, d) dispatches on the types of its arguments and fixes the
+    sign before it reduces. Here both are trusted to be ints with d > 0, so
+    one gcd reduces the pair and the two slots are written directly,
+    keeping n and d themselves when they are already coprime. That is less
+    than half the cost of Fraction(n, d) on CPython 3.11, which the
+    per-numerator tables of beta_breakpoints, psi, enumerate_fixed and
+    TightMap.periodic_points pay once per value. This is the one place in
+    the package that writes Fraction's private slots, and
+    tests/test_intmat.py checks it against Fraction(n, d).
+    """
+    g = gcd(n, d)
+    f = object.__new__(Fraction)
+    if g == 1:
+        f._numerator, f._denominator = n, d
+    else:
+        f._numerator, f._denominator = n // g, d // g
+    return f
 
 
 def primitive_int(v) -> tuple:

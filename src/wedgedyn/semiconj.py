@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import AdaptedNormUnavailable, BudgetExceeded, NotExpanding
 from .graphmap import Chart, TightMap
-from .intmat import rat_inverse
+from .intmat import fraction, rat_inverse
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,13 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     its parent's over the parent's speed; the breakpoints are the running
     sums of the widths, and phi^k carries the i-th onto the lattice point
     reached after i letters, whose partial sum, over the denominator of
-    A^-k, is exact. One Fraction is built per distinct numerator.
+    A^-k, is exact.
+
+    The table is built one edge at a time: the edge's integer numerator
+    columns, then an intmat.fraction for each numerator that no earlier
+    edge met (so the edges share one Fraction per distinct numerator),
+    then the edge's rows. The columns are dropped before the next edge's
+    letters are streamed.
 
     The table has rank + 1^T T^k 1 rows (TightMap.letter_counts); with a
     budget, BudgetExceeded is raised before psi^k is built when that count
@@ -83,7 +89,7 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
         image = tuple(2 * l.generator + (l.sign < 0) for l in img)
         table += [image, tuple(c ^ 1 for c in reversed(image))]
     steps = [tuple(s * x for x in r for s in (1, -1)) for r in ainv.rows]
-    ts, columns = [], []
+    ts, rows, frac = [], [], {}
     for e in range(m.rank):
         word, widths = [2 * e], [scale]
         for _ in range(k):
@@ -100,15 +106,16 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
                 for st in steps]
         if [c[-1] for c in cols] != [den * (i == e) for i in range(m.rank)]:
             raise RuntimeError("edge endpoint must telescope to the basis vector")
-        columns.append(cols)
-    frac = {a: Fraction(a, den) for a in set(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(columns)))}
-    values = tuple(tuple(zip(*(map(frac.__getitem__, c) for c in cols))) for cols in columns)
+        # a Fraction only for the numerators that no earlier edge met
+        new = set(itertools.filterfalse(frac.__contains__, itertools.chain.from_iterable(cols)))
+        frac.update(zip(new, map(fraction, new, itertools.repeat(den))))
+        rows.append(tuple(zip(*(map(frac.__getitem__, c) for c in cols))))
+        del cols
     try:
         tau = tail_bound(m, k)
     except AdaptedNormUnavailable:
         tau = None
-    return BetaApproximation(map=m, level=k, M=big_m, t=tuple(ts), values=values,
+    return BetaApproximation(map=m, level=k, M=big_m, t=tuple(ts), values=tuple(rows),
                              tail_bound=tau)
 
 

@@ -37,6 +37,20 @@ def test_run_steps_name_existing_paths(workflow):
     assert not missing
 
 
+def test_tests_matrix_runs_every_supported_python(workflow):
+    """The tests job runs every minor version from the requires-python
+    floor of pyproject.toml up to its newest entry, with no gap:
+    intmat.fraction writes Fraction's private slots, and
+    tests/test_intmat.py checks it on each version."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = int(re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.M).group(1))
+    versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
+    # quoted in the YAML: an unquoted 3.10 would read as the float 3.1
+    assert all(isinstance(v, str) and v.startswith("3.") for v in versions)
+    minors = [int(v[2:]) for v in versions]
+    assert minors == list(range(floor, minors[-1] + 1))
+
+
 def test_benchmark_matrix_covers_every_workload(workflow):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     matrix = workflow["jobs"]["benchmark-gates"]["strategy"]["matrix"]["workload"]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from wedgedyn import IntMatrix, NotDivisible, SingularMatrix, c_matrix, char_poly, rat_inverse, snf
-from wedgedyn.intmat import kernel
+from wedgedyn.intmat import fraction, kernel
 
 
 def int_matrix(n, lo=-9, hi=9):
@@ -18,6 +19,34 @@ def int_matrix(n, lo=-9, hi=9):
         st.lists(st.integers(lo, hi), min_size=n, max_size=n),
         min_size=n, max_size=n,
     ).map(lambda rows: IntMatrix(tuple(tuple(r) for r in rows)))
+
+
+# unbounded draws stay mostly small, so the second branch reaches past 2^64
+_NUMS = st.one_of(st.integers(), st.integers(-2 ** 200, 2 ** 200))
+_DENS = st.one_of(st.integers(min_value=1), st.integers(1, 2 ** 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMS, _DENS)
+@example(0, 7)
+@example(-6, 4)
+@example(2 ** 64 + 1, 2 ** 64 - 1)
+@example(-(3 ** 50) * 2 ** 70, 3 ** 45 * 2 ** 65)
+def test_fraction_agrees_with_the_constructor(n, d):
+    """fraction writes Fraction's private slots, so a change to the
+    fractions module shows here: the value must be a plain Fraction that
+    behaves as Fraction(n, d) does."""
+    f, want = fraction(n, d), Fraction(n, d)
+    assert type(f) is Fraction
+    assert (f.numerator, f.denominator) == (want.numerator, want.denominator)
+    assert f == want and hash(f) == hash(want)
+    assert (str(f), repr(f)) == (str(want), repr(want))
+    assert f * Fraction(-2, 3) + 1 == want * Fraction(-2, 3) + 1
+    back = pickle.loads(pickle.dumps(f))
+    assert type(back) is Fraction
+    assert (back.numerator, back.denominator) == (want.numerator, want.denominator)
+    if math.gcd(n, d) == 1:  # coprime ints are kept, not copied
+        assert f.numerator is n and f.denominator is d
 
 
 def test_basic_arithmetic():
