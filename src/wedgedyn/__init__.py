@@ -39,7 +39,6 @@ from .graphmap import (
 from .intmat import IntMatrix, SnfDecomposition, c_matrix, rat_inverse, snf
 from .polys import char_poly, has_root_of_unity_factor
 from .rotation import (
-    GroupRingMatrix,
     Loop,
     RotationSetReport,
     eigen_rotation_number,
@@ -48,7 +47,6 @@ from .rotation import (
     periodic_rotation_vector,
     point_in_hull,
     rotation_set,
-    transition_matrix,
 )
 from .semiconj import (
     BetaApproximation,

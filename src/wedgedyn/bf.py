@@ -134,6 +134,8 @@ class BFElement:
     r: tuple
 
     def __post_init__(self):
+        if len(self.r) != len(self.group.diagonal):
+            raise DimensionMismatch("coordinate count differs from the group's rank")
         for x, d in zip(self.r, self.group.diagonal):
             if not (0 <= x < d):
                 raise ValueError("coordinates outside the SNF box")

@@ -72,7 +72,11 @@ class CoverPoint(NamedTuple):
 
 
 def cover_point(edge: int, t, base) -> CoverPoint:
+    """The point at parameter t in [0, 1] of the lift of edge based at base;
+    t = 1 is the vertex at base + e_edge."""
     t = Fraction(t)
+    if not (0 <= t <= 1):
+        raise ValueError(f"edge parameter {t} outside [0, 1]")
     base = tuple(int(x) for x in base)
     if t == 1:
         base = tuple(x + (1 if i == edge else 0) for i, x in enumerate(base))

@@ -2,13 +2,15 @@
 
 Everything here is pure Python over int. One fraction-free Gauss-Jordan
 (Bareiss) elimination, _gauss_jordan, serves IntMatrix.det, rat_inverse
-and kernel; snf is the only other elimination, and it hands back the
-inverse U_inv of its row transform, which it tracks alongside U, so a
-Smith form needs no second elimination. A rational matrix is always
-an integer matrix over one positive denominator: rat_inverse returns m^-1
-as (N, den), and callers scale their numerators by den instead of building
-Fractions; where a table of one Fraction per numerator is needed after
-all, fraction builds each without the generic Fraction constructor.
+and kernel, and its pivot step, bareiss_pivot, also drives the exact
+simplex of rotation's hulls; snf is the only other elimination, and it
+hands back the inverse U_inv of its row transform, which it tracks
+alongside U, so a Smith form needs no second elimination. A rational
+matrix is always an integer matrix over one positive denominator:
+rat_inverse returns m^-1 as (N, den), and callers scale their numerators
+by den instead of building Fractions; where a table of one Fraction per
+numerator is needed after all, fraction builds each without the generic
+Fraction constructor.
 Matrices are immutable (tuples of tuples) so they can be dict keys and set
 members, and IntMatrix.identity(n) is one shared object per n.
 """
@@ -138,14 +140,24 @@ def _gauss_jordan(rows):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        p, pivot_row = a[r][c], a[r]
-        for i in range(n):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = bareiss_pivot(a, r, c, prev)
         pivots.append(c)
-        prev = p
     return a, pivots, sign, prev
+
+
+def bareiss_pivot(a, r: int, c: int, prev: int) -> int:
+    """The Bareiss step on entry (r, c) of the integer rows a, in place, for
+    _gauss_jordan and rotation's simplex: with p = a[r][c], every other row
+    becomes (p * row - row[c] * a[r]) // prev and row r stays. If a was
+    prev * B^-1 M for a column basis B of M with det B = prev, it is now
+    p * B'^-1 M, where B' swaps column c in for row r's basic column and
+    det B' = p, so the division is exact. Returns p."""
+    p, pivot_row = a[r][c], a[r]
+    for i in range(len(a)):
+        if i != r:
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+    return p
 
 
 def rat_inverse(m: IntMatrix) -> tuple:

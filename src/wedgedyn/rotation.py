@@ -1,10 +1,11 @@
 """Rotation sets for tight maps whose abelianization is the identity.
 
-Each occurrence of a generator inside an image word lifts to a translated
-copy of that edge in the abelian cover; the translations form a matrix of
-multisets over the group ring. Minimal (vertex-simple) loops in that data
-carry rational rotation vectors whose convex hull is the rotation set
-approximation the toolkit reports.
+Slot i of psi(a_j) lifts to a translated copy of its generator's edge in
+the abelian cover, so the slot table is a graph on the edges: an arc from
+a_j to that generator per slot, weighted by the slot's lattice offset.
+Minimal (vertex-simple) loops of that graph carry rational rotation
+vectors whose convex hull is the rotation set approximation the toolkit
+reports.
 """
 
 from __future__ import annotations
@@ -12,28 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BudgetExceeded, DimensionMismatch, NontrivialHomologyAction, NotEigenvectorOne
 from .graphmap import PeriodicPoint, TightMap
-from .intmat import IntMatrix
-
-
-@dataclass(frozen=True)
-class GroupRingMatrix:
-    """entries[i][j] = occurrences of generator i^+- in psi(a_j), each as
-    (slot index, Slot); the Slot's offset is the occurrence's translation.
-
-    Column j holds d_j occurrences in total, one per letter of psi(a_j).
-    """
-
-    rank: int
-    entries: tuple
-
-    def occurrences(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def column_cardinality(self, j: int) -> int:
-        return sum(len(self.entries[i][j]) for i in range(self.rank))
+from .intmat import IntMatrix, bareiss_pivot
 
 
 @dataclass(frozen=True)
@@ -66,28 +50,15 @@ class RotationSetReport:
     period2_vectors: tuple
 
 
-def transition_matrix(m: TightMap) -> GroupRingMatrix:
-    """The lifted-occurrence matrix; requires abelianization = identity."""
-    b = m.rank
-    if m.A != IntMatrix.identity(b):
-        raise NontrivialHomologyAction("rotation sets need abelianization = I")
-    entries = [[[] for _ in range(b)] for _ in range(b)]
-    for j in range(b):
-        for i, slot in enumerate(m.slots[j]):
-            entries[slot.generator][j].append((i, slot))
-    g = GroupRingMatrix(rank=b, entries=tuple(tuple(tuple(col) for col in row) for row in entries))
-    for j in range(b):
-        if g.column_cardinality(j) != m.speeds[j]:
-            raise RuntimeError("column cardinality must equal the edge speed")
-    return g
-
-
-def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
+def minimal_loops(m: TightMap, budget: int = 200000):
     """All vertex-simple loops (no repeated edge-vertex), canonical and sorted.
 
-    These are exactly the loops with no proper sub-loop. Vertex orders are
-    walked depth-first from each loop's least vertex along existing arcs
-    only, so each loop comes out once, already in its canonical rotation.
+    The arc src -> dst of m.slots holds one transition (src, dst, offset, i)
+    per slot i of psi(src) whose generator is dst; nothing here needs
+    A = I. These are exactly the loops with no proper sub-loop. Vertex
+    orders are walked depth-first from each loop's least vertex along
+    existing arcs only, so each loop comes out once, already in its
+    canonical rotation.
     An order only grows by a vertex that can still get back to its first
     vertex through vertices above it (one reverse search from each first
     vertex), so no branch of the walk is cut off from every loop.
@@ -96,17 +67,18 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    b = m.rank
+    arcs = [[[] for _ in range(b)] for _ in range(b)]
+    for src, slots in enumerate(m.slots):
+        for i, slot in enumerate(slots):
+            arcs[src][slot.generator].append((src, slot.generator, slot.offset, i))
     loops = []
-
-    def steps(src, dst):
-        return [(src, dst, slot.offset, i) for i, slot in g.occurrences(dst, src)]
-
-    for first in range(g.rank):
+    for first in range(b):
         back, todo = {first}, [first]
         while todo:
             dst = todo.pop()
-            for src in range(first + 1, g.rank):
-                if src not in back and g.occurrences(dst, src):
+            for src in range(first + 1, b):
+                if src not in back and arcs[src][dst]:
                     back.add(src)
                     todo.append(src)
         # each entry: a vertex order from first, with the slot choices of its arcs
@@ -114,15 +86,13 @@ def minimal_loops(g: GroupRingMatrix, budget: int = 200000):
         while stack:
             order, opts = stack.pop()
             last = order[-1]
-            for combo in itertools.product(*opts, steps(last, first)):
+            for combo in itertools.product(*opts, arcs[last][first]):
                 if len(loops) == budget:
                     raise BudgetExceeded(f"loop enumeration exceeded budget {budget}")
                 loops.append(Loop(combo))
-            for nxt in range(first + 1, g.rank):
-                if nxt in back and nxt not in order:
-                    arc = steps(last, nxt)
-                    if arc:
-                        stack.append((order + (nxt,), opts + [arc]))
+            for nxt in range(first + 1, b):
+                if nxt in back and nxt not in order and arcs[last][nxt]:
+                    stack.append((order + (nxt,), opts + [arcs[last][nxt]]))
     return sorted(loops, key=lambda l: (l.length, l.transitions))
 
 
@@ -149,61 +119,53 @@ def _hull_2d(points):
 
 
 def _feasible_combination(target, points):
-    """Exact feasibility of target in conv(points) via phase-1 simplex."""
+    """Exact feasibility of target in conv(points) by a phase-1 simplex on
+    integers: the rows sum_i lam_i p_i = target and sum_i lam_i = 1, as
+    numerators over one common denominator, start from the artificial
+    basis, and intmat.bareiss_pivot keeps the tableau (cost row included)
+    det B times its rational form. Every pivot is positive, so det B stays
+    positive and every entry has its rational value's sign. Bland's rule
+    enters real variables only; the artificial cost ends at 0 iff target
+    is feasible. Raises DimensionMismatch on points of another length."""
+    if any(len(p) != len(target) for p in points):
+        raise DimensionMismatch("target and points differ in length")
     if not points:
         return False
-    b = len(target)
-    m = b + 1  # equality rows: coordinates plus sum-to-one
-    n = len(points)
-    # rows: sum_i lam_i * p_i = target ; sum lam = 1 ; lam >= 0
-    rows = [[Fraction(p[c]) for p in points] for c in range(b)] + [[Fraction(1)] * n]
-    rhs = [Fraction(t) for t in target] + [Fraction(1)]
-    for r in range(m):
-        if rhs[r] < 0:
-            rows[r] = [-x for x in rows[r]]
-            rhs[r] = -rhs[r]
-    # tableau with artificial basis
-    tab = [rows[r] + [Fraction(int(i == r)) for i in range(m)] + [rhs[r]] for r in range(m)]
+    den = lcm(*(x.denominator for q in (target, *points) for x in q))
+    n, m = len(points), len(target) + 1
+    # one row per coordinate, points then target, and the sum-to-one row
+    rows = [[x.numerator * (den // x.denominator) for x in q] for q in zip(*points, target)]
+    rows.append([1] * (n + 1))
+    tab = []
+    for r, row in enumerate(rows):
+        sign = -1 if row[n] < 0 else 1
+        tab.append([sign * x for x in row[:n]] + [int(i == r) for i in range(m)] + [sign * row[n]])
+    tab.append([sum(col) for col in zip(*tab)])
     basis = [n + r for r in range(m)]
-    cost = [Fraction(0)] * (n + m + 1)
-    for r in range(m):
-        for c in range(n + m + 1):
-            cost[c] += tab[r][c]
-    total = n + m
-    while True:
-        # Bland's rule, real variables only (artificials never re-enter)
-        enter = None
-        for c in range(n):
-            if cost[c] > 0:
-                enter = c
-                break
-        if enter is None:
-            break
-        ratios = [(tab[r][total] / tab[r][enter], r) for r in range(m) if tab[r][enter] > 0]
-        if not ratios:
-            break
-        _, leave = min(ratios, key=lambda x: (x[0], basis[x[1]]))
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+    total, det = n + m, 1
+    while (enter := next((c for c in range(n) if tab[m][c] > 0), None)) is not None:
+        # least ratio rhs / entry over the positive entries, compared crosswise,
+        # ties to the least basic variable; one exists, as the cost is >= 0
+        leave = None
         for r in range(m):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            a = tab[r][enter]
+            if a > 0 and (leave is None or (tab[r][total] * tab[leave][enter], basis[r])
+                          < (tab[leave][total] * a, basis[leave])):
+                leave = r
+        det = bareiss_pivot(tab, leave, enter, det)
         basis[leave] = enter
-    return cost[total] == 0
+    return tab[m][total] == 0
 
 
 def _hull_general(points):
-    """Extreme points in any dimension but 1 and 2, by exact LP filtering."""
+    """Extreme points in any dimension, by exact LP filtering: each point is
+    tested against the vertices found so far and the points not yet tested.
+    A point found interior is never a vertex, so leaving it out does not
+    change the hull that the later points are tested against."""
     pts = sorted(set(points))
-    if len(pts) <= 1:
-        return tuple(pts)
     out = []
     for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        if not _feasible_combination(p, others):
+        if not _feasible_combination(p, out + pts[i + 1:]):
             out.append(p)
     return tuple(out)
 
@@ -246,9 +208,10 @@ def point_in_hull(p, hull) -> bool:
 
 def rotation_set(m: TightMap, budget: int = 200000) -> RotationSetReport:
     """Minimal-loop rotation vectors, their exact hull, and the period-1 and
-    period-2 sublists."""
-    g = transition_matrix(m)
-    loops = minimal_loops(g, budget=budget)
+    period-2 sublists; needs abelianization = I."""
+    if m.A != IntMatrix.identity(m.rank):
+        raise NontrivialHomologyAction("rotation sets need abelianization = I")
+    loops = minimal_loops(m, budget=budget)
     loop_vecs = sorted((l.length, l.rotation_vector()) for l in loops)
     hull = hull_vertices([v for _, v in loop_vecs])
     fixed = sorted({v for p, v in loop_vecs if p == 1})

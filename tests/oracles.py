@@ -72,10 +72,52 @@ def displacement_set(m, k: int):
     return sorted(classes, key=lambda e: e.r)
 
 
-def vectors(g, i: int, j: int):
-    """The multiset of lattice vectors under entry (i, j) of the group-ring
-    matrix g, as a sorted tuple."""
-    return tuple(sorted(slot.offset for _, slot in g.entries[i][j]))
+def vectors(m, i: int, j: int):
+    """The lattice offsets of the slots of psi(a_j) whose generator is a_i,
+    as a sorted tuple: the transitions from edge j to edge i."""
+    return tuple(sorted(slot.offset for slot in m.slots[j] if slot.generator == i))
+
+
+def feasible_combination_fractions(target, points) -> bool:
+    """Exact feasibility of target in conv(points) by a phase-1 simplex on a
+    Fraction tableau: the rows sum_i lam_i p_i = target and sum_i lam_i = 1
+    unscaled, Bland's rule over the real variables."""
+    if not points:
+        return False
+    b = len(target)
+    m = b + 1
+    n = len(points)
+    rows = [[Fraction(p[c]) for p in points] for c in range(b)] + [[Fraction(1)] * n]
+    rhs = [Fraction(t) for t in target] + [Fraction(1)]
+    for r in range(m):
+        if rhs[r] < 0:
+            rows[r] = [-x for x in rows[r]]
+            rhs[r] = -rhs[r]
+    tab = [rows[r] + [Fraction(int(i == r)) for i in range(m)] + [rhs[r]] for r in range(m)]
+    basis = [n + r for r in range(m)]
+    cost = [Fraction(0)] * (n + m + 1)
+    for r in range(m):
+        for c in range(n + m + 1):
+            cost[c] += tab[r][c]
+    total = n + m
+    while True:
+        enter = next((c for c in range(n) if cost[c] > 0), None)
+        if enter is None:
+            break
+        ratios = [(tab[r][total] / tab[r][enter], r) for r in range(m) if tab[r][enter] > 0]
+        if not ratios:
+            break
+        _, leave = min(ratios, key=lambda x: (x[0], basis[x[1]]))
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for r in range(m):
+            if r != leave and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    return cost[total] == 0
 
 
 def canonical_loop(transitions) -> Loop:

@@ -34,7 +34,6 @@ from wedgedyn import (
     shadow_pairs,
     snf,
     tail_bound,
-    transition_matrix,
     upsilon,
 )
 from wedgedyn.intmat import rat_inverse
@@ -202,20 +201,19 @@ def test_injectivity_certification():
 
 # 9 ------------------------------------------------------------------------
 def test_transition_matrix_and_rotation_set():
-    """phi1 transition entries, short minimal loops, and a hull equal to the
-    hull of all closed-walk averages up to length 6."""
+    """phi1 transition entries read off the slot table, short minimal loops,
+    and a hull equal to the hull of all closed-walk averages up to length 6."""
     m = TightMap(Endomorphism.from_strings(2, "aabAB", "BAbba"), name="phi1")
-    g = transition_matrix(m)
-    assert set(vectors(g, 0, 0)) == {(0, 0), (1, 0), (1, 1)}
-    assert set(vectors(g, 1, 0)) == {(1, 0), (2, 0)}
-    assert set(vectors(g, 0, 1)) == {(-1, -1), (-1, 1)}
-    assert set(vectors(g, 1, 1)) == {(0, -1), (-1, 0), (-1, -1)}
-    loops = minimal_loops(g)
+    assert set(vectors(m, 0, 0)) == {(0, 0), (1, 0), (1, 1)}
+    assert set(vectors(m, 1, 0)) == {(1, 0), (2, 0)}
+    assert set(vectors(m, 0, 1)) == {(-1, -1), (-1, 1)}
+    assert set(vectors(m, 1, 1)) == {(0, -1), (-1, 0), (-1, -1)}
+    loops = minimal_loops(m)
     assert loops and all(l.length <= 2 for l in loops)
     rep = rotation_set(m)
 
     walk_vectors = set()
-    occ = {(i, j): vectors(g, i, j) for i in range(2) for j in range(2)}
+    occ = {(i, j): vectors(m, i, j) for i in range(2) for j in range(2)}
     for length in range(1, 7):
         for nodes in product(range(2), repeat=length):
             path = nodes + (nodes[0],)

@@ -69,6 +69,17 @@ def test_elements_and_group_ops(a2):
     assert g.reduce((1, 0)) != g.reduce((2, 0))
 
 
+def test_element_coordinates_must_match_the_rank():
+    """BF_3 of [[2, 1], [1, 1]] is Z/4 x Z/4: a coordinate tuple of any other
+    length names no element, rather than one zip has truncated or padded."""
+    g = BFGroup(IntMatrix(((2, 1), (1, 1))), 3)
+    assert g.diagonal == (4, 4)
+    assert BFElement(g, (0, 1)).r == (0, 1)
+    for r in [(), (1,), (0, 1, 2)]:
+        with pytest.raises(DimensionMismatch):
+            BFElement(g, r)
+
+
 def test_psi_embedding_injective(a2):
     g = BFGroup(a2, 2)
     assert g.order == 45

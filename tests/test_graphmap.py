@@ -57,6 +57,14 @@ def test_iota_and_inverse_roundtrip():
     assert cover_point(0, F(1), (0, 0)) == cover_point(1, F(0), (1, 0))
 
 
+@pytest.mark.parametrize("t", [2, F(5, 4), F(-1, 3)])
+def test_cover_point_rejects_parameters_off_the_edge(t):
+    with pytest.raises(ValueError, match="outside"):
+        graph_point(0, t)
+    with pytest.raises(ValueError, match="outside"):
+        cover_point(0, t, (0, 0))
+
+
 def test_eval_slots(phi2):
     # psi(a) = aaab at speed 4: t in [0, 1/4) runs along a from 0
     assert phi2.eval(graph_point(0, F(1, 8))) == graph_point(0, F(1, 2))

@@ -3,6 +3,7 @@ import string
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from wedgedyn import (
     BudgetExceeded,
+    DimensionMismatch,
     Endomorphism,
     NontrivialHomologyAction,
     NotEigenvectorOne,
@@ -20,44 +22,45 @@ from wedgedyn import (
     periodic_rotation_vector,
     point_in_hull,
     rotation_set,
-    transition_matrix,
 )
+from wedgedyn.cli import main
+from wedgedyn.rotation import _feasible_combination, _hull_general
 
-from wedgedyn.rotation import _hull_general
+from oracles import canonical_loop, feasible_combination_fractions, vectors
 
-from oracles import canonical_loop, vectors
+MAPS = Path(__file__).resolve().parent.parent / "maps"
 
 F = Fraction
 
 
 def test_transition_entries_phi1(phi1):
-    g = transition_matrix(phi1)
-    assert set(vectors(g, 0, 0)) == {(0, 0), (1, 0), (1, 1)}
-    assert set(vectors(g, 1, 0)) == {(1, 0), (2, 0)}
-    assert set(vectors(g, 0, 1)) == {(-1, -1), (-1, 1)}
-    assert set(vectors(g, 1, 1)) == {(0, -1), (-1, 0), (-1, -1)}
-    assert g.column_cardinality(0) == 5
-    assert g.column_cardinality(1) == 5
+    assert set(vectors(phi1, 0, 0)) == {(0, 0), (1, 0), (1, 1)}
+    assert set(vectors(phi1, 1, 0)) == {(1, 0), (2, 0)}
+    assert set(vectors(phi1, 0, 1)) == {(-1, -1), (-1, 1)}
+    assert set(vectors(phi1, 1, 1)) == {(0, -1), (-1, 0), (-1, -1)}
+    for j in range(2):
+        assert sum(len(vectors(phi1, i, j)) for i in range(2)) == phi1.speeds[j] == 5
 
 
-def test_transition_requires_trivial_action(phi2):
-    with pytest.raises(NontrivialHomologyAction):
-        transition_matrix(phi2)
+def test_transition_requires_trivial_action(phi2, capsys):
+    with pytest.raises(NontrivialHomologyAction, match="rotation sets need abelianization = I"):
+        rotation_set(phi2)
+    assert main(["rotset", str(MAPS / "phi2.map")]) == 1
+    assert "abelianization = I" in capsys.readouterr().err
 
 
 def test_transition_identity_map():
     ident = TightMap(Endomorphism.from_strings(2, "a", "b"))
-    g = transition_matrix(ident)
-    assert vectors(g, 0, 0) == ((0, 0),)
-    assert vectors(g, 1, 1) == ((0, 0),)
-    assert vectors(g, 0, 1) == ()
-    loops = minimal_loops(g)
+    assert vectors(ident, 0, 0) == ((0, 0),)
+    assert vectors(ident, 1, 1) == ((0, 0),)
+    assert vectors(ident, 0, 1) == ()
+    loops = minimal_loops(ident)
     assert len(loops) == 2
     assert all(l.length == 1 for l in loops)
 
 
 def test_minimal_loops_phi1(phi1):
-    loops = minimal_loops(transition_matrix(phi1))
+    loops = minimal_loops(phi1)
     assert len(loops) == 10
     lengths = sorted(l.length for l in loops)
     assert lengths == [1] * 6 + [2] * 4
@@ -71,7 +74,7 @@ def test_minimal_loops_phi1(phi1):
 
 def test_minimal_loops_budget(phi1):
     with pytest.raises(BudgetExceeded):
-        minimal_loops(transition_matrix(phi1), budget=3)
+        minimal_loops(phi1, budget=3)
 
 
 def test_rotation_set_phi1(phi1):
@@ -138,12 +141,43 @@ def test_point_in_hull():
     assert not point_in_hull((F(0), F(0)), ())
 
 
+def test_point_in_hull_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        point_in_hull((F(0), F(0)), [(0, 0, 1)])
+    with pytest.raises(DimensionMismatch):
+        point_in_hull((F(0), F(0), F(5)), [(0, 0)])
+    with pytest.raises(DimensionMismatch):
+        point_in_hull((F(0), F(0)), [(0, 0), (1,)])
+
+
+@st.composite
+def _rational_point_sets(draw):
+    """(target, points) in dimension 1-4: rational coordinates of either
+    sign, repeated points, and a target that is often one of the points."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[st.fractions(-4, 4, max_denominator=5)] * dim)
+    pts = draw(st.lists(point, min_size=1, max_size=7))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    target = draw(st.one_of(st.sampled_from(pts), point))
+    return target, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_point_sets())
+def test_integer_lp_matches_fraction_oracle(case):
+    target, pts = case
+    assert _feasible_combination(target, pts) == feasible_combination_fractions(target, pts)
+    distinct = sorted(set(pts))
+    every_other = [p for i, p in enumerate(distinct)
+                   if not feasible_combination_fractions(p, distinct[:i] + distinct[i + 1:])]
+    assert sorted(hull_vertices(pts)) == every_other
+
+
 def test_closed_walk_oracle(phi1):
     """Brute-force closed walks up to length 5 give vectors inside the hull."""
-    g = transition_matrix(phi1)
     rep = rotation_set(phi1)
     occ = {
-        (i, j): vectors(g, i, j) for i in range(2) for j in range(2)
+        (i, j): vectors(phi1, i, j) for i in range(2) for j in range(2)
     }
     for length in range(1, 6):
         for nodes in product(range(2), repeat=length):
@@ -184,16 +218,18 @@ def test_eigen_rotation_number(phi1, phi2):
         eigen_rotation_number(phi2, phi2.periodic_points(1)[0], (1, 0))
 
 
-def _loops_by_vertex_orders(g, budget):
+def _loops_by_vertex_orders(m, budget):
     """Every vertex order tried in turn (combinations times permutations),
-    each loop rotated to its least rotation and deduplicated."""
-    b = g.rank
+    each loop rotated to its least rotation and deduplicated; the arc
+    src -> dst takes the slots of psi(src) whose generator is dst."""
+    b = m.rank
     loops, count = set(), 0
     for size in range(1, b + 1):
         for nodes in combinations(range(b), size):
             for perm in permutations(nodes[1:]):
                 order = (nodes[0],) + perm
-                steps = [[(src, dst, slot.offset, i) for i, slot in g.occurrences(dst, src)]
+                steps = [[(src, dst, slot.offset, i) for i, slot in enumerate(m.slots[src])
+                          if slot.generator == dst]
                          for src, dst in zip(order, order[1:] + order[:1])]
                 for combo in product(*steps):
                     count += 1
@@ -220,13 +256,12 @@ def _identity_action_maps(draw):
 @settings(max_examples=120, deadline=None)
 @given(_identity_action_maps())
 def test_minimal_loops_match_vertex_order_oracle(m):
-    g = transition_matrix(m)
-    want = _loops_by_vertex_orders(g, 10 ** 6)
-    assert minimal_loops(g) == want
-    assert len(minimal_loops(g, budget=len(want))) == len(want)
+    want = _loops_by_vertex_orders(m, 10 ** 6)
+    assert minimal_loops(m) == want
+    assert len(minimal_loops(m, budget=len(want))) == len(want)
     if want:
         with pytest.raises(BudgetExceeded):
-            minimal_loops(g, budget=len(want) - 1)
+            minimal_loops(m, budget=len(want) - 1)
 
 
 def test_loop_walk_skips_vertices_that_cannot_return():
@@ -238,9 +273,27 @@ def test_loop_walk_skips_vertices_that_cannot_return():
     rank = 20
     gens = string.ascii_lowercase[:rank]
     rules = [gens[j + 1:] + gens[j] + gens[j + 1:][::-1].upper() for j in range(rank)]
-    g = transition_matrix(TightMap(Endomorphism.from_strings(rank, *rules)))
+    m = TightMap(Endomorphism.from_strings(rank, *rules))
     start = time.perf_counter()
-    loops = minimal_loops(g)
+    loops = minimal_loops(m)
     elapsed = time.perf_counter() - start
     assert [(l.length, l.transitions[0][:2]) for l in loops] == [(1, (j, j)) for j in range(rank)]
     assert elapsed < 0.5
+
+
+def test_rank4_hull_on_integer_pivots():
+    """A rank-4 map with A = I: 376 minimal loops with 213 distinct vectors
+    and 14 hull vertices, taken from the Fraction-tableau LP filter, which
+    needs about a minute for them."""
+    m = TightMap(Endomorphism.from_strings(4, "BdaDbaBabAA", "ADAbadabbAdBBDa",
+                                           "bcBBcAbCa", "baCdcABBDAbad"))
+    start = time.perf_counter()
+    rep = rotation_set(m)
+    elapsed = time.perf_counter() - start
+    assert len(rep.loop_vectors) == 376
+    assert len({v for _, v in rep.loop_vectors}) == 213
+    want = ["-2 0 0 -1", "-1 0 1 0", "-1 1 0 1", "-1 2 0 1", "-1/2 -1 0 0",
+            "-1/3 1/3 1/3 -1/3", "0 -1 0 1", "0 -1 1 0", "0 2 0 0", "1/2 -1/2 0 -1/2",
+            "1/2 0 0 -1/2", "1 1 -1 0", "2 -1 0 0", "2 0 0 0"]
+    assert rep.hull_vertices == tuple(tuple(F(x) for x in v.split()) for v in want)
+    assert elapsed < 5
