@@ -7,14 +7,15 @@ the k-th power of the induced toral map.
 
 One Smith form U (A^k - I) V = D serves each group: cosets reduce U n
 modulo the diagonal, coset representatives come back through the U^-1
-that snf returns, and Psi is read off (A^k - I)^-1 = V D^-1 U. The
-constructor checks the hypothesis once; BFGroup.level(j) gives BF_j of the
-same A without checking it again, and upsilon reaches its target that way.
+that snf returns, and Psi is read off (A^k - I)^-1 = V D^-1 U. While a
+group of A lives, a new BFGroup(A, j) skips the hypothesis check and shares
+A's tower of A^k - I and Smith forms (_Tower), which dies with the last group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mod, mul
@@ -45,36 +46,50 @@ def _torus_point(coords: tuple) -> TorusPoint:
     return p
 
 
+class _Tower:
+    """A^k - I (in M) and its Smith form (in snf) by level k, shared by the
+    groups of one A that passed the root-of-unity check; held weakly."""
+
+    __slots__ = ("M", "snf", "__weakref__")
+
+    def __init__(self):
+        self.M, self.snf = {}, {}
+
+
+_towers = weakref.WeakValueDictionary()  # A.rows -> the _Tower of A's live groups
+
+
 @dataclass(frozen=True)
 class BFGroup:
     """BF_k(A), with coset canonicalization through the Smith form of A^k - I."""
 
     A: IntMatrix
     k: int
+    _tower: _Tower = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if has_root_of_unity_factor(char_poly(self.A)):
-            raise RootOfUnitySpectrum("A has a root-of-unity eigenvalue; BF groups degenerate")
-
-    def level(self, j: int) -> "BFGroup":
-        """BF_j of the same A. A passed the root-of-unity check when this
-        group was built, so the new group skips the constructor's check."""
-        if j < 1:
-            raise ValueError("k must be >= 1")
-        g = object.__new__(BFGroup)
-        object.__setattr__(g, "A", self.A)
-        object.__setattr__(g, "k", j)
-        return g
+        tower = _towers.get(self.A.rows)
+        if tower is None:
+            if has_root_of_unity_factor(char_poly(self.A)):
+                raise RootOfUnitySpectrum("A has a root-of-unity eigenvalue; BF groups degenerate")
+            tower = _towers[self.A.rows] = _Tower()
+        object.__setattr__(self, "_tower", tower)
 
     @cached_property
     def M(self) -> IntMatrix:
-        return self.A ** self.k - IntMatrix.identity(self.A.dim)
+        m = self._tower.M.get(self.k)
+        if m is None:
+            m = self._tower.M[self.k] = self.A ** self.k - IntMatrix.identity(self.A.dim)
+        return m
 
     @cached_property
     def _snf(self):
-        return snf(self.M)
+        form = self._tower.snf.get(self.k)
+        if form is None:
+            form = self._tower.snf[self.k] = snf(self.M)
+        return form
 
     @cached_property
     def diagonal(self) -> tuple:
@@ -181,7 +196,7 @@ def upsilon(e: BFElement, j: int) -> BFElement:
     i = e.group.k
     if j % i != 0:
         raise NotDivisible(f"{i} does not divide {j}")
-    target = e.group.level(j)
+    target = BFGroup(e.group.A, j)
     c = c_matrix(e.group.A, i, j)
     return target.reduce(c.apply(e.representative()))
 

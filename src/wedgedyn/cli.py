@@ -115,10 +115,9 @@ def cmd_bf(args) -> int:
         a = m.A
         label = m.name
     rows = []
-    # the constructor checks the spectrum once; level(k) skips the check
-    base = BFGroup(a, 1)
+    # g holds BF_{k-1} while BF_k is built, so only BF_1 checks the spectrum
     for k in range(1, args.k + 1):
-        g = base.level(k)
+        g = BFGroup(a, k)
         rows.append({
             "k": k,
             "invariant_factors": [str(d) for d in g.invariant_factors],

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 from .errors import BudgetExceeded, DimensionMismatch, NontrivialHomologyAction, NotEigenvectorOne
 from .graphmap import PeriodicPoint, TightMap
@@ -126,9 +127,12 @@ def _feasible_combination(target, points):
     det B times its rational form. Every pivot is positive, so det B stays
     positive and every entry has its rational value's sign. Bland's rule
     enters real variables only; the artificial cost ends at 0 iff target
-    is feasible. Raises DimensionMismatch on points of another length."""
+    is feasible. Raises DimensionMismatch on points of another length, and
+    TypeError on a coordinate that is not a numbers.Rational, such as a float."""
     if any(len(p) != len(target) for p in points):
         raise DimensionMismatch("target and points differ in length")
+    if not all(isinstance(x, Rational) for q in (target, *points) for x in q):
+        raise TypeError("hull coordinates must be numbers.Rational, such as int or Fraction")
     if not points:
         return False
     den = lcm(*(x.denominator for q in (target, *points) for x in q))
@@ -174,6 +178,8 @@ def hull_vertices(points):
     if not points:
         return ()
     dim = len(next(iter(points)))
+    if any(len(p) != dim for p in points):
+        raise DimensionMismatch("points differ in length")
     if dim == 2:
         return _hull_2d(points)
     if dim == 1:

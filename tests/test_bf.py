@@ -19,6 +19,7 @@ from wedgedyn import (
     rat_inverse,
     upsilon,
 )
+from wedgedyn import bf
 from wedgedyn.bf import TorusPoint
 
 from oracles import elements, phi_apply
@@ -183,20 +184,22 @@ def test_psi_and_enumerate_fixed_match_fraction_oracle(case):
 @settings(max_examples=80, deadline=None)
 @given(bf_cases(), st.integers(1, 4))
 @example((IntMatrix(((3, 1), (1, 3))), 1, (4, -7)), 2)
-def test_level_matches_a_fresh_group(case, j):
-    """BF_j reached through level from an already checked BF_i is the group
-    the constructor builds."""
+def test_group_built_beside_a_live_group_matches_a_fresh_one(case, j):
+    """BF_j built while BF_i of the same A lives, so from A's tower, is the
+    group built after every group of A died, from a fresh check."""
     a, i, vec = case
     try:
         g = BFGroup(a, i)
     except RootOfUnitySpectrum:
         assume(False)
-    lifted, fresh = g.level(j), BFGroup(a, j)
-    assert lifted == fresh
-    assert lifted.order == fresh.order
-    assert lifted.diagonal == fresh.diagonal
-    assert lifted._psi_map == fresh._psi_map
-    assert lifted.reduce(vec) == fresh.reduce(vec)
+    shared = BFGroup(a, j)
+    assert shared._tower is g._tower
+    seen = (shared.order, shared.diagonal, shared._psi_map, shared.reduce(vec).r)
+    del g, shared
+    assert a.rows not in bf._towers
+    fresh = BFGroup(a, j)
+    assert seen == (fresh.order, fresh.diagonal, fresh._psi_map, fresh.reduce(vec).r)
+    assert fresh == BFGroup(a, j)
 
 
 @pytest.mark.parametrize("i, j", [(1, 0), (1, -2), (2, 0), (2, -2)])
@@ -204,8 +207,49 @@ def test_upsilon_to_a_nonpositive_level_raises(a2, i, j):
     e = BFGroup(a2, i).reduce((1, 0))
     with pytest.raises(ValueError, match="k must be >= 1"):
         upsilon(e, j)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        e.group.level(j)
+
+
+def test_groups_of_a_live_a_check_the_spectrum_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bf, "char_poly", lambda a: calls.append(a) or char_poly(a))
+    a = IntMatrix(((2, 1), (1, 1)))
+    groups = [BFGroup(a, k) for k in range(1, 5)]
+    assert len(calls) == 1
+    assert BFGroup(IntMatrix(((2, 1), (1, 1))), 7).order == 29 * 29  # equal A, not the same one
+    assert len(calls) == 1
+    del groups
+    BFGroup(a, 1)
+    assert len(calls) == 2
+
+
+def test_upsilon_target_shares_the_live_groups_smith_form(a2):
+    g1, g2 = BFGroup(a2, 1), BFGroup(a2, 2)
+    y = upsilon(g1.reduce((1, 0)), 2)
+    assert y.group == g2 and y.group is not g2
+    assert y.group._snf is g2._snf
+    assert y.group.M is g2.M
+
+
+def test_towers_die_with_the_last_group_and_element(a2):
+    g = BFGroup(a2, 1)
+    e = g.reduce((1, 0))
+    y = upsilon(e, 3)
+    p = psi(y)
+    assert a2.rows in bf._towers
+    del g
+    assert a2.rows in bf._towers  # e and y still refer to groups of a2
+    del e, y
+    assert not bf._towers  # the torus point keeps Fractions only, no group
+    assert p.coords
+
+
+@pytest.mark.parametrize("rows", [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((0, -1), (1, 0))])
+def test_root_of_unity_matrices_are_refused_every_time_and_get_no_tower(rows):
+    a = IntMatrix(rows)
+    for k in (1, 2, 1):
+        with pytest.raises(RootOfUnitySpectrum):
+            BFGroup(a, k)
+    assert a.rows not in bf._towers
 
 
 def test_enumerate_fixed_budget(a2):

@@ -150,6 +150,28 @@ def test_point_in_hull_dimension_mismatch():
         point_in_hull((F(0), F(0)), [(0, 0), (1,)])
 
 
+@pytest.mark.parametrize("points", [
+    [(1,), (0, 0)],                    # the 1-D branch, by the first point
+    [(0, 0), (1,), (2, 2)],            # the 2-D branch
+    [(0, 0, 0), (1, 0, 0), (1, 1)],    # the LP branch
+    [(0, 0, 0), (1, 0, 0, 0)],
+])
+def test_hull_vertices_rejects_points_of_mixed_length(points):
+    with pytest.raises(DimensionMismatch, match="points differ in length"):
+        hull_vertices(points)
+
+
+def test_hull_lp_rejects_float_coordinates():
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(TypeError, match="numbers.Rational"):
+        point_in_hull((0.5, 0.5), square)
+    with pytest.raises(TypeError, match="numbers.Rational"):
+        point_in_hull((F(1, 2), F(1, 2)), [(0, 0), (1.0, 0), (0, 1)])
+    with pytest.raises(TypeError, match="numbers.Rational"):
+        hull_vertices([(0, 0, 0), (1, 0, 0), (0.5, 0.5, 1)])
+    assert point_in_hull((F(1, 2), 0), [(True, 0), (0, 0)])  # bool is an int
+
+
 @st.composite
 def _rational_point_sets(draw):
     """(target, points) in dimension 1-4: rational coordinates of either
