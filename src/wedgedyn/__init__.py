@@ -36,7 +36,7 @@ from .graphmap import (
     graph_point,
     iota,
 )
-from .intmat import IntMatrix, SnfDecomposition, c_matrix, rat_inverse, snf
+from .intmat import IntMatrix, SnfDecomposition, rat_inverse, snf
 from .polys import char_poly, has_root_of_unity_factor
 from .rotation import (
     Loop,

@@ -6,8 +6,9 @@ monomorphism Psi embeds it into the rational points of the torus fixed by
 the k-th power of the induced toral map.
 
 One Smith form U (A^k - I) V = D serves each group: cosets reduce U n
-modulo the diagonal, coset representatives come back through the U^-1
-that snf returns, and Psi is read off (A^k - I)^-1 = V D^-1 U. While a
+modulo the diagonal, and Psi is read off (A^k - I)^-1 = V D^-1 U. The
+bonding maps of the direct limit go through Psi as well: upsilon sends a
+class of BF_i to the class of BF_j with the same torus point. While a
 group of A lives, a new BFGroup(A, j) skips the hypothesis check and shares
 A's tower of A^k - I and Smith forms (_Tower), which dies with the last group.
 """
@@ -18,10 +19,10 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mod, mul
+from operator import add, index, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, c_matrix, fraction, snf
+from .intmat import IntMatrix, fraction, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
@@ -36,6 +37,15 @@ class TorusPoint:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _integer(x, name: str) -> int:
+    """x as an int, through operator.index: ints, bools and numpy ints pass,
+    while floats, Fractions and strings raise a TypeError naming name."""
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {x!r}") from None
 
 
 def _torus_point(coords: tuple) -> TorusPoint:
@@ -68,6 +78,7 @@ class BFGroup:
     _tower: _Tower = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         tower = _towers.get(self.A.rows)
@@ -133,7 +144,7 @@ class BFGroup:
         """The class of the integer vector n: U n reduced modulo the diagonal."""
         if len(n) != len(self._reducer):
             raise DimensionMismatch("vector length mismatch")
-        return self._classes([[*map(int, n)]])[0]
+        return self._classes([[_integer(x, "coordinate") for x in n]])[0]
 
     def _classes(self, vectors) -> list:
         """reduce without its checks, for int vectors of the right length
@@ -151,13 +162,10 @@ class BFElement:
     def __post_init__(self):
         if len(self.r) != len(self.group.diagonal):
             raise DimensionMismatch("coordinate count differs from the group's rank")
+        object.__setattr__(self, "r", tuple(_integer(x, "coordinate") for x in self.r))
         for x, d in zip(self.r, self.group.diagonal):
             if not (0 <= x < d):
                 raise ValueError("coordinates outside the SNF box")
-
-    def representative(self) -> tuple:
-        """An integer vector in this coset."""
-        return self.group._snf.U_inv.apply(self.r)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.r) + "]"
@@ -192,13 +200,27 @@ def psi(e: BFElement) -> TorusPoint:
 
 
 def upsilon(e: BFElement, j: int) -> BFElement:
-    """The direct-limit bonding map BF_i -> BF_j for i | j."""
-    i = e.group.k
+    """The direct-limit bonding map BF_i -> BF_j for i | j: the class of BF_j
+    with the same Psi image as e.
+
+    x = W e.r mod L are the numerators of Psi(e) over L (see psi). The
+    point x / L is fixed by A^i, so by A^j, and (A^j - I) x / L is an
+    integer vector whose class in BF_j has Psi image x / L again.
+
+    >>> e = BFGroup(IntMatrix(((3, 1), (1, 3))), 1).reduce((1, 0))
+    >>> print(e, upsilon(e, 2), psi(e), psi(upsilon(e, 2)))
+    [0, 2] [1, 5] (2/3, 2/3) (2/3, 2/3)
+    """
+    i, j = e.group.k, _integer(j, "j")
     if j % i != 0:
         raise NotDivisible(f"{i} does not divide {j}")
     target = BFGroup(e.group.A, j)
-    c = c_matrix(e.group.A, i, j)
-    return target.reduce(c.apply(e.representative()))
+    w, den = e.group._psi_map
+    x = [sum(map(mul, row, e.r)) % den for row in w.rows]
+    n = [divmod(sum(map(mul, row, x)), den) for row in target.M.rows]
+    if any(rem for _, rem in n):
+        raise RuntimeError("upsilon: (A^j - I) Psi(e) is not an integer vector")
+    return target.reduce([q for q, _ in n])
 
 
 def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):

@@ -4,13 +4,12 @@ Everything here is pure Python over int. One fraction-free Gauss-Jordan
 (Bareiss) elimination, _gauss_jordan, serves IntMatrix.det, rat_inverse
 and kernel, and its pivot step, bareiss_pivot, also drives the exact
 simplex of rotation's hulls; snf is the only other elimination, and it
-hands back the inverse U_inv of its row transform, which it tracks
-alongside U, so a Smith form needs no second elimination. A rational
-matrix is always an integer matrix over one positive denominator:
-rat_inverse returns m^-1 as (N, den), and callers scale their numerators
-by den instead of building Fractions; where a table of one Fraction per
-numerator is needed after all, fraction builds each without the generic
-Fraction constructor.
+tracks no inverse: its transforms U and V are certified unimodular by
+|det| = 1 through IntMatrix.det. A rational matrix is always an integer
+matrix over one positive denominator: rat_inverse returns m^-1 as
+(N, den), and callers scale their numerators by den instead of building
+Fractions; where a table of one Fraction per numerator is needed after
+all, fraction builds each without the generic Fraction constructor.
 Matrices are immutable (tuples of tuples) so they can be dict keys and set
 members, and IntMatrix.identity(n) is one shared object per n.
 """
@@ -22,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
 
-from .errors import DimensionMismatch, NotDivisible, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 
 
 def _as_rows(rows):
@@ -219,13 +218,12 @@ def kernel(m: IntMatrix) -> list:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """U * M * V = D for the decomposed matrix M, with U, V unimodular and D
-    diagonal, d_i | d_{i+1} >= 0; U_inv is the integer inverse of U."""
+    """U * M * V = D for the decomposed matrix M, with U, V unimodular
+    (|det| = 1) and D diagonal, d_i | d_{i+1} >= 0."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    U_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple:
@@ -246,51 +244,40 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     scan stops at the first entry of absolute value 1, which no later
     entry can beat.
 
-    Every elementary operation is also applied, inverted, to U^-1 and V^-1:
-    a row operation on U is the inverse column operation on U^-1, and a
-    column operation on V the inverse row operation on V^-1. U U^-1 = I and
-    V V^-1 = I then certify that U and V are unimodular.
+    The row operations are applied to U and the column operations to V;
+    U M V = D, |det U| = |det V| = 1 (IntMatrix.det), D diagonal and the
+    divisor chain are all checked before the form is returned.
     """
     n = m.dim
     w = [list(r) for r in m.rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-    u_inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, j, q):
-        # row i -= q * row j, applied to W and U; col j += q * col i of U^-1
+        # row i -= q * row j, applied to W and U
         w[i] = [a - q * b for a, b in zip(w[i], w[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] += q * r[i]
 
     def col_sub(i, j, q):
-        # col i -= q * col j, applied to W and V; row j += q * row i of V^-1
+        # col i -= q * col j, applied to W and V
         for r in w:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
-        v_inv[j] = [a + q * b for a, b in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i, j):
         w[i], w[j] = w[j], w[i]
         u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in w:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_neg(i):
         w[i] = [-a for a in w[i]]
         u[i] = [-a for a in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
 
     def pivot(t):
         # (|entry|, row, col) of the pivot in the submatrix from (t, t), or None
@@ -351,11 +338,10 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         if w[t][t] < 0:
             row_neg(t)
 
-    U, V, D, U_inv, V_inv = (_int_matrix(tuple(map(tuple, x))) for x in (u, v, w, u_inv, v_inv))
+    U, V, D = (_int_matrix(tuple(map(tuple, x))) for x in (u, v, w))
     if U * m * V != D:
         raise RuntimeError("SNF internal check failed: U*M*V != D")
-    one = IntMatrix.identity(n)
-    if U * U_inv != one or V * V_inv != one:
+    if abs(U.det()) != 1 or abs(V.det()) != 1:
         raise RuntimeError("SNF internal check failed: transforms not unimodular")
     diag = tuple(D.rows[i][i] for i in range(n))
     for i in range(n):
@@ -365,22 +351,4 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     for a, b in zip(diag, diag[1:]):
         if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
             raise RuntimeError("SNF internal check failed: divisor chain broken")
-    return SnfDecomposition(U=U, D=D, V=V, U_inv=U_inv)
-
-
-def c_matrix(a: IntMatrix, i: int, j: int) -> IntMatrix:
-    """C with A^j - I = C * (A^i - I), namely sum of A^(t*i) for t = 0..j/i - 1.
-
-    Raises NotDivisible unless i divides j.
-    """
-    if i <= 0 or j <= 0 or j % i != 0:
-        raise NotDivisible(f"{i} does not divide {j}")
-    one = IntMatrix.identity(a.dim)
-    step = a ** i
-    acc = term = one
-    for _ in range(j // i - 1):
-        term = term * step
-        acc = acc + term
-    if acc * (step - one) != a ** j - one:
-        raise RuntimeError("c_matrix internal identity failed")
-    return acc
+    return SnfDecomposition(U=U, D=D, V=V)

@@ -15,8 +15,10 @@ from wedgedyn import (
     DimensionMismatch,
     Endomorphism,
     InjectivityCertificate,
+    IntMatrix,
     Loop,
     MapSpec,
+    NotDivisible,
     NotExpanding,
     TightMap,
     TorusPoint,
@@ -36,6 +38,32 @@ def elements(g):
     coordinates."""
     for r in itertools.product(*(range(d) for d in g.diagonal)):
         yield BFElement(g, r)
+
+
+def representative(e):
+    """An integer vector in the coset e: U^-1 e.r, with U^-1 the Bareiss
+    inverse of the group's unimodular row transform U."""
+    u_inv, den = rat_inverse(e.group._snf.U)
+    assert den == 1
+    return u_inv.apply(e.r)
+
+
+def c_matrix(a: IntMatrix, i: int, j: int) -> IntMatrix:
+    """C with A^j - I = C * (A^i - I), namely sum of A^(t*i) for t = 0..j/i - 1.
+
+    Raises NotDivisible unless i divides j.
+    """
+    if i <= 0 or j <= 0 or j % i != 0:
+        raise NotDivisible(f"{i} does not divide {j}")
+    one = IntMatrix.identity(a.dim)
+    step = a ** i
+    acc = term = one
+    for _ in range(j // i - 1):
+        term = term * step
+        acc = acc + term
+    if acc * (step - one) != a ** j - one:
+        raise RuntimeError("c_matrix internal identity failed")
+    return acc
 
 
 def phi_apply(a, p):

@@ -1,6 +1,9 @@
+import doctest
+import gc
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from wedgedyn import (
     BudgetExceeded,
     DimensionMismatch,
     IntMatrix,
+    NotDivisible,
     RootOfUnitySpectrum,
     enumerate_fixed,
     has_root_of_unity_factor,
@@ -22,7 +26,7 @@ from wedgedyn import (
 from wedgedyn import bf
 from wedgedyn.bf import TorusPoint
 
-from oracles import elements, phi_apply
+from oracles import c_matrix, elements, phi_apply, representative
 
 
 def test_bf_table_a2(a2):
@@ -62,7 +66,7 @@ def test_elements_and_group_ops(a2):
     els = list(elements(g))
     assert len(els) == 3
     for x in els:
-        assert g.reduce(x.representative()) == x
+        assert g.reduce(representative(x)) == x
     x = g.reduce((1, 0))
     y = g.reduce((0, 1))
     assert x == y  # (1,0) and (0,1) agree mod (A-I)Z^2
@@ -168,13 +172,13 @@ def test_psi_and_enumerate_fixed_match_fraction_oracle(case):
 
     assert psi(g.reduce(vec)) == TorusPoint(inv_apply(vec))
     for e in itertools.islice(elements(g), 64):
-        assert psi(e) == TorusPoint(inv_apply(e.representative()))
+        assert psi(e) == TorusPoint(inv_apply(representative(e)))
     if g.order > 2000:
         return
     coords = [p.coords for p in enumerate_fixed(a, k)]
     assert len(coords) == abs(m.det())
     assert coords == sorted(set(coords))
-    assert set(coords) == {TorusPoint(inv_apply(e.representative())).coords
+    assert set(coords) == {TorusPoint(inv_apply(representative(e))).coords
                            for e in elements(g)}
     ak = a ** k
     for c in coords:
@@ -187,6 +191,7 @@ def test_psi_and_enumerate_fixed_match_fraction_oracle(case):
 def test_group_built_beside_a_live_group_matches_a_fresh_one(case, j):
     """BF_j built while BF_i of the same A lives, so from A's tower, is the
     group built after every group of A died, from a fresh check."""
+    gc.collect()  # no tower of A left reachable from an earlier test's cycles
     a, i, vec = case
     try:
         g = BFGroup(a, i)
@@ -210,6 +215,7 @@ def test_upsilon_to_a_nonpositive_level_raises(a2, i, j):
 
 
 def test_groups_of_a_live_a_check_the_spectrum_once(monkeypatch):
+    gc.collect()
     calls = []
     monkeypatch.setattr(bf, "char_poly", lambda a: calls.append(a) or char_poly(a))
     a = IntMatrix(((2, 1), (1, 1)))
@@ -231,6 +237,7 @@ def test_upsilon_target_shares_the_live_groups_smith_form(a2):
 
 
 def test_towers_die_with_the_last_group_and_element(a2):
+    gc.collect()
     g = BFGroup(a2, 1)
     e = g.reduce((1, 0))
     y = upsilon(e, 3)
@@ -245,6 +252,7 @@ def test_towers_die_with_the_last_group_and_element(a2):
 
 @pytest.mark.parametrize("rows", [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((0, -1), (1, 0))])
 def test_root_of_unity_matrices_are_refused_every_time_and_get_no_tower(rows):
+    gc.collect()
     a = IntMatrix(rows)
     for k in (1, 2, 1):
         with pytest.raises(RootOfUnitySpectrum):
@@ -265,8 +273,8 @@ def test_enumerate_fixed_budget(a2):
 @given(bf_cases())
 def test_reduce_is_u_n_modulo_the_diagonal(case):
     """reduce gives plain int coordinates U n mod d_i, inside the SNF box,
-    for int or integral Fraction input, and refuses a vector of the wrong
-    length."""
+    for int input, and refuses a vector of the wrong length or of Fractions,
+    even integral ones."""
     a, k, vec = case
     try:
         g = BFGroup(a, k)
@@ -277,7 +285,8 @@ def test_reduce_is_u_n_modulo_the_diagonal(case):
     assert e.r == want
     assert all(type(x) is int for x in e.r)
     assert e == BFElement(g, want)
-    assert g.reduce(tuple(Fraction(x) for x in vec)).r == want
+    with pytest.raises(TypeError, match="coordinate must be an integer"):
+        g.reduce(tuple(Fraction(x) for x in vec))
     with pytest.raises(DimensionMismatch):
         g.reduce(vec + (0,))
     with pytest.raises(DimensionMismatch):
@@ -293,3 +302,74 @@ def test_psi_builds_each_coordinate_once(a2):
     assert len(g._coords) == len(set(coords))
     # (A^2 - I)^-1 (1, 0) = (9, -6) / 45
     assert psi(g.reduce((1, 0))).coords == (Fraction(1, 5), Fraction(13, 15))
+
+
+@st.composite
+def bond_cases(draw):
+    """A rank 1-4 integer matrix, levels i | j <= 6 and an integer vector."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    a = IntMatrix(tuple(tuple(r) for r in draw(st.lists(row, min_size=dim, max_size=dim))))
+    i = draw(st.integers(1, 6))
+    j = i * draw(st.integers(1, 6 // i))
+    vec = tuple(draw(st.lists(st.integers(-50, 50), min_size=dim, max_size=dim)))
+    return a, i, j, vec
+
+
+@settings(max_examples=120, deadline=None)
+@given(bond_cases())
+@example((IntMatrix(((3, 1), (1, 3))), 1, 2, (1, 0)))
+@example((IntMatrix(((3, 1), (1, 3))), 3, 6, (4, -7)))
+@example((IntMatrix(((2, 1), (1, 1))), 2, 6, (1, 1)))
+@example((IntMatrix(((5,),)), 2, 4, (3,)))
+def test_upsilon_matches_the_c_matrix_route(case):
+    """upsilon through Psi against the class of C U_i^-1 r in BF_j, with
+    A^j - I = C (A^i - I) and U_i^-1 the Bareiss inverse of BF_i's row
+    transform: the same class, and the same torus point as e."""
+    a, i, j, vec = case
+    try:
+        g = BFGroup(a, i)
+    except RootOfUnitySpectrum:
+        assume(False)
+    e = g.reduce(vec)
+    c = c_matrix(a, i, j)
+    assert c * (a ** i - IntMatrix.identity(a.dim)) == a ** j - IntMatrix.identity(a.dim)
+    y = upsilon(e, j)
+    assert y == BFGroup(a, j).reduce(c.apply(representative(e)))
+    assert psi(y) == psi(e)
+    if j > i:
+        with pytest.raises(NotDivisible):
+            c_matrix(a, j, i)
+
+
+def test_upsilon_refuses_a_level_that_i_does_not_divide(a2):
+    e = BFGroup(a2, 2).reduce((1, 0))
+    with pytest.raises(NotDivisible, match="2 does not divide 3"):
+        upsilon(e, 3)
+
+
+def test_integer_arguments_are_not_truncated(a2):
+    """Levels and coordinates go through operator.index: a float, a Fraction
+    or a string raises a TypeError naming the argument, where int() used to
+    truncate or parse it; ints, bools and numpy ints still pass."""
+    g = BFGroup(a2, 2)
+    for bad in [(1.5, 0), (Fraction(7, 2), 0), ("3", 0)]:
+        with pytest.raises(TypeError, match="coordinate must be an integer"):
+            g.reduce(bad)
+    with pytest.raises(TypeError, match="coordinate must be an integer"):
+        BFElement(g, (Fraction(1, 2), 0))
+    with pytest.raises(TypeError, match="k must be an integer, got 2.5"):
+        BFGroup(a2, 2.5)
+    e = BFGroup(a2, 1).reduce((1, 0))
+    with pytest.raises(TypeError, match="j must be an integer, got 4.0"):
+        upsilon(e, 4.0)
+    assert g.reduce((True, np.int64(0))) == g.reduce((1, 0))
+    assert BFElement(g, (np.int64(1), False)) == BFElement(g, (1, 0))
+    assert type(BFElement(g, (np.int64(1), False)).r[0]) is int
+    assert BFGroup(a2, np.int64(2)) == g and BFGroup(a2, True) == BFGroup(a2, 1)
+    assert upsilon(e, np.int64(2)) == upsilon(e, 2)
+
+
+def test_module_doctests():
+    result = doctest.testmod(bf)
+    assert result.attempted > 0 and result.failed == 0

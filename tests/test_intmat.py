@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from wedgedyn import IntMatrix, NotDivisible, SingularMatrix, c_matrix, char_poly, rat_inverse, snf
+from wedgedyn import IntMatrix, SingularMatrix, char_poly, rat_inverse, snf
 from wedgedyn.intmat import fraction, kernel
 
 
@@ -201,14 +201,16 @@ def test_det_inverse_kernel_match_sympy(a):
 @example(IntMatrix(((0, 0, 0),) * 3))
 @example(IntMatrix(((2, 4, 4), (-6, 6, 12), (10, -4, -16))))
 @example(IntMatrix(((0, 0, 3), (0, 5, 0), (7, 0, 0))))  # swaps before any reduction
-def test_snf_u_inv_is_the_inverse_of_u(a):
-    """The U^-1 that snf tracks beside U against the Bareiss inverse of U,
-    on full-rank and singular matrices."""
+def test_snf_transforms_are_unimodular(a):
+    """U and V have determinant +-1 by sympy and an integer Bareiss inverse,
+    and U M V = D, on full-rank and singular matrices."""
     d = snf(a)
-    inv, den = rat_inverse(d.U)
-    assert den == 1
-    assert d.U_inv == inv
-    assert d.U * d.U_inv == IntMatrix.identity(a.dim)
+    assert d.U * a * d.V == d.D
+    for t in (d.U, d.V):
+        assert abs(sympy.Matrix(t.rows).det()) == 1
+        inv, den = rat_inverse(t)
+        assert den == 1
+        assert t * inv == IntMatrix.identity(a.dim)
 
 
 def _snf_full_scan(a):
@@ -256,8 +258,8 @@ def _snf_full_scan(a):
 
 
 def test_snf_pivot_search_matches_the_full_scan():
-    """The early-stopping pivot search picks the full scan's pivot, so U, D,
-    V and U^-1 are the same, on seeded random matrices of dimension 1-5 with
+    """The early-stopping pivot search picks the full scan's pivot, so U, D
+    and V are the same, on seeded random matrices of dimension 1-5 with
     small entries (many units), wide entries (few) and low rank."""
     rng = random.Random(20261018)
     for trial in range(600):
@@ -270,14 +272,3 @@ def test_snf_pivot_search_matches_the_full_scan():
         d = snf(a)
         U, D, V = _snf_full_scan(a)
         assert (d.U, d.D, d.V) == (U, D, V)
-        assert d.U_inv == rat_inverse(U)[0]
-
-
-def test_c_matrix_identity(a2):
-    # (A^j - I) = C_ij (A^i - I) by construction
-    i2 = IntMatrix.identity(2)
-    for i, j in [(1, 2), (1, 4), (2, 4), (3, 6)]:
-        c = c_matrix(a2, i, j)
-        assert c * (a2 ** i - i2) == a2 ** j - i2
-    with pytest.raises(NotDivisible):
-        c_matrix(a2, 2, 3)
