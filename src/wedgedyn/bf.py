@@ -19,6 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from operator import add, index, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
@@ -33,7 +34,8 @@ class TorusPoint:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) % 1 for c in self.coords))
+        object.__setattr__(self, "coords", tuple(_rational(c, "torus coordinate") % 1
+                                                 for c in self.coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -46,6 +48,15 @@ def _integer(x, name: str) -> int:
         return index(x)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _rational(x, name: str) -> Fraction:
+    """x as a Fraction: ints, bools, Fractions and numpy ints are
+    numbers.Rational and pass, while floats and strings raise a TypeError
+    naming name."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"{name} must be numbers.Rational, such as int or Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def _torus_point(coords: tuple) -> TorusPoint:

@@ -23,7 +23,7 @@ from itertools import accumulate, islice, repeat
 from operator import add
 from typing import NamedTuple
 
-from .bf import BFElement, BFGroup, TorusPoint, psi
+from .bf import BFElement, BFGroup, TorusPoint, _integer, _rational, psi
 from .errors import BudgetExceeded, NotExpanding, RootOfUnitySpectrum
 from .intmat import IntMatrix, fraction
 from .spectra import LipschitzNormData, norm_data, rational_sqrt_upper, spectral
@@ -40,7 +40,7 @@ VERTEX = GraphPoint(0, Fraction(0))
 
 def graph_point(edge: int, t) -> GraphPoint:
     """Canonical point of the wedge; both edge endpoints collapse to VERTEX."""
-    t = Fraction(t)
+    t = _rational(t, "edge parameter")
     if not (0 <= t <= 1):
         raise ValueError(f"edge parameter {t} outside [0, 1]")
     if t == 0 or t == 1:
@@ -74,10 +74,10 @@ class CoverPoint(NamedTuple):
 def cover_point(edge: int, t, base) -> CoverPoint:
     """The point at parameter t in [0, 1] of the lift of edge based at base;
     t = 1 is the vertex at base + e_edge."""
-    t = Fraction(t)
+    t = _rational(t, "edge parameter")
     if not (0 <= t <= 1):
         raise ValueError(f"edge parameter {t} outside [0, 1]")
-    base = tuple(int(x) for x in base)
+    base = tuple(_integer(x, "base coordinate") for x in base)
     if t == 1:
         base = tuple(x + (1 if i == edge else 0) for i, x in enumerate(base))
         t = Fraction(0)

@@ -3,13 +3,15 @@
 Everything here is pure Python over int. One fraction-free Gauss-Jordan
 (Bareiss) elimination, _gauss_jordan, serves IntMatrix.det, rat_inverse
 and kernel, and its pivot step, bareiss_pivot, also drives the exact
-simplex of rotation's hulls; snf is the only other elimination, and it
-tracks no inverse: its transforms U and V are certified unimodular by
-|det| = 1 through IntMatrix.det. A rational matrix is always an integer
-matrix over one positive denominator: rat_inverse returns m^-1 as
-(N, den), and callers scale their numerators by den instead of building
-Fractions; where a table of one Fraction per numerator is needed after
-all, fraction builds each without the generic Fraction constructor.
+simplex of rotation's hulls; snf is the only other elimination. As
+rat_inverse carries m^-1 in [m | I], snf carries its transforms U and V as
+blocks of one integer matrix [[M, I], [I, 0]], and it tracks no inverse:
+U and V are certified unimodular by |det| = 1 through IntMatrix.det.
+A rational matrix is always an integer matrix over one positive
+denominator: rat_inverse returns m^-1 as (N, den), and callers scale their
+numerators by den instead of building Fractions; where a table of one
+Fraction per numerator is needed after all, fraction builds each without
+the generic Fraction constructor.
 Matrices are immutable (tuples of tuples) so they can be dict keys and set
 members, and IntMatrix.identity(n) is one shared object per n.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from operator import add, mul, sub
 
@@ -43,12 +46,10 @@ class IntMatrix:
                     raise TypeError(f"integer entry expected, got {x!r}")
 
     @staticmethod
+    @cache
     def identity(n: int) -> "IntMatrix":
         """I_n, built once per n: matrices are immutable, so one is shared."""
-        if n not in _identity_cache:
-            _identity_cache[n] = _int_matrix(tuple(tuple(int(i == j) for j in range(n))
-                                                   for i in range(n)))
-        return _identity_cache[n]
+        return _int_matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def dim(self) -> int:
@@ -114,9 +115,6 @@ def _int_matrix(rows: tuple) -> IntMatrix:
     m = object.__new__(IntMatrix)
     object.__setattr__(m, "rows", rows)
     return m
-
-
-_identity_cache = {}
 
 
 def _gauss_jordan(rows):
@@ -244,50 +242,30 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     scan stops at the first entry of absolute value 1, which no later
     entry can beat.
 
-    The row operations are applied to U and the column operations to V;
-    U M V = D, |det U| = |det V| = 1 (IntMatrix.det), D diagonal and the
-    divisor chain are all checked before the form is returned.
+    U and V are carried as blocks of one integer matrix, as rat_inverse
+    carries m^-1 in [m | I]: the elimination runs on [[M, I], [I, 0]], so
+    a row operation on one of the first n rows also acts on U (top right)
+    and a column operation on one of the first n columns also acts on V
+    (bottom left). U M V = D, |det U| = |det V| = 1 (IntMatrix.det), D
+    diagonal and the divisor chain are all checked before the form is
+    returned.
+
+    >>> snf(IntMatrix(((2, 0), (0, 3)))).diagonal
+    (1, 6)
     """
     n = m.dim
-    w = [list(r) for r in m.rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_sub(i, j, q):
-        # row i -= q * row j, applied to W and U
-        w[i] = [a - q * b for a, b in zip(w[i], w[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):
-        # col i -= q * col j, applied to W and V
-        for r in w:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def row_swap(i, j):
-        w[i], w[j] = w[j], w[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in w:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        w[i] = [-a for a in w[i]]
-        u[i] = [-a for a in u[i]]
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    a += [[int(i == j) for j in range(n)] + [0] * n for i in range(n)]
 
     def pivot(t):
         # (|entry|, row, col) of the pivot in the submatrix from (t, t), or None
         best = None
         for i in range(t, n):
             for j in range(t, n):
-                a = abs(w[i][j])
-                if a and (best is None or a < best[0]):
-                    best = (a, i, j)
-                    if a == 1:
+                x = abs(a[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+                    if x == 1:
                         return best
         return best
 
@@ -297,48 +275,36 @@ def snf(m: IntMatrix) -> SnfDecomposition:
             if best is None:
                 break
             _, pi, pj = best
-            if pi != t:
-                row_swap(t, pi)
+            a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                col_swap(t, pj)
-            if w[t][t] < 0:
-                row_neg(t)
-            p = w[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if w[i][t] != 0:
-                    q = w[i][t] // p
-                    if q:
-                        row_sub(i, t, q)
-                    if w[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if w[t][j] != 0:
-                    q = w[t][j] // p
-                    if q:
-                        col_sub(j, t, q)
-                    if w[t][j] != 0:
-                        dirty = True
-            if dirty:
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            top = a[t]
+            p = top[t]
+            for i in range(t + 1, n):  # clear column t: row i -= q * row t
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+            for j in range(t + 1, n):  # clear row t: column j -= q * column t
+                q = top[j] // p
+                if q:
+                    for r in a:
+                        r[j] -= q * r[t]
+            # neither loop touches the line the other clears, so their
+            # remainders are read once both are done
+            if any(r[t] for r in a[t + 1:n]) or any(top[t + 1:n]):
                 continue
             # pivot divides its cleared row/column; enforce it divides the rest
-            viol = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if w[i][j] % p != 0:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            viol = next((i for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p), None)
             if viol is None:
                 break
-            row_sub(t, viol, -1)  # fold the offending row in, then re-reduce
+            a[t] = list(map(add, top, a[viol]))  # fold the offending row in, then re-reduce
 
-    for t in range(n):
-        if w[t][t] < 0:
-            row_neg(t)
-
-    U, V, D = (_int_matrix(tuple(map(tuple, x))) for x in (u, v, w))
+    U = _int_matrix(tuple(tuple(r[n:]) for r in a[:n]))
+    D = _int_matrix(tuple(tuple(r[:n]) for r in a[:n]))
+    V = _int_matrix(tuple(tuple(r[:n]) for r in a[n:]))
     if U * m * V != D:
         raise RuntimeError("SNF internal check failed: U*M*V != D")
     if abs(U.det()) != 1 or abs(V.det()) != 1:
@@ -348,7 +314,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         for j in range(n):
             if i != j and D.rows[i][j] != 0:
                 raise RuntimeError("SNF internal check failed: D not diagonal")
-    for a, b in zip(diag, diag[1:]):
-        if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
+    for x, y in zip(diag, diag[1:]):
+        if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
             raise RuntimeError("SNF internal check failed: divisor chain broken")
     return SnfDecomposition(U=U, D=D, V=V)

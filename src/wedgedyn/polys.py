@@ -11,6 +11,7 @@ so only returned interval endpoints are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from operator import mul
 
@@ -127,43 +128,30 @@ def euler_phi(m: int) -> int:
     return out
 
 
-_cyclo_cache = {1: (1, -1)}
-
-
+@cache
 def cyclotomic(m: int):
     """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
-    if m in _cyclo_cache:
-        return _cyclo_cache[m]
     num = (1,) + (0,) * (m - 1) + (-1,)
     for d in range(1, m):
         if m % d == 0:
             num, rem = pseudo_divmod(num, cyclotomic(d))
             assert rem == ()
-    _cyclo_cache[m] = num
     return num
 
 
-_orders_cache = {}
-
-
+@cache
 def _unity_orders(b: int) -> tuple:
     """The m with euler_phi(m) <= b, the orders of the roots of unity of
     degree <= b over Q, for b >= 0. phi(m) >= sqrt(m/2), so m <= 2*b^2 + 6
     covers them all. Built once per b."""
-    if b not in _orders_cache:
-        _orders_cache[b] = tuple(m for m in range(1, 2 * b * b + 7) if euler_phi(m) <= b)
-    return _orders_cache[b]
+    return tuple(m for m in range(1, 2 * b * b + 7) if euler_phi(m) <= b)
 
 
-_cyclo_values = {}
-
-
+@cache
 def _cyclotomic_values(m: int) -> tuple:
     """(Phi_m, Phi_m(2), Phi_m(3)), built once per m; both values are > 0."""
-    if m not in _cyclo_values:
-        c = cyclotomic(m)
-        _cyclo_values[m] = c, evaluate(c, 2), evaluate(c, 3)
-    return _cyclo_values[m]
+    c = cyclotomic(m)
+    return c, evaluate(c, 2), evaluate(c, 3)
 
 
 def has_root_of_unity_factor(p) -> bool:

@@ -3,10 +3,14 @@
 A name that only the tests use belongs in tests/oracles.py (or in the test
 that needs it), not in the library. The walk reads the AST of every module
 but __init__.py, so docstrings and comments do not count as callers.
+The docstring examples of every module run here as well.
 """
 
 import ast
+import doctest
+import importlib
 import inspect
+import pkgutil
 import types
 from functools import cached_property
 from pathlib import Path
@@ -62,3 +66,13 @@ def test_every_export_has_a_caller_in_the_package():
         if inspect.isclass(obj) and obj.__module__.startswith("wedgedyn."):
             unused.update(f"{name}.{m}" for m in _public_methods(obj) if m not in attrs)
     assert unused == ALLOWED
+
+
+def test_module_doctests():
+    """The docstring examples of every module pass; __main__ is left out,
+    since importing it runs the CLI."""
+    results = {name: doctest.testmod(importlib.import_module(f"wedgedyn.{name}"))
+               for _, name, _ in pkgutil.iter_modules(wedgedyn.__path__) if name != "__main__"}
+    with_examples = {name for name, r in results.items() if r.attempted}
+    assert with_examples == {"bf", "intmat", "polys", "svg", "words"}
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}

@@ -1,4 +1,3 @@
-import doctest
 import gc
 import itertools
 from fractions import Fraction
@@ -370,6 +369,10 @@ def test_integer_arguments_are_not_truncated(a2):
     assert upsilon(e, np.int64(2)) == upsilon(e, 2)
 
 
-def test_module_doctests():
-    result = doctest.testmod(bf)
-    assert result.attempted > 0 and result.failed == 0
+def test_torus_point_takes_rational_coordinates_only():
+    with pytest.raises(TypeError, match="torus coordinate"):
+        TorusPoint((0.1, Fraction(7, 3)))
+    with pytest.raises(TypeError, match="torus coordinate"):
+        TorusPoint((Fraction(1, 3), "7/3"))
+    p = TorusPoint((np.int64(3), Fraction(7, 3), True, -1))
+    assert p.coords == (0, Fraction(1, 3), 0, 0) and all(type(c) is Fraction for c in p.coords)

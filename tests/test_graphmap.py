@@ -4,6 +4,7 @@ import string
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,27 @@ def test_iota_and_inverse_roundtrip():
     assert deck(v, (1, 1)).base == (3, 3)
     # t = 1 canonicalizes onto the next lattice point
     assert cover_point(0, F(1), (0, 0)) == cover_point(1, F(0), (1, 0))
+
+
+def test_point_constructors_take_exact_input_only():
+    """Edge parameters must be numbers.Rational and base coordinates
+    integers: a float or a string raises, where Fraction() and int() would
+    have converted, truncated or parsed it."""
+    with pytest.raises(TypeError, match="base coordinate"):
+        cover_point(0, F(2, 5), (1.7, 3))
+    with pytest.raises(TypeError, match="base coordinate"):
+        cover_point(0, F(2, 5), (1, "3"))
+    with pytest.raises(TypeError, match="base coordinate"):
+        cover_point(0, F(2, 5), (F(1), 3))
+    for t in (0.1, "1/3", 0.5):
+        with pytest.raises(TypeError, match="edge parameter"):
+            graph_point(0, t)
+        with pytest.raises(TypeError, match="edge parameter"):
+            cover_point(0, t, (0, 0))
+    cp = cover_point(0, F(1, 2), (np.int64(2), True))
+    assert cp == cover_point(0, F(1, 2), (2, 1)) and all(type(x) is int for x in cp.base)
+    assert cover_point(1, np.int64(1), (0, 0)) == cover_point(1, True, (0, 0)) == (VERTEX, (0, 1))
+    assert graph_point(1, np.int64(0)) == graph_point(1, False) == VERTEX
 
 
 @pytest.mark.parametrize("t", [2, F(5, 4), F(-1, 3)])

@@ -196,11 +196,19 @@ def test_det_inverse_kernel_match_sympy(a):
         assert k.row_join(sympy.Matrix.hstack(*null)).rank() == len(null)
 
 
+_FOLD = IntMatrix(((2, 0), (0, 3)))  # divisibility fold, then a negative pivot: D = diag(1, 6)
+_NEGATIVE_1X1 = IntMatrix(((-4,),))
+_RANK_ONE = IntMatrix(((2, 4), (-1, -2)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.one_of(int_matrix(n), _low_rank(n))))
 @example(IntMatrix(((0, 0, 0),) * 3))
 @example(IntMatrix(((2, 4, 4), (-6, 6, 12), (10, -4, -16))))
 @example(IntMatrix(((0, 0, 3), (0, 5, 0), (7, 0, 0))))  # swaps before any reduction
+@example(_FOLD)
+@example(_NEGATIVE_1X1)
+@example(_RANK_ONE)
 def test_snf_transforms_are_unimodular(a):
     """U and V have determinant +-1 by sympy and an integer Bareiss inverse,
     and U M V = D, on full-rank and singular matrices."""
@@ -262,13 +270,15 @@ def test_snf_pivot_search_matches_the_full_scan():
     and V are the same, on seeded random matrices of dimension 1-5 with
     small entries (many units), wide entries (few) and low rank."""
     rng = random.Random(20261018)
+    cases = [_FOLD, _NEGATIVE_1X1, _RANK_ONE]
     for trial in range(600):
         n = rng.randint(1, 5)
         lo = (1, 3, 40)[trial % 3]
         rows = [[rng.randint(-lo, lo) for _ in range(n)] for _ in range(n)]
         if trial % 5 == 0 and n > 1:
             rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1 % n])]
-        a = IntMatrix(tuple(map(tuple, rows)))
+        cases.append(IntMatrix(tuple(map(tuple, rows))))
+    for a in cases:
         d = snf(a)
         U, D, V = _snf_full_scan(a)
         assert (d.U, d.D, d.V) == (U, D, V)
