@@ -1,3 +1,4 @@
+import doctest
 import gc
 import itertools
 from fractions import Fraction
@@ -376,3 +377,8 @@ def test_torus_point_takes_rational_coordinates_only():
         TorusPoint((Fraction(1, 3), "7/3"))
     p = TorusPoint((np.int64(3), Fraction(7, 3), True, -1))
     assert p.coords == (0, Fraction(1, 3), 0, 0) and all(type(c) is Fraction for c in p.coords)
+
+
+def test_module_doctests():
+    result = doctest.testmod(bf)
+    assert result.attempted > 0 and result.failed == 0

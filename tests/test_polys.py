@@ -1,3 +1,4 @@
+import doctest
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import wedgedyn.polys
 from wedgedyn import IntMatrix, char_poly, has_root_of_unity_factor
 from wedgedyn.polys import (
     _unity_orders,
@@ -210,6 +212,11 @@ def test_sturm_and_isolation():
         assert lo <= want <= hi
         assert hi - lo <= Fraction(1, 10 ** 12)
     assert seq[0] == p
+
+
+def test_module_doctests():
+    result = doctest.testmod(wedgedyn.polys)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_pseudo_divmod_scaled_identity():

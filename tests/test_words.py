@@ -1,8 +1,16 @@
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wedgedyn.words
 from wedgedyn import Endomorphism, Letter, RankMismatch, Word
+
+
+def test_module_doctests():
+    result = doctest.testmod(wedgedyn.words)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_letter_basics():
