@@ -8,12 +8,16 @@ parent is the committed tree of --parent, unpacked by `git archive` into a
 temporary directory that is removed again; nothing under .git is written.
 For every workload and for seeds 1 and 5, both sides run
 `perfbench/run.py --workload W --seed S --seconds 12 --trace 0` in 10
-pairs, and the side that runs first alternates from pair to pair. The
+pairs, and the side that runs first alternates from pair to pair. After
+the pairs, each side runs once more with `--trace 1` for the same 12
+seconds, and the calls and self time per pass of every layer that
+BENCHMARK.json's per_layer list names are recorded for both sides. The
 output holds, per metric, the median and quartiles of each side's runs,
 the runs themselves and the pairs the change won and lost; per workload
-and seed, the output digests and whether every run passed its gates; and
-the non-blank line counts of src/wedgedyn and of tests on both sides, so
-that code moved from the package into the tests shows as a move.
+and seed, the output digests, whether every run passed its gates, and the
+traced layer counts; and the non-blank line counts of src/wedgedyn and of
+tests on both sides, so that code moved from the package into the tests
+shows as a move.
 
 The claim is met on a seed when the change wins at least 9 of the 10
 pairs and its median beats the parent's by more than the parent's
@@ -44,13 +48,17 @@ with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
 WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 # end-to-end metric -> 1 when lower is better, -1 when higher is
 METRICS = {m["name"]: 1 if m["better"] == "lower" else -1 for m in _BENCHMARK["end_to_end"]}
+# the traced layers: every per_layer name with a call count
+LAYERS = tuple(m["name"].removesuffix(".calls") for m in _BENCHMARK["per_layer"]
+               if m["name"].endswith(".calls"))
+LAYER_FIELDS = ("calls", "self_s")
 SEED_NOTES = {1: "the seed used while building", 5: "a seed not used while building"}
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One `run.py --trace 0`: its info line, with the metric values."""
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One `run.py --trace T`: its info line, with the metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -83,6 +91,17 @@ def summarize(pairs: list) -> dict:
             "digests": sorted({r["digest"] for side in runs.values() for r in side}),
             "all_correct": all(r["correct"] for side in runs.values() for r in side),
             "metrics": metrics}
+
+
+def summarize_layers(traced: dict) -> dict:
+    """traced: side -> one `run.py --trace 1` run. Per layer, each side's
+    calls and self time per pass, with the traced runs' digests and gates."""
+    return {"digests": sorted({r["digest"] for r in traced.values()}),
+            "all_correct": all(r["correct"] for r in traced.values()),
+            "layers": {layer: {field: {side: r["metrics"][f"{layer}.{field}"]
+                                       for side, r in traced.items()}
+                               for field in LAYER_FIELDS}
+                       for layer in LAYERS}}
 
 
 def claim_verdict(metric: dict) -> str:
@@ -128,7 +147,7 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
                 "median and quartiles of each side's runs, the runs themselves, and how many "
                 "pairs the change won and lost",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
-                   "--trace 0",
+                   "--trace 0, then once per side with --trace 1 for the traced layers",
         "parent_commit": parent_commit,
         "machine": machine(),
         "seeds": {str(s): SEED_NOTES[s] for s in SEEDS},
@@ -149,6 +168,8 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
                       f"{runs['parent']['metrics']['wall_s']:.4f} -> "
                       f"{runs['change']['metrics']['wall_s']:.4f}", file=sys.stderr)
             out["workloads"][w][f"seed_{seed}"] = summarize(pairs)
+            out["workloads"][w][f"seed_{seed}"]["traced"] = summarize_layers(
+                {side: run_once(dirs[side], w, seed, trace=1) for side in ("parent", "change")})
     if claimed:
         out["claim"] = {
             "metric": claimed_metric, "workload": claimed,

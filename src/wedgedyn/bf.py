@@ -5,12 +5,12 @@ A^k - I invertible, so each BF_k is finite of order |det(A^k - I)| and the
 monomorphism Psi embeds it into the rational points of the torus fixed by
 the k-th power of the induced toral map.
 
-One Smith form U (A^k - I) V = D serves each group: cosets reduce U n
+One Smith form U (A^k - I) V = D serves each level: cosets reduce U n
 modulo the diagonal, and Psi is read off (A^k - I)^-1 = V D^-1 U. The
 bonding maps of the direct limit go through Psi as well: upsilon sends a
 class of BF_i to the class of BF_j with the same torus point. While a
-group of A lives, a new BFGroup(A, j) skips the hypothesis check and shares
-A's tower of A^k - I and Smith forms (_Tower), which dies with the last group.
+group of A lives, a new BFGroup(A, j) skips the hypothesis check and reads
+level j's one record in A's tower (_Tower), which dies with the last group.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
-from operator import add, index, mod, mul
+from operator import add, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, fraction, snf
+from .intmat import IntMatrix, _integer, _rational, fraction, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
@@ -41,24 +40,6 @@ class TorusPoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def _integer(x, name: str) -> int:
-    """x as an int, through operator.index: ints, bools and numpy ints pass,
-    while floats, Fractions and strings raise a TypeError naming name."""
-    try:
-        return index(x)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {x!r}") from None
-
-
-def _rational(x, name: str) -> Fraction:
-    """x as a Fraction: ints, bools, Fractions and numpy ints are
-    numbers.Rational and pass, while floats and strings raise a TypeError
-    naming name."""
-    if not isinstance(x, Rational):
-        raise TypeError(f"{name} must be numbers.Rational, such as int or Fraction, got {x!r}")
-    return Fraction(x)
-
-
 def _torus_point(coords: tuple) -> TorusPoint:
     """A TorusPoint from Fractions already reduced into [0, 1), built
     without the constructor's per-coordinate reduction."""
@@ -67,14 +48,35 @@ def _torus_point(coords: tuple) -> TorusPoint:
     return p
 
 
-class _Tower:
-    """A^k - I (in M) and its Smith form (in snf) by level k, shared by the
-    groups of one A that passed the root-of-unity check; held weakly."""
+class _Level:
+    """BF_k(A)'s tables, shared by every group of the level: M = A^k - I;
+    coords, numerator n -> Fraction(n, L), filled by psi and enumerate_fixed
+    so each Fraction is built once; and, built on first use, the Smith form
+    of M and the Psi map. It refers to neither its tower nor a group."""
 
-    __slots__ = ("M", "snf", "__weakref__")
+    def __init__(self, a: IntMatrix, k: int):
+        self.M = a ** k - IntMatrix.identity(a.dim)
+        self.coords = {}
 
-    def __init__(self):
-        self.M, self.snf = {}, {}
+    @cached_property
+    def snf(self):
+        return snf(self.M)
+
+    @cached_property
+    def psi_map(self) -> tuple:
+        """(W, L) with Psi(e) = W e.r / L mod 1: M^-1 = V D^-1 U, so
+        W = V diag(L / d_i) with L = d_n, the exponent of BF_k."""
+        diag = self.snf.diagonal
+        L = diag[-1]
+        return IntMatrix(tuple(tuple(v * (L // d) for v, d in zip(row, diag))
+                               for row in self.snf.V.rows)), L
+
+
+class _Tower(dict):
+    """Level k -> the _Level of BF_k(A), shared by the groups of one A that
+    passed the root-of-unity check; held weakly, and by each group."""
+
+    __slots__ = ("__weakref__",)
 
 
 _towers = weakref.WeakValueDictionary()  # A.rows -> the _Tower of A's live groups
@@ -87,6 +89,7 @@ class BFGroup:
     A: IntMatrix
     k: int
     _tower: _Tower = field(init=False, repr=False, compare=False)
+    _level: _Level = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", _integer(self.k, "k"))
@@ -97,29 +100,23 @@ class BFGroup:
             if has_root_of_unity_factor(char_poly(self.A)):
                 raise RootOfUnitySpectrum("A has a root-of-unity eigenvalue; BF groups degenerate")
             tower = _towers[self.A.rows] = _Tower()
+        level = tower.get(self.k)
+        if level is None:
+            level = tower[self.k] = _Level(self.A, self.k)
         object.__setattr__(self, "_tower", tower)
+        object.__setattr__(self, "_level", level)
 
-    @cached_property
+    @property
     def M(self) -> IntMatrix:
-        m = self._tower.M.get(self.k)
-        if m is None:
-            m = self._tower.M[self.k] = self.A ** self.k - IntMatrix.identity(self.A.dim)
-        return m
+        return self._level.M
 
-    @cached_property
-    def _snf(self):
-        form = self._tower.snf.get(self.k)
-        if form is None:
-            form = self._tower.snf[self.k] = snf(self.M)
-        return form
-
-    @cached_property
+    @property
     def diagonal(self) -> tuple:
-        return self._snf.diagonal
+        return self._level.snf.diagonal
 
-    @cached_property
+    @property
     def invariant_factors(self) -> tuple:
-        return self._snf.invariant_factors
+        return self._level.snf.invariant_factors
 
     @cached_property
     def order(self) -> int:
@@ -131,29 +128,9 @@ class BFGroup:
             raise RuntimeError("order mismatch between SNF and determinant")
         return n
 
-    @cached_property
-    def _psi_map(self) -> tuple:
-        """(W, L) with Psi(e) = W e.r / L mod 1: M^-1 = V D^-1 U, so
-        W = V diag(L / d_i) with L = d_n, the exponent of BF_k."""
-        diag = self.diagonal
-        L = diag[-1]
-        return IntMatrix(tuple(tuple(v * (L // d) for v, d in zip(row, diag))
-                               for row in self._snf.V.rows)), L
-
-    @cached_property
-    def _coords(self) -> dict:
-        """Numerator n -> Fraction(n, L), filled as psi meets each n, so each
-        coordinate Fraction of this group is built once; at most L entries."""
-        return {}
-
-    @cached_property
-    def _reducer(self) -> tuple:
-        """(row i of U, d_i) for each coordinate i of a class."""
-        return tuple(zip(self._snf.U.rows, self.diagonal))
-
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n: U n reduced modulo the diagonal."""
-        if len(n) != len(self._reducer):
+        if len(n) != self.A.dim:
             raise DimensionMismatch("vector length mismatch")
         return self._classes([[_integer(x, "coordinate") for x in n]])[0]
 
@@ -161,7 +138,9 @@ class BFGroup:
         """reduce without its checks, for int vectors of the right length
         that the package built itself, one coordinate over all of them at
         a time."""
-        coords = [[sum(map(mul, row, n)) % d for n in vectors] for row, d in self._reducer]
+        form = self._level.snf
+        coords = [[sum(map(mul, row, n)) % d for n in vectors]
+                  for row, d in zip(form.U.rows, form.diagonal)]
         return [_bf_element(self, r) for r in zip(*coords)]
 
 
@@ -198,8 +177,8 @@ def psi(e: BFElement) -> TorusPoint:
     integer vector z. Injective under the standing hypothesis, so equality
     of Psi images is the canonical equality test in the direct limit.
     """
-    w, den = e.group._psi_map
-    coords, r = e.group._coords, e.r
+    level = e.group._level
+    (w, den), coords, r = level.psi_map, level.coords, e.r
     out = []
     for row in w.rows:
         x = sum(map(mul, row, r)) % den
@@ -226,7 +205,7 @@ def upsilon(e: BFElement, j: int) -> BFElement:
     if j % i != 0:
         raise NotDivisible(f"{i} does not divide {j}")
     target = BFGroup(e.group.A, j)
-    w, den = e.group._psi_map
+    w, den = e.group._level.psi_map
     x = [sum(map(mul, row, e.r)) % den for row in w.rows]
     n = [divmod(sum(map(mul, row, x)), den) for row in target.M.rows]
     if any(rem for _, rem in n):
@@ -240,11 +219,10 @@ def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
     These are exactly the Psi images of BF_k(A); there are |det(A^k - I)|
     of them, and with a budget BudgetExceeded is raised before the Smith
     form is built when that count passes it. Every coordinate is a
-    numerator over L (see BFGroup._psi_map), so the SNF box is walked on
+    numerator over L (see _Level.psi_map), so the SNF box is walked on
     numerators, j steps along axis i adding j times column i of W mod L; the
-    numerator tuples sort in the order of the points, and L is the
-    exponent of BF_k, so the Fraction table has no more entries than there
-    are points.
+    numerator tuples sort in the order of the points, and their Fractions
+    come from the level's numerator table, which psi shares.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -253,12 +231,12 @@ def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
         size = abs(g.M.det())
         if size > budget:
             raise BudgetExceeded(f"{size} torus fixed points exceed budget {budget}")
-    w, den = g._psi_map
-    steps = w.transpose().rows
+    level = g._level
+    (w, den), frac = level.psi_map, level.coords
     nums, dens = [(0,) * a.dim], (den,) * a.dim
-    for step, d in zip(steps, g.diagonal):
+    for step, d in zip(w.transpose().rows, g.diagonal):
         moves = [tuple(j * s for s in step) for j in range(d)]
         nums = [tuple(map(mod, map(add, v, move), dens)) for v in nums for move in moves]
     nums.sort()
-    frac = [fraction(n, den) for n in range(den)]
+    frac.update((n, fraction(n, den)) for n in range(den) if n not in frac)
     return [_torus_point(tuple(map(frac.__getitem__, v))) for v in nums]

@@ -23,9 +23,9 @@ from itertools import accumulate, islice, repeat
 from operator import add
 from typing import NamedTuple
 
-from .bf import BFElement, BFGroup, TorusPoint, _integer, _rational, psi
+from .bf import BFElement, BFGroup, TorusPoint, psi
 from .errors import BudgetExceeded, NotExpanding, RootOfUnitySpectrum
-from .intmat import IntMatrix, fraction
+from .intmat import IntMatrix, _integer, _rational, fraction
 from .spectra import LipschitzNormData, norm_data, rational_sqrt_upper, spectral
 from .words import Endomorphism
 
@@ -38,8 +38,17 @@ class GraphPoint(NamedTuple):
 VERTEX = GraphPoint(0, Fraction(0))
 
 
+def _edge(edge) -> int:
+    """An edge index as an int >= 0, or a TypeError or ValueError naming it."""
+    edge = _integer(edge, "edge")
+    if edge < 0:
+        raise ValueError(f"edge must be >= 0, got {edge}")
+    return edge
+
+
 def graph_point(edge: int, t) -> GraphPoint:
     """Canonical point of the wedge; both edge endpoints collapse to VERTEX."""
+    edge = _edge(edge)
     t = _rational(t, "edge parameter")
     if not (0 <= t <= 1):
         raise ValueError(f"edge parameter {t} outside [0, 1]")
@@ -73,11 +82,14 @@ class CoverPoint(NamedTuple):
 
 def cover_point(edge: int, t, base) -> CoverPoint:
     """The point at parameter t in [0, 1] of the lift of edge based at base;
-    t = 1 is the vertex at base + e_edge."""
+    t = 1 is the vertex at base + e_edge, so 0 <= edge < len(base)."""
+    edge = _edge(edge)
     t = _rational(t, "edge parameter")
     if not (0 <= t <= 1):
         raise ValueError(f"edge parameter {t} outside [0, 1]")
     base = tuple(_integer(x, "base coordinate") for x in base)
+    if edge >= len(base):
+        raise ValueError(f"edge {edge} outside a base of length {len(base)}")
     if t == 1:
         base = tuple(x + (1 if i == edge else 0) for i, x in enumerate(base))
         t = Fraction(0)
@@ -204,6 +216,8 @@ class TightMap:
         """The slot carrying a non-vertex point x, and the parameter of phi(x)
         on the edge of the slot's generator."""
         e, t = x
+        if e >= self.rank:
+            raise ValueError(f"edge {e} outside rank {self.rank}")
         slot = self.slots[e][int(self.speeds[e] * t)]  # t < 1, so a real slot
         return slot, slot.mul * t + slot.add
 
@@ -308,6 +322,7 @@ class TightMap:
         NotExpanding is raised when a closed itinerary of length k composes
         to the identity, whose fixed points are not isolated.
         """
+        k = _integer(k, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
         if budget is not None:

@@ -14,6 +14,8 @@ Fraction per numerator is needed after all, fraction builds each without
 the generic Fraction constructor.
 Matrices are immutable (tuples of tuples) so they can be dict keys and set
 members, and IntMatrix.identity(n) is one shared object per n.
+_integer and _rational are the package's one rule for exact input, and
+IntMatrix takes its entries through _integer.
 """
 
 from __future__ import annotations
@@ -22,13 +24,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from operator import add, mul, sub
+from numbers import Rational
+from operator import add, index, mul, sub
 
 from .errors import DimensionMismatch, SingularMatrix
 
 
-def _as_rows(rows):
-    return tuple(tuple(r) for r in rows)
+def _integer(x, name: str) -> int:
+    """x as an int, through operator.index: ints, bools and numpy ints pass,
+    while floats, Fractions and strings raise a TypeError naming name."""
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _rational(x, name: str) -> Fraction:
+    """x as a Fraction: ints, bools, Fractions and numpy ints are
+    numbers.Rational and pass, while floats and strings raise a TypeError
+    naming name."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"{name} must be numbers.Rational, such as int or Fraction, got {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -36,14 +53,10 @@ class IntMatrix:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _as_rows(self.rows))
-        n = len(self.rows)
-        for r in self.rows:
-            if len(r) != n:
-                raise DimensionMismatch("matrix must be square")
-            for x in r:
-                if not isinstance(x, int):
-                    raise TypeError(f"integer entry expected, got {x!r}")
+        rows = tuple(tuple(_integer(x, "matrix entry") for x in r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if any(len(r) != len(rows) for r in rows):
+            raise DimensionMismatch("matrix must be square")
 
     @staticmethod
     @cache

@@ -18,7 +18,7 @@ from numbers import Rational
 
 from .errors import BudgetExceeded, DimensionMismatch, NontrivialHomologyAction, NotEigenvectorOne
 from .graphmap import PeriodicPoint, TightMap
-from .intmat import IntMatrix, bareiss_pivot
+from .intmat import IntMatrix, _rational, bareiss_pivot
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def periodic_rotation_vector(m: TightMap, p: PeriodicPoint) -> tuple:
 
 def eigen_rotation_number(m: TightMap, p: PeriodicPoint, v) -> Fraction:
     """<v, translation>/period for an exact fixed vector of A^T."""
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(_rational(x, "eigenvector coordinate") for x in v)
     if len(v) != m.rank:
         raise DimensionMismatch("vector length mismatch")
     at = m.A.transpose()

@@ -43,7 +43,7 @@ def elements(g):
 def representative(e):
     """An integer vector in the coset e: U^-1 e.r, with U^-1 the Bareiss
     inverse of the group's unimodular row transform U."""
-    u_inv, den = rat_inverse(e.group._snf.U)
+    u_inv, den = rat_inverse(e.group._level.snf.U)
     assert den == 1
     return u_inv.apply(e.r)
 

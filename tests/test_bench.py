@@ -72,6 +72,27 @@ def test_summarize_counts_ties_for_neither_side():
     assert (m["change_wins"], m["change_losses"]) == (0, 0)
 
 
+def test_summarize_layers_keeps_each_sides_calls_and_self_time():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["per_layer"]]
+    assert set(bench.LAYERS) == {n.removesuffix(".calls") for n in names if n.endswith(".calls")}
+    assert "intmat.snf" in bench.LAYERS and "trace_overhead" not in bench.LAYERS
+
+    def traced(digest, correct, snf_calls):
+        metrics = {f"{layer}.{field}": 0.0 for layer in bench.LAYERS
+                   for field in ("calls", "busy_s", "self_s")}
+        metrics.update({"intmat.snf.calls": snf_calls, "intmat.snf.self_s": snf_calls / 1e4,
+                        "trace_overhead": 1.5})
+        return {"digest": digest, "correct": correct, "metrics": metrics}
+
+    out = bench.summarize_layers({"parent": traced("d", True, 948), "change": traced("d", False, 900)})
+    assert out["digests"] == ["d"] and not out["all_correct"]
+    assert list(out["layers"]) == list(bench.LAYERS)
+    assert out["layers"]["intmat.snf"] == {"calls": {"parent": 948, "change": 900},
+                                           "self_s": {"parent": 0.0948, "change": 0.09}}
+    assert all(set(v) == {"calls", "self_s"} for v in out["layers"].values())
+
+
 def test_nonblank_lines(tmp_path):
     (tmp_path / "a.py").write_text("x = 1\n\n   \ny = 2\n", encoding="utf-8")
     (tmp_path / "b.py").write_text("\n# a comment counts\n", encoding="utf-8")

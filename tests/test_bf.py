@@ -83,6 +83,9 @@ def test_element_coordinates_must_match_the_rank():
     for r in [(), (1,), (0, 1, 2)]:
         with pytest.raises(DimensionMismatch):
             BFElement(g, r)
+    for r in [(4, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="outside the SNF box"):
+            BFElement(g, r)
 
 
 def test_psi_embedding_injective(a2):
@@ -199,11 +202,11 @@ def test_group_built_beside_a_live_group_matches_a_fresh_one(case, j):
         assume(False)
     shared = BFGroup(a, j)
     assert shared._tower is g._tower
-    seen = (shared.order, shared.diagonal, shared._psi_map, shared.reduce(vec).r)
+    seen = (shared.order, shared.diagonal, shared._level.psi_map, shared.reduce(vec).r)
     del g, shared
     assert a.rows not in bf._towers
     fresh = BFGroup(a, j)
-    assert seen == (fresh.order, fresh.diagonal, fresh._psi_map, fresh.reduce(vec).r)
+    assert seen == (fresh.order, fresh.diagonal, fresh._level.psi_map, fresh.reduce(vec).r)
     assert fresh == BFGroup(a, j)
 
 
@@ -232,8 +235,12 @@ def test_upsilon_target_shares_the_live_groups_smith_form(a2):
     g1, g2 = BFGroup(a2, 1), BFGroup(a2, 2)
     y = upsilon(g1.reduce((1, 0)), 2)
     assert y.group == g2 and y.group is not g2
-    assert y.group._snf is g2._snf
+    assert y.group._level is g2._level
     assert y.group.M is g2.M
+    psi(g2.reduce((1, 0)))
+    w = g2._level.psi_map
+    psi(y)  # reads the level's Psi map and numerator table, builds neither again
+    assert y.group._level.psi_map is w and y.group._level.coords is g2._level.coords
 
 
 def test_towers_die_with_the_last_group_and_element(a2):
@@ -260,6 +267,29 @@ def test_root_of_unity_matrices_are_refused_every_time_and_get_no_tower(rows):
     assert a.rows not in bf._towers
 
 
+def test_over_budget_enumeration_builds_no_smith_form(a2):
+    """enumerate_fixed refuses before the level's Smith form is built; a
+    live group keeps the level to look at."""
+    gc.collect()
+    g = BFGroup(a2, 2)
+    with pytest.raises(BudgetExceeded):
+        enumerate_fixed(a2, 2, budget=44)
+    assert g._tower[2] is g._level and g.M is g._level.M
+    assert "snf" not in vars(g._level) and "psi_map" not in vars(g._level)
+
+
+def test_enumerate_fixed_shares_the_levels_fractions(a2):
+    """Torus points and Psi images of one level share one Fraction per
+    numerator, from the level's table."""
+    g = BFGroup(a2, 2)
+    pts = enumerate_fixed(a2, 2)
+    _, den = g._level.psi_map
+    assert sorted(g._level.coords) == list(range(den))
+    images = {psi(e).coords: psi(e) for e in elements(g)}
+    for p in pts:
+        assert all(x is y for x, y in zip(p.coords, images[p.coords].coords))
+
+
 def test_enumerate_fixed_budget(a2):
     # |det(A^2 - I)| = 45 fixed points at level 2
     assert len(enumerate_fixed(a2, 2, budget=45)) == 45
@@ -281,7 +311,7 @@ def test_reduce_is_u_n_modulo_the_diagonal(case):
     except RootOfUnitySpectrum:
         assume(False)
     e = g.reduce(vec)
-    want = tuple(x % d for x, d in zip(g._snf.U.apply(vec), g.diagonal))
+    want = tuple(x % d for x, d in zip(g._level.snf.U.apply(vec), g.diagonal))
     assert e.r == want
     assert all(type(x) is int for x in e.r)
     assert e == BFElement(g, want)
@@ -298,8 +328,8 @@ def test_psi_builds_each_coordinate_once(a2):
     group's table holds at most L = 15 of them."""
     g = BFGroup(a2, 2)
     coords = [c for e in elements(g) for c in psi(e).coords]
-    assert len({id(c) for c in coords}) == len(set(coords)) <= g._psi_map[1]
-    assert len(g._coords) == len(set(coords))
+    assert len({id(c) for c in coords}) == len(set(coords)) <= g._level.psi_map[1]
+    assert len(g._level.coords) == len(set(coords))
     # (A^2 - I)^-1 (1, 0) = (9, -6) / 45
     assert psi(g.reduce((1, 0))).coords == (Fraction(1, 5), Fraction(13, 15))
 

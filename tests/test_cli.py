@@ -540,6 +540,16 @@ def test_negative_budget_exit(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_comment_only_map_exit(capsys, tmp_path):
+    mapfile = tmp_path / "empty.map"
+    mapfile.write_text("# a comment and no map\n", encoding="utf-8")
+    code = main(["analyze", str(mapfile)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "wedgedyn.errors.ParseError: 1:1: no map definitions in file\n"
+
+
 def test_missing_file_exit(capsys):
     code = main(["analyze", "no-such-file.map"])
     assert code == 1

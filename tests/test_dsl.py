@@ -122,6 +122,9 @@ def test_error_position_reported():
     ("map p rank 2 { a -> a_b ; b -> b ; }", ParseError, "1:22: bad word character '_'"),
     ("map p rank 2 { a -> a 3 ; }", ParseError, "1:23: expected word letter or ';', got '3'"),
     ("map p rank 2 { a -> a b", ParseError, "1:24: expected word letter or ';', got end of input"),
+    ("map 7 rank 2 {}", ParseError, "1:5: expected map name, got '7'"),
+    ("map p rank x {", ParseError, "1:12: expected rank, got 'x'"),
+    ("map p rank 2 { a b ; }", ParseError, "1:18: expected '->', got 'b'"),
 ])
 def test_error_messages_and_positions(text, error, message):
     with pytest.raises(ParseError) as ei:

@@ -14,7 +14,9 @@ from wedgedyn import (
     BFGroup,
     BudgetExceeded,
     Chart,
+    CoverPoint,
     Endomorphism,
+    GraphPoint,
     MapSpec,
     NotExpanding,
     RootOfUnitySpectrum,
@@ -77,6 +79,32 @@ def test_point_constructors_take_exact_input_only():
     assert cp == cover_point(0, F(1, 2), (2, 1)) and all(type(x) is int for x in cp.base)
     assert cover_point(1, np.int64(1), (0, 0)) == cover_point(1, True, (0, 0)) == (VERTEX, (0, 1))
     assert graph_point(1, np.int64(0)) == graph_point(1, False) == VERTEX
+
+
+def test_graph_point_takes_an_int_edge_at_least_zero():
+    with pytest.raises(ValueError, match="edge must be >= 0, got -1"):
+        graph_point(-1, F(1, 8))
+    with pytest.raises(TypeError, match="edge must be an integer"):
+        graph_point(1.0, F(1, 8))
+    p = graph_point(np.int64(1), F(1, 8))
+    assert p == GraphPoint(1, F(1, 8)) and type(p.edge) is int
+
+
+def test_cover_point_takes_an_edge_of_its_base():
+    with pytest.raises(ValueError, match="edge must be >= 0, got -1"):
+        cover_point(-1, F(1), (0, 0))
+    for edge in (2, 5):
+        with pytest.raises(ValueError, match=f"edge {edge} outside a base of length 2"):
+            cover_point(edge, F(1, 2), (0, 0))
+    assert type(cover_point(np.int64(1), F(1, 2), (0, 0)).point.edge) is int
+
+
+@pytest.mark.parametrize("edge", [2, 5])
+def test_eval_refuses_an_edge_past_the_rank(phi2, edge):
+    with pytest.raises(ValueError, match=f"edge {edge} outside rank 2"):
+        phi2.eval(graph_point(edge, F(1, 8)))
+    with pytest.raises(ValueError, match=f"edge {edge} outside rank 2"):
+        phi2.lift_eval(CoverPoint(graph_point(edge, F(1, 8)), (0, 0)))
 
 
 @pytest.mark.parametrize("t", [2, F(5, 4), F(-1, 3)])
@@ -411,6 +439,17 @@ def test_shadowing_classes_runs_one_census_and_psi_per_class(phi2, monkeypatch):
     classes = phi2.shadowing_classes(3)
     assert len(classes) == 66
     assert calls == {"census": 1, "psi": len(classes)}
+
+
+def test_periodic_points_take_an_int_level(phi2):
+    """k goes through operator.index, as BFGroup's k does: a bool or a
+    numpy int lists the points of that int level, and a float raises."""
+    for k in (True, np.int64(2)):
+        pts = phi2.periodic_points(k)
+        assert pts == phi2.periodic_points(int(k))
+        assert all(type(p.period) is int for p in pts)
+    with pytest.raises(TypeError, match="k must be an integer, got 2.0"):
+        phi2.periodic_points(2.0)
 
 
 def test_periodic_points_budget_is_the_chart_count(phi2):

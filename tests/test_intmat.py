@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from wedgedyn import IntMatrix, SingularMatrix, char_poly, rat_inverse, snf
+from wedgedyn import DimensionMismatch, IntMatrix, SingularMatrix, char_poly, rat_inverse, snf
 from wedgedyn.intmat import fraction, kernel
 
 
@@ -61,6 +61,31 @@ def test_basic_arithmetic():
     assert a.apply((1, 0)) == (3, 1)
     assert a.transpose() == a
     assert a.det() == 8
+
+
+def test_entries_are_taken_as_ints():
+    """Entries go through operator.index, as BFGroup's k does: numpy ints
+    and bools are stored as ints, and floats, Fractions and strings raise."""
+    m = IntMatrix(((np.int64(2), 0), (True, np.int8(-1))))
+    assert m.rows == ((2, 0), (1, -1)) and all(type(x) is int for r in m.rows for x in r)
+    assert IntMatrix(((True, 0), (0, 1))) == IntMatrix.identity(2)
+    for bad in (2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="matrix entry must be an integer"):
+            IntMatrix(((bad, 0), (0, 1)))
+
+
+def test_shape_and_operand_errors():
+    a = IntMatrix(((3, 1), (1, 3)))
+    with pytest.raises(DimensionMismatch, match="matrix must be square"):
+        IntMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="negative powers"):
+        a ** -1
+    with pytest.raises(DimensionMismatch, match="vector length mismatch"):
+        a.apply((1, 2, 3))
+    with pytest.raises(TypeError, match="IntMatrix expected, got int"):
+        a - 1
+    with pytest.raises(DimensionMismatch, match="matrix dimensions differ"):
+        a - IntMatrix.identity(3)
 
 
 def test_det_known_values():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from wedgedyn import (
     BudgetExceeded,
     DimensionMismatch,
     Endomorphism,
+    IntMatrix,
     NontrivialHomologyAction,
     NotEigenvectorOne,
     TightMap,
@@ -161,6 +163,10 @@ def test_hull_vertices_rejects_points_of_mixed_length(points):
         hull_vertices(points)
 
 
+def test_hull_of_no_points_is_empty():
+    assert hull_vertices([]) == ()
+
+
 def test_hull_lp_rejects_float_coordinates():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     with pytest.raises(TypeError, match="numbers.Rational"):
@@ -238,6 +244,20 @@ def test_eigen_rotation_number(phi1, phi2):
     assert rho == p.translation[0]
     with pytest.raises(NotEigenvectorOne):
         eigen_rotation_number(phi2, phi2.periodic_points(1)[0], (1, 0))
+
+
+def test_eigen_rotation_number_takes_exact_coordinates_only():
+    """v goes through numbers.Rational: a float or a string raises, where
+    Fraction() converted or parsed it and every call returned 0."""
+    m = TightMap(Endomorphism.from_strings(2, "aba", "abA"))
+    assert m.A == IntMatrix(((2, 0), (1, 1)))
+    pts = [p for k in (1, 2, 3) for p in m.periodic_points(k)]
+    for bad in [(1.0, -1.0), ("1", "-1"), (0.1, -0.1)]:
+        with pytest.raises(TypeError, match="eigenvector coordinate"):
+            eigen_rotation_number(m, pts[0], bad)
+    rhos = {eigen_rotation_number(m, p, (F(1), np.int64(-1))) for p in pts}
+    assert rhos == {eigen_rotation_number(m, p, (1, -1)) for p in pts}
+    assert len(rhos) > 1
 
 
 def _loops_by_vertex_orders(m, budget):

@@ -318,6 +318,12 @@ def test_beta_mu_rejects_bad_mu(phi2):
         beta_mu(phi2, ap, 3)
 
 
+def test_holder_bound_needs_an_expanding_map(phi1):
+    assert phi1.A == IntMatrix.identity(2)
+    with pytest.raises(NotExpanding, match="expanding abelianization"):
+        holder_bound(phi1)
+
+
 def test_holder_bounds(phi2, phi3):
     assert holder_bound(phi2) == F(1, 2)
     h = holder_bound(phi3)

@@ -210,6 +210,7 @@ def _assert_certified(sp):
 @example(list(_cluster(10 ** 7)[1:]))
 @example([1, -7, -15])  # -2 +- i lands on the grid with radius 0
 @example([0, 0, 0, 2])  # x^4 + 2: two pairs, no real root
+@example([0, 0, 0, 0, 0, 2 * 10 ** 6, -4000, 2])  # doubles the grid, see below
 def test_every_eigenvalue_is_certified(tail):
     """spectral() of the companion matrix of a monic integer polynomial of
     degree 1-8 certifies every eigenvalue; lambda_lower comes from the
@@ -219,6 +220,16 @@ def test_every_eigenvalue_is_certified(tail):
     _assert_certified(sp)
     if not all(e.exact for e in sp.eigenvalues):
         assert sp.lambda_lower == _bisect_lambda(p)
+
+
+def test_a_close_pair_certifies_on_a_doubled_grid():
+    """x^8 + 2 (1000 x - 1)^2 has pairs close to 1/1000: its first grid has
+    s = 56 + 21 = 77 bits (the Cauchy bound rounds up to 2 * 10^6), and
+    only after _conjugate_pairs doubles it does a radius fall below 2^-77."""
+    p = (1, 0, 0, 0, 0, 0, 2 * 10 ** 6, -4000, 2)
+    assert math.ceil(polys.cauchy_bound(p)).bit_length() == 21
+    sp = spectral(_companion(p))
+    assert any(e.im != 0 and 0 < e.eps < Fraction(1, 2 ** 77) for e in sp.eigenvalues)
 
 
 def test_gaussian_integer_pair_is_not_exact():

@@ -65,6 +65,17 @@ def test_endomorphism_apply_and_power(phi2):
     assert e.power(1).images == e.images
 
 
+def test_endomorphism_errors(phi2):
+    a, b = Word.parse("a", 2), Word.parse("b", 2)
+    with pytest.raises(RankMismatch, match="1 rules for rank 2"):
+        Endomorphism(2, (a,))
+    with pytest.raises(RankMismatch, match="generator outside the rank"):
+        Endomorphism(1, (Word.parse("ab", 2),))
+    assert Endomorphism(2, (b, a)).images == (b, a)
+    with pytest.raises(ValueError, match="negative power"):
+        phi2.endo.power(-1)
+
+
 def test_abelianize(phi1, phi2, phi3):
     assert phi2.endo.abelianize().rows == ((3, 1), (1, 3))
     assert phi3.endo.abelianize().rows == ((6, 1), (1, 6))
