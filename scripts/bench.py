@@ -21,7 +21,12 @@ shows as a move.
 
 The claim is met on a seed when the change wins at least 9 of the 10
 pairs and its median beats the parent's by more than the parent's
-interquartile range.
+interquartile range. Every other pairing of workload, seed and end-to-end
+metric gets a no-regression verdict against BENCHMARK.json's bound, taken
+as a fraction of the parent's median: worse when the change's median is
+worse than the parent's by more than the bound, unresolved when the
+parent's IQR is wider than the bound unless every change run beats every
+parent run, and ok otherwise.
 
 The script writes only the --out file; the checkout is left as it was.
 """
@@ -48,6 +53,8 @@ with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
 WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 # end-to-end metric -> 1 when lower is better, -1 when higher is
 METRICS = {m["name"]: 1 if m["better"] == "lower" else -1 for m in _BENCHMARK["end_to_end"]}
+# end-to-end metric -> how far it may worsen, as a fraction of the parent's median
+BOUNDS = {m["name"]: m["bound"] for m in _BENCHMARK["end_to_end"]}
 # the traced layers: every per_layer name with a call count
 LAYERS = tuple(m["name"].removesuffix(".calls") for m in _BENCHMARK["per_layer"]
                if m["name"].endswith(".calls"))
@@ -116,6 +123,28 @@ def claim_verdict(metric: dict) -> str:
             f"({-sign * gain / parent['median']:+.1%}), parent IQR {iqr:.4g}")
 
 
+def regression_verdict(metric: dict, bound: float) -> str:
+    """worse when the change's median is worse than the parent's by more
+    than bound times the parent's median; else unresolved when the parent's
+    IQR is wider than that, unless every change run beats every parent run;
+    else ok."""
+    sign = 1 if metric["better"] == "lower" else -1
+    parent, change = metric["parent"], metric["change"]
+    allowed = bound * abs(parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    beats_all = (max(sign * c for c in metric["change_runs"])
+                 < min(sign * p for p in metric["parent_runs"]))
+    if sign * (change["median"] - parent["median"]) > allowed:
+        verdict = "worse"
+    elif iqr > allowed and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    moved = (f" ({change['median'] / parent['median'] - 1:+.1%})" if parent["median"] else "")
+    return (f"{verdict}: median {parent['median']:.4g} -> {change['median']:.4g}{moved}, "
+            f"bound {allowed:.4g} ({bound:.0%} of the parent's median), parent IQR {iqr:.4g}")
+
+
 def nonblank_lines(directory: Path) -> int:
     """Non-blank lines of the .py files directly in directory."""
     return sum(1 for f in sorted(directory.glob("*.py"))
@@ -178,6 +207,17 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
             **{f"seed_{s}": claim_verdict(
                 out["workloads"][claimed][f"seed_{s}"]["metrics"][claimed_metric])
                for s in SEEDS}}
+    out["no_regression"] = {
+        "rule": "per workload, seed and end-to-end metric other than the claim: worse when "
+                "the change's median is worse than the parent's by more than BENCHMARK.json's "
+                "bound, taken as a fraction of the parent's median; else unresolved when the "
+                "parent's IQR is wider than that bound, unless every change run beats every "
+                "parent run; else ok",
+        **{w: {f"seed_{s}": {name: regression_verdict(m, BOUNDS[name])
+                             for name, m in out["workloads"][w][f"seed_{s}"]["metrics"].items()
+                             if (w, name) != (claimed, claimed_metric)}
+               for s in SEEDS}
+           for w in WORKLOADS}}
     return out
 
 

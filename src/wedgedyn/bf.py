@@ -19,6 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import add, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
@@ -49,13 +50,16 @@ def _torus_point(coords: tuple) -> TorusPoint:
 
 
 class _Level:
-    """BF_k(A)'s tables, shared by every group of the level: M = A^k - I;
+    """BF_k(A)'s tables, shared by every group of the level: ak = A^k,
+    taken as below.ak * A when the level below is given, and M = A^k - I;
     coords, numerator n -> Fraction(n, L), filled by psi and enumerate_fixed
     so each Fraction is built once; and, built on first use, the Smith form
-    of M and the Psi map. It refers to neither its tower nor a group."""
+    of M and the Psi map. It refers to neither its tower, the level below
+    nor a group."""
 
-    def __init__(self, a: IntMatrix, k: int):
-        self.M = a ** k - IntMatrix.identity(a.dim)
+    def __init__(self, a: IntMatrix, k: int, below: _Level | None = None):
+        self.ak = a ** k if below is None else below.ak * a
+        self.M = self.ak - IntMatrix.identity(a.dim)
         self.coords = {}
 
     @cached_property
@@ -102,7 +106,7 @@ class BFGroup:
             tower = _towers[self.A.rows] = _Tower()
         level = tower.get(self.k)
         if level is None:
-            level = tower[self.k] = _Level(self.A, self.k)
+            level = tower[self.k] = _Level(self.A, self.k, tower.get(self.k - 1))
         object.__setattr__(self, "_tower", tower)
         object.__setattr__(self, "_level", level)
 
@@ -120,13 +124,9 @@ class BFGroup:
 
     @cached_property
     def order(self) -> int:
-        n = 1
-        for d in self.diagonal:
-            n *= d
-        det = abs(self.M.det())
-        if n != det:
-            raise RuntimeError("order mismatch between SNF and determinant")
-        return n
+        """|det(A^k - I)|: the product of the diagonal, which snf checks
+        against the determinant."""
+        return prod(self.diagonal)
 
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n: U n reduced modulo the diagonal."""

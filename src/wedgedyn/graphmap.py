@@ -214,11 +214,14 @@ class TightMap:
 
     def _locate(self, x: GraphPoint):
         """The slot carrying a non-vertex point x, and the parameter of phi(x)
-        on the edge of the slot's generator."""
+        on the edge of the slot's generator. x may have been built directly,
+        not through graph_point, so its edge and parameter are checked."""
         e, t = x
-        if e >= self.rank:
+        if not 0 <= e < self.rank:
             raise ValueError(f"edge {e} outside rank {self.rank}")
-        slot = self.slots[e][int(self.speeds[e] * t)]  # t < 1, so a real slot
+        if not 0 <= t < 1:
+            raise ValueError(f"edge parameter {t} of edge {e} outside [0, 1)")
+        slot = self.slots[e][int(self.speeds[e] * t)]
         return slot, slot.mul * t + slot.add
 
     def eval(self, x: GraphPoint) -> GraphPoint:

@@ -5,8 +5,9 @@ Everything here is pure Python over int. One fraction-free Gauss-Jordan
 and kernel, and its pivot step, bareiss_pivot, also drives the exact
 simplex of rotation's hulls; snf is the only other elimination. As
 rat_inverse carries m^-1 in [m | I], snf carries its transforms U and V as
-blocks of one integer matrix [[M, I], [I, 0]], and it tracks no inverse:
-U and V are certified unimodular by |det| = 1 through IntMatrix.det.
+blocks of one integer matrix [[M, I], [I, 0]], and it tracks no inverse.
+One IntMatrix.det of M certifies U and V unimodular: U M V = D and
+|det M| = |det D| != 0 leave |det U det V| = 1 for integer determinants.
 A rational matrix is always an integer matrix over one positive
 denominator: rat_inverse returns m^-1 as (N, den), and callers scale their
 numerators by den instead of building Fractions; where a table of one
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd
+from functools import cache, cached_property
+from math import gcd, prod
 from numbers import Rational
 from operator import add, index, mul, sub
 
@@ -230,14 +231,16 @@ def kernel(m: IntMatrix) -> list:
 @dataclass(frozen=True)
 class SnfDecomposition:
     """U * M * V = D for the decomposed matrix M, with U, V unimodular
-    (|det| = 1) and D diagonal, d_i | d_{i+1} >= 0."""
+    (|det| = 1) and D diagonal, d_i | d_{i+1} >= 0, so |det M| is the
+    product of the diagonal."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple:
+        """d_1, ..., d_n, read off D once."""
         return tuple(self.D.rows[i][i] for i in range(self.D.dim))
 
     @property
@@ -259,9 +262,11 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     carries m^-1 in [m | I]: the elimination runs on [[M, I], [I, 0]], so
     a row operation on one of the first n rows also acts on U (top right)
     and a column operation on one of the first n columns also acts on V
-    (bottom left). U M V = D, |det U| = |det V| = 1 (IntMatrix.det), D
-    diagonal and the divisor chain are all checked before the form is
-    returned.
+    (bottom left). Before the form is returned it checks U M V = D, that D
+    is diagonal with the divisor chain, and |det M| = d_1 ... d_n from one
+    IntMatrix.det of M. When det M != 0, det U det M det V = det D then
+    leaves |det U det V| = 1, so both integer determinants are +-1; when
+    det M = 0, |det U| = |det V| = 1 is checked directly.
 
     >>> snf(IntMatrix(((2, 0), (0, 3)))).diagonal
     (1, 6)
@@ -320,9 +325,8 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     V = _int_matrix(tuple(tuple(r[:n]) for r in a[n:]))
     if U * m * V != D:
         raise RuntimeError("SNF internal check failed: U*M*V != D")
-    if abs(U.det()) != 1 or abs(V.det()) != 1:
-        raise RuntimeError("SNF internal check failed: transforms not unimodular")
-    diag = tuple(D.rows[i][i] for i in range(n))
+    form = SnfDecomposition(U=U, D=D, V=V)
+    diag = form.diagonal
     for i in range(n):
         for j in range(n):
             if i != j and D.rows[i][j] != 0:
@@ -330,4 +334,10 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
             raise RuntimeError("SNF internal check failed: divisor chain broken")
-    return SnfDecomposition(U=U, D=D, V=V)
+    det = abs(m.det())
+    if det != prod(diag):
+        raise RuntimeError("SNF internal check failed: |det M| != product of the diagonal")
+    # det U det M det V = det D, so a nonzero det M leaves |det U det V| = 1
+    if det == 0 and (abs(U.det()) != 1 or abs(V.det()) != 1):
+        raise RuntimeError("SNF internal check failed: transforms not unimodular")
+    return form

@@ -1,5 +1,5 @@
-"""The pure parts of scripts/bench.py: the claim rule, pair counting and
-the line counts. No benchmark run and no subprocess."""
+"""The pure parts of scripts/bench.py: the claim rule, the no-regression
+verdict, pair counting and the line counts. No benchmark run and no subprocess."""
 
 import importlib.util
 import json
@@ -43,10 +43,45 @@ def test_claim_verdict(metric, met):
     assert f"{metric['change_wins']} of 10 pairs" in verdict
 
 
+def _judged(better, parent_runs, change_runs):
+    """A summarized metric from each side's runs, as summarize writes it."""
+    return {"better": better, "parent": bench.quartiles(parent_runs),
+            "change": bench.quartiles(change_runs),
+            "parent_runs": parent_runs, "change_runs": change_runs}
+
+
+_STEADY = [1.0, 1.0, 1.0, 1.0, 1.0]
+_WIDE = [0.5, 0.75, 1.0, 1.25, 1.5]  # median 1, IQR 0.5
+
+
+@pytest.mark.parametrize("better, parent_runs, change_runs, bound, verdict", [
+    # lower is better, a steady parent
+    ("lower", _STEADY, [1.0, 1.25, 1.25, 1.25, 1.5], 0.25, "ok"),  # worse by the bound exactly
+    ("lower", _STEADY, [1.25, 1.5, 1.5, 1.5, 2.0], 0.25, "worse"),
+    ("lower", _STEADY, [0.5, 0.5, 0.5, 0.5, 0.5], 0.25, "ok"),  # a gain
+    # a parent IQR of 0.5 against a bound of 0.25
+    ("lower", _WIDE, [0.5, 0.75, 1.0, 1.25, 1.5], 0.25, "unresolved"),
+    ("lower", _WIDE, [0.25, 0.25, 0.25, 0.25, 0.5], 0.25, "unresolved"),  # ties the best parent run
+    ("lower", _WIDE, [0.25, 0.25, 0.25, 0.25, 0.25], 0.25, "ok"),  # beats every parent run
+    ("lower", _WIDE, [1.5, 1.5, 1.5, 1.5, 1.5], 0.25, "worse"),
+    ("lower", _WIDE, [0.5, 0.75, 1.0, 1.25, 1.5], 0.5, "ok"),  # IQR equal to the bound
+    # higher is better: parent median 10
+    ("higher", [10.0] * 5, [8.0] * 5, 0.25, "ok"),
+    ("higher", [10.0] * 5, [7.0] * 5, 0.25, "worse"),
+    ("higher", [5.0, 7.5, 10.0, 12.5, 15.0], [10.0] * 5, 0.25, "unresolved"),
+    ("higher", [5.0, 7.5, 10.0, 12.5, 15.0], [16.0] * 5, 0.25, "ok"),
+])
+def test_regression_verdict(better, parent_runs, change_runs, bound, verdict):
+    out = bench.regression_verdict(_judged(better, parent_runs, change_runs), bound)
+    assert out.split(":")[0] == verdict
+    assert f"({bound:.0%} of the parent's median)" in out
+
+
 def test_workloads_and_metrics_come_from_the_benchmark_file():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert bench.WORKLOADS == tuple(w["name"] for w in spec["workloads"])
     assert list(bench.METRICS) == [m["name"] for m in spec["end_to_end"]]
+    assert bench.BOUNDS == {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def _run(**values):

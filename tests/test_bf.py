@@ -202,11 +202,12 @@ def test_group_built_beside_a_live_group_matches_a_fresh_one(case, j):
         assume(False)
     shared = BFGroup(a, j)
     assert shared._tower is g._tower
-    seen = (shared.order, shared.diagonal, shared._level.psi_map, shared.reduce(vec).r)
+    seen = (shared.M, shared.order, shared.diagonal, shared._level.psi_map, shared.reduce(vec).r)
     del g, shared
     assert a.rows not in bf._towers
     fresh = BFGroup(a, j)
-    assert seen == (fresh.order, fresh.diagonal, fresh._level.psi_map, fresh.reduce(vec).r)
+    assert seen == (fresh.M, fresh.order, fresh.diagonal, fresh._level.psi_map,
+                    fresh.reduce(vec).r)
     assert fresh == BFGroup(a, j)
 
 
@@ -229,6 +230,24 @@ def test_groups_of_a_live_a_check_the_spectrum_once(monkeypatch):
     del groups
     BFGroup(a, 1)
     assert len(calls) == 2
+
+
+def test_a_tower_takes_one_determinant_per_level_and_one_power(monkeypatch):
+    """Levels 1-4 of one A: snf's one IntMatrix.det of M per level also
+    certifies the order, and level k takes A^k from level k - 1."""
+    gc.collect()
+    a = IntMatrix(((2, 1), (1, 1)))
+    assert a.rows not in bf._towers
+    calls = []
+    det, power = IntMatrix.det, IntMatrix.__pow__
+    monkeypatch.setattr(IntMatrix, "det", lambda m: calls.append("det") or det(m))
+    monkeypatch.setattr(IntMatrix, "__pow__", lambda m, k: calls.append("pow") or power(m, k))
+    groups = []
+    for k in range(1, 5):
+        g = BFGroup(a, k)
+        groups.append((g, g.order, g.diagonal, psi(g.reduce((1, 0)))))
+    assert (calls.count("det"), calls.count("pow")) == (4, 1)
+    assert [g.M for g, *_ in groups] == [power(a, k) - IntMatrix.identity(2) for k in range(1, 5)]
 
 
 def test_upsilon_target_shares_the_live_groups_smith_form(a2):

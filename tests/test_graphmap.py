@@ -107,6 +107,20 @@ def test_eval_refuses_an_edge_past_the_rank(phi2, edge):
         phi2.lift_eval(CoverPoint(graph_point(edge, F(1, 8)), (0, 0)))
 
 
+@pytest.mark.parametrize("point, message", [
+    (GraphPoint(-1, F(1, 8)), "edge -1 outside rank 2"),
+    (GraphPoint(0, F(3, 2)), "edge parameter 3/2 of edge 0 outside"),
+    (GraphPoint(0, F(-1, 2)), "edge parameter -1/2 of edge 0 outside"),
+])
+def test_eval_refuses_a_point_built_off_the_wedge(phi2, point, message):
+    """GraphPoint itself checks nothing, so eval and lift_eval name the bad
+    edge or parameter of their input."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phi2.eval(point)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phi2.lift_eval(CoverPoint(point, (0, 0)))
+
+
 @pytest.mark.parametrize("t", [2, F(5, 4), F(-1, 3)])
 def test_cover_point_rejects_parameters_off_the_edge(t):
     with pytest.raises(ValueError, match="outside"):

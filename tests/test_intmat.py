@@ -246,6 +246,20 @@ def test_snf_transforms_are_unimodular(a):
         assert t * inv == IntMatrix.identity(a.dim)
 
 
+@pytest.mark.parametrize("a", [IntMatrix(((2, 1), (1, 1))) ** 2 - IntMatrix.identity(2),
+                               IntMatrix(((1, 2), (2, 4)))])
+def test_snf_certificate_reads_the_determinant(monkeypatch, a):
+    """snf's checks rest on IntMatrix.det: of M when it is nonzero, of U and
+    V when det M = 0. A determinant off by a factor 2 is caught."""
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: 2 * det(m))
+    with pytest.raises(RuntimeError, match="SNF internal check failed"):
+        snf(a)
+    monkeypatch.undo()
+    d = snf(a)
+    assert d.U * a * d.V == d.D
+
+
 def _snf_full_scan(a):
     """(U, D, V) by snf's elimination with the pivot found by a scan of the
     whole remaining submatrix for the least (|entry|, row, col)."""
