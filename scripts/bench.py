@@ -15,9 +15,10 @@ BENCHMARK.json's per_layer list names are recorded for both sides. The
 output holds, per metric, the median and quartiles of each side's runs,
 the runs themselves and the pairs the change won and lost; per workload
 and seed, the output digests, whether every run passed its gates, and the
-traced layer counts; and the non-blank line counts of src/wedgedyn and of
+traced layer counts; the non-blank line counts of src/wedgedyn and of
 tests on both sides, so that code moved from the package into the tests
-shows as a move.
+shows as a move; and the count of public names that the package's
+__init__.py imports on both sides, so that a narrowed surface shows.
 
 The claim is met on a seed when the change wins at least 9 of the 10
 pairs and its median beats the parent's by more than the parent's
@@ -34,6 +35,7 @@ The script writes only the --out file; the checkout is left as it was.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -151,6 +153,15 @@ def nonblank_lines(directory: Path) -> int:
                for line in f.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
+def exported_names(init: Path) -> int:
+    """The names without a leading underscore that the import statements
+    of the module file init bind, read from its AST."""
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    return sum(1 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names
+               if not (alias.asname or alias.name).startswith("_"))
+
+
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
@@ -184,6 +195,8 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
         "src_nonblank_lines": {side: nonblank_lines(d / "src" / "wedgedyn")
                                for side, d in dirs.items()},
         "tests_nonblank_lines": {side: nonblank_lines(d / "tests") for side, d in dirs.items()},
+        "src_exported_names": {side: exported_names(d / "src" / "wedgedyn" / "__init__.py")
+                               for side, d in dirs.items()},
     }
     for w in WORKLOADS:
         out["workloads"][w] = {}

@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateRule,
     NotDivisible,
-    NotEigenvectorOne,
     NotExpanding,
     NontrivialHomologyAction,
     ParseError,
@@ -41,11 +40,8 @@ from .polys import char_poly, has_root_of_unity_factor
 from .rotation import (
     Loop,
     RotationSetReport,
-    eigen_rotation_number,
     hull_vertices,
     minimal_loops,
-    periodic_rotation_vector,
-    point_in_hull,
     rotation_set,
 )
 from .semiconj import (

@@ -23,7 +23,7 @@ from math import prod
 from operator import add, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, _integer, _rational, fraction, snf
+from .intmat import IntMatrix, _at_least, _integer, _rational, fraction, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
@@ -96,9 +96,7 @@ class BFGroup:
     _level: _Level = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _integer(self.k, "k"))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", _at_least(self.k, "k", 1))
         tower = _towers.get(self.A.rows)
         if tower is None:
             if has_root_of_unity_factor(char_poly(self.A)):
@@ -218,14 +216,15 @@ def enumerate_fixed(a: IntMatrix, k: int, budget: int | None = None):
 
     These are exactly the Psi images of BF_k(A); there are |det(A^k - I)|
     of them, and with a budget BudgetExceeded is raised before the Smith
-    form is built when that count passes it. Every coordinate is a
+    form is built when that count passes it; M keeps its determinant, so
+    the Smith form's certificate takes no second one. Every coordinate is a
     numerator over L (see _Level.psi_map), so the SNF box is walked on
     numerators, j steps along axis i adding j times column i of W mod L; the
     numerator tuples sort in the order of the points, and their Fractions
     come from the level's numerator table, which psi shares.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget is not None:
+        budget = _at_least(budget, "budget", 0)
     g = BFGroup(a, k)
     if budget is not None:
         size = abs(g.M.det())

@@ -25,7 +25,7 @@ from .errors import (
     WedgedynError,
 )
 from .graphmap import TightMap, iota
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _at_least
 from .rotation import rotation_set
 from .semiconj import beta_breakpoints, holder_bound, shadow_pairs
 from .svg import beta_figure, rotset_figure
@@ -105,8 +105,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bf(args) -> int:
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
+    _at_least(args.k, "k", 1)
     if args.matrix is not None:
         a = _load_matrix(args.matrix)
         label = "matrix"
@@ -186,8 +185,7 @@ def cmd_rotset(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    if args.window < 0:
-        raise ValueError(f"window must be >= 0, got {args.window}")
+    _at_least(args.window, "window", 0)
     m = _tight_map(args)
     approx = beta_breakpoints(m, args.k, budget=args.budget)
     # render first, so a bad figure request fails before any CSV is written

@@ -37,10 +37,6 @@ class NontrivialHomologyAction(WedgedynError):
     """An operation requires the abelianization to be the identity matrix."""
 
 
-class NotEigenvectorOne(WedgedynError):
-    """The supplied vector is not fixed by the transpose action."""
-
-
 class AdaptedNormUnavailable(WedgedynError):
     """No exact adapted norm certificate could be built for this matrix."""
 

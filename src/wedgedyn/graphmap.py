@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .bf import BFElement, BFGroup, TorusPoint, psi
 from .errors import BudgetExceeded, NotExpanding, RootOfUnitySpectrum
-from .intmat import IntMatrix, _integer, _rational, fraction
+from .intmat import IntMatrix, _at_least, _integer, _rational, fraction
 from .spectra import LipschitzNormData, norm_data, rational_sqrt_upper, spectral
 from .words import Endomorphism
 
@@ -38,17 +38,9 @@ class GraphPoint(NamedTuple):
 VERTEX = GraphPoint(0, Fraction(0))
 
 
-def _edge(edge) -> int:
-    """An edge index as an int >= 0, or a TypeError or ValueError naming it."""
-    edge = _integer(edge, "edge")
-    if edge < 0:
-        raise ValueError(f"edge must be >= 0, got {edge}")
-    return edge
-
-
 def graph_point(edge: int, t) -> GraphPoint:
     """Canonical point of the wedge; both edge endpoints collapse to VERTEX."""
-    edge = _edge(edge)
+    edge = _at_least(edge, "edge", 0)
     t = _rational(t, "edge parameter")
     if not (0 <= t <= 1):
         raise ValueError(f"edge parameter {t} outside [0, 1]")
@@ -83,7 +75,7 @@ class CoverPoint(NamedTuple):
 def cover_point(edge: int, t, base) -> CoverPoint:
     """The point at parameter t in [0, 1] of the lift of edge based at base;
     t = 1 is the vertex at base + e_edge, so 0 <= edge < len(base)."""
-    edge = _edge(edge)
+    edge = _at_least(edge, "edge", 0)
     t = _rational(t, "edge parameter")
     if not (0 <= t <= 1):
         raise ValueError(f"edge parameter {t} outside [0, 1]")
@@ -232,7 +224,7 @@ class TightMap:
         return graph_point(slot.generator, u)
 
     def eval_iter(self, x: GraphPoint, k: int) -> GraphPoint:
-        for _ in range(k):
+        for _ in range(_at_least(k, "k", 0)):
             x = self.eval(x)
         return x
 
@@ -246,7 +238,7 @@ class TightMap:
         return cover_point(slot.generator, u, tuple(a + x for a, x in zip(abase, slot.offset)))
 
     def lift_iter(self, cp: CoverPoint, k: int) -> CoverPoint:
-        for _ in range(k):
+        for _ in range(_at_least(k, "k", 0)):
             cp = self.lift_eval(cp)
         return cp
 
@@ -325,9 +317,7 @@ class TightMap:
         NotExpanding is raised when a closed itinerary of length k composes
         to the identity, whose fixed points are not isolated.
         """
-        k = _integer(k, "k")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _at_least(k, "k", 1)
         if budget is not None:
             self._check_walk_budget(k, budget)
         self._refuse_identity_cycles(k)
@@ -428,8 +418,7 @@ class TightMap:
         which it builds the trace(T^k) closing ones at depth k; the running
         sum over j is refused as soon as it passes the budget, so the count
         stops early on a large k."""
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        budget = _at_least(budget, "budget", 0)
         for charts in accumulate(map(sum, islice(self.letter_counts(), k + 1))):
             if charts > budget:
                 raise BudgetExceeded(f"more than {budget} charts in the slot walk to depth {k}")

@@ -16,7 +16,9 @@ the generic Fraction constructor.
 Matrices are immutable (tuples of tuples) so they can be dict keys and set
 members, and IntMatrix.identity(n) is one shared object per n.
 _integer and _rational are the package's one rule for exact input, and
-IntMatrix takes its entries through _integer.
+IntMatrix takes its entries through _integer; _at_least is its rule for
+counts, levels and indices. A matrix keeps its determinant once taken, so
+a budget check and the Smith form of one matrix share one elimination.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ def _integer(x, name: str) -> int:
         return index(x)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _at_least(x, name: str, least: int) -> int:
+    """x as an int >= least: through operator.index as in _integer, then a
+    ValueError naming name when it falls below least."""
+    try:
+        x = index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {x!r}") from None
+    if x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+    return x
 
 
 def _rational(x, name: str) -> Fraction:
@@ -111,7 +125,12 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows)))
 
     def det(self) -> int:
-        """sign * d from _gauss_jordan, or 0 when the rank falls short."""
+        """sign * d from _gauss_jordan, or 0 when the rank falls short; the
+        matrix is immutable, so it keeps the value once taken."""
+        return self._det
+
+    @cached_property
+    def _det(self) -> int:
         _, pivots, sign, d = _gauss_jordan(self.rows)
         return sign * d if len(pivots) == self.dim else 0
 

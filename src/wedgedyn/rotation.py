@@ -5,7 +5,8 @@ the abelian cover, so the slot table is a graph on the edges: an arc from
 a_j to that generator per slot, weighted by the slot's lattice offset.
 Minimal (vertex-simple) loops of that graph carry rational rotation
 vectors whose convex hull is the rotation set approximation the toolkit
-reports.
+reports. The hull is exact in any dimension and takes numbers.Rational
+coordinates only.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 
-from .errors import BudgetExceeded, DimensionMismatch, NontrivialHomologyAction, NotEigenvectorOne
-from .graphmap import PeriodicPoint, TightMap
-from .intmat import IntMatrix, _rational, bareiss_pivot
+from .errors import BudgetExceeded, DimensionMismatch, NontrivialHomologyAction
+from .graphmap import TightMap
+from .intmat import IntMatrix, _at_least, _rational, bareiss_pivot
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def minimal_loops(m: TightMap, budget: int = 200000):
     The budget counts loops as the walk finds them; BudgetExceeded is
     raised rather than returning a truncated list.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    budget = _at_least(budget, "budget", 0)
     b = m.rank
     arcs = [[[] for _ in range(b)] for _ in range(b)]
     for src, slots in enumerate(m.slots):
@@ -127,12 +126,7 @@ def _feasible_combination(target, points):
     det B times its rational form. Every pivot is positive, so det B stays
     positive and every entry has its rational value's sign. Bland's rule
     enters real variables only; the artificial cost ends at 0 iff target
-    is feasible. Raises DimensionMismatch on points of another length, and
-    TypeError on a coordinate that is not a numbers.Rational, such as a float."""
-    if any(len(p) != len(target) for p in points):
-        raise DimensionMismatch("target and points differ in length")
-    if not all(isinstance(x, Rational) for q in (target, *points) for x in q):
-        raise TypeError("hull coordinates must be numbers.Rational, such as int or Fraction")
+    is feasible. hull_vertices has checked the lengths and the coordinates."""
     if not points:
         return False
     den = lcm(*(x.denominator for q in (target, *points) for x in q))
@@ -175,41 +169,21 @@ def _hull_general(points):
 
 
 def hull_vertices(points):
+    """The vertices of the convex hull of points of one length, each
+    coordinate a numbers.Rational, which intmat._rational makes a Fraction:
+    a monotone chain in 2-D, min and max in 1-D, the LP filter above."""
     if not points:
         return ()
     dim = len(next(iter(points)))
     if any(len(p) != dim for p in points):
         raise DimensionMismatch("points differ in length")
+    points = [tuple(_rational(x, "hull coordinate") for x in p) for p in points]
     if dim == 2:
         return _hull_2d(points)
     if dim == 1:
         pts = sorted(set(points))
         return (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
     return _hull_general(points)
-
-
-def periodic_rotation_vector(m: TightMap, p: PeriodicPoint) -> tuple:
-    """Translation per unit time of a periodic point; needs abelianization I."""
-    if m.A != IntMatrix.identity(m.rank):
-        raise NontrivialHomologyAction("rotation vectors need abelianization = I")
-    return tuple(Fraction(x, p.period) for x in p.translation)
-
-
-def eigen_rotation_number(m: TightMap, p: PeriodicPoint, v) -> Fraction:
-    """<v, translation>/period for an exact fixed vector of A^T."""
-    v = tuple(_rational(x, "eigenvector coordinate") for x in v)
-    if len(v) != m.rank:
-        raise DimensionMismatch("vector length mismatch")
-    at = m.A.transpose()
-    if at.apply(v) != v:
-        raise NotEigenvectorOne("v is not fixed by the transpose of the abelianization")
-    return sum(x * y for x, y in zip(v, p.translation)) / p.period
-
-
-def point_in_hull(p, hull) -> bool:
-    """Exact membership of a point in the convex hull of the given vertices,
-    in any dimension; an empty hull contains nothing."""
-    return _feasible_combination(p, list(hull))
 
 
 def rotation_set(m: TightMap, budget: int = 200000) -> RotationSetReport:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import AdaptedNormUnavailable, BudgetExceeded, NotExpanding
 from .graphmap import Chart, TightMap
-from .intmat import fraction, rat_inverse
+from .intmat import _at_least, fraction, rat_inverse
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,9 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     passes it.
     """
     # level 0 is the edge itself (tau_0 is the shadowing constant)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    k = _at_least(k, "k", 0)
+    if budget is not None:
+        budget = _at_least(budget, "budget", 0)
     if not m.spectral.is_expanding:
         raise NotExpanding("beta needs an expanding abelianization")
     # A is invertible, so every generator occurs in some image word and the
@@ -121,6 +120,7 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
 
 def tail_bound(m: TightMap, k: int) -> Fraction:
     """tau_k = delta(f) / lambda^k; tau_0 is the shadowing constant itself."""
+    k = _at_least(k, "k", 0)
     sr = m.sigma_report()
     return sr.delta / sr.lam ** k
 
@@ -295,8 +295,8 @@ def shadow_pairs(m: TightMap, depth: int = 12, norm: str = "adapted",
     L the largest speed, and the depth-0 box of b^2 (2w + 1)^b pairs is
     held to the same budget before it is built.
     """
-    if depth < 0 or max_cells < 0:
-        raise ValueError(f"depth and max_cells must be >= 0, got {depth} and {max_cells}")
+    depth = _at_least(depth, "depth", 0)
+    max_cells = _at_least(max_cells, "max_cells", 0)
     sr = m.sigma_report(norm=norm)
     can_certify = min(m.speeds) >= 2
     cert = functools.partial(InjectivityCertificate, delta=sr.delta, norm=sr.norm.kind)

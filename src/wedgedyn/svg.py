@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from math import lcm
 
-from .intmat import rat_inverse
+from .intmat import _at_least, rat_inverse
 from .rotation import RotationSetReport
 from .semiconj import BetaApproximation
 
@@ -119,8 +119,7 @@ def beta_figure(approx: BetaApproximation, window: int = 1) -> str:
     """The exact beta polyline of the table per edge, deck translates in a
     lighter stroke, and the exact lifted alpha value of each fixed point as
     a circle."""
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    window = _at_least(window, "window", 0)
     m = approx.map
     b = m.rank
     if b != 2:

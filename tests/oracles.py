@@ -148,6 +148,26 @@ def feasible_combination_fractions(target, points) -> bool:
     return cost[total] == 0
 
 
+def point_in_hull(p, hull) -> bool:
+    """Exact membership of a point in the convex hull of the given vertices,
+    in any dimension, by the Fraction-tableau simplex; an empty hull
+    contains nothing."""
+    return feasible_combination_fractions(p, list(hull))
+
+
+def periodic_rotation_vector(m, p) -> tuple:
+    """Translation per unit time of a periodic point of a map whose
+    abelianization is the identity."""
+    assert m.A == IntMatrix.identity(m.rank)
+    return tuple(Fraction(x, p.period) for x in p.translation)
+
+
+def eigen_rotation_number(m, p, v) -> Fraction:
+    """<v, translation> / period for an exact vector v fixed by A^T."""
+    assert m.A.transpose().apply(v) == tuple(v)
+    return sum(Fraction(x) * y for x, y in zip(v, p.translation)) / p.period
+
+
 def canonical_loop(transitions) -> Loop:
     """The Loop of a cyclic transition sequence, in its canonical form: the
     lexicographically least rotation."""

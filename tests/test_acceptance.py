@@ -27,7 +27,6 @@ from wedgedyn import (
     holder_bound,
     iota,
     minimal_loops,
-    point_in_hull,
     psi,
     rotation_set,
     rotset_figure,
@@ -38,7 +37,7 @@ from wedgedyn import (
 )
 from wedgedyn.intmat import rat_inverse
 
-from oracles import cover_from_coords, displacement_set, elements, phi_apply, vectors
+from oracles import cover_from_coords, displacement_set, elements, phi_apply, point_in_hull, vectors
 
 F = Fraction
 

@@ -22,9 +22,6 @@ SRC = Path(wedgedyn.__file__).resolve().parent
 # exported, but with no caller yet; each waits for the ROADMAP item named
 ALLOWED = {
     "upsilon",  # item 2: the cross-level check of the Nielsen census
-    "eigen_rotation_number",  # item 5: rotation sets off the identity class
-    "periodic_rotation_vector",  # item 5
-    "point_in_hull",  # item 5
     "TightMap.shadowing_classes",  # item 2: index sums per class
     "TightMap.eval_iter",  # item 1: perfbench/tracer.py rebinds it
     "Endomorphism.power",  # item 1: perfbench/tracer.py rebinds it

@@ -1,5 +1,6 @@
 """The pure parts of scripts/bench.py: the claim rule, the no-regression
-verdict, pair counting and the line counts. No benchmark run and no subprocess."""
+verdict, pair counting, the line counts and the exported-name count. No
+benchmark run and no subprocess."""
 
 import importlib.util
 import json
@@ -135,6 +136,28 @@ def test_nonblank_lines(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "c.py").write_text("z = 3\n", encoding="utf-8")
     assert bench.nonblank_lines(tmp_path) == 3
+
+
+def test_exported_names(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text('''"""A docstring naming Fake, which is no import."""
+
+import json
+import os.path
+import numpy as np
+from .a import (
+    One,
+    two as Two,
+    _private,
+)
+from .b import three, _four as five, six as _six
+from . import c
+
+__all__ = ["One"]
+_hidden = 1
+''', encoding="utf-8")
+    # json, os, np, One, Two, three, five, c: `import os.path` binds os
+    assert bench.exported_names(init) == 8
 
 
 def test_claim_form_is_workload_colon_metric(capsys):

@@ -23,7 +23,7 @@ from wedgedyn import (
     rat_inverse,
     upsilon,
 )
-from wedgedyn import bf
+from wedgedyn import bf, intmat
 from wedgedyn.bf import TorusPoint
 
 from oracles import c_matrix, elements, phi_apply, representative
@@ -295,6 +295,21 @@ def test_over_budget_enumeration_builds_no_smith_form(a2):
         enumerate_fixed(a2, 2, budget=44)
     assert g._tower[2] is g._level and g.M is g._level.M
     assert "snf" not in vars(g._level) and "psi_map" not in vars(g._level)
+
+
+def test_budgeted_enumeration_eliminates_m_once(monkeypatch):
+    """The budget check and the Smith form's certificate read one
+    determinant of M = A^2 - I, which M keeps once taken."""
+    gc.collect()
+    a = IntMatrix(((3, 1), (1, 4)))
+    assert a.rows not in bf._towers
+    m = a ** 2 - IntMatrix.identity(2)
+    assert m.det() == 95
+    calls = []
+    gauss_jordan = intmat._gauss_jordan
+    monkeypatch.setattr(intmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows))
+    assert len(enumerate_fixed(a, 2, budget=95)) == 95
+    assert calls == [m.rows]
 
 
 def test_enumerate_fixed_shares_the_levels_fractions(a2):

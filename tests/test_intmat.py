@@ -1,3 +1,4 @@
+import argparse
 import math
 import pickle
 import random
@@ -10,7 +11,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from wedgedyn import DimensionMismatch, IntMatrix, SingularMatrix, char_poly, rat_inverse, snf
+from wedgedyn import (
+    BFGroup,
+    DimensionMismatch,
+    Endomorphism,
+    IntMatrix,
+    SingularMatrix,
+    TightMap,
+    VERTEX,
+    beta_breakpoints,
+    beta_figure,
+    char_poly,
+    cover_point,
+    enumerate_fixed,
+    graph_point,
+    minimal_loops,
+    rat_inverse,
+    rotation_set,
+    shadow_pairs,
+    snf,
+    tail_bound,
+)
+from wedgedyn.cli import cmd_beta, cmd_bf
 from wedgedyn.intmat import fraction, kernel
 
 
@@ -72,6 +94,47 @@ def test_entries_are_taken_as_ints():
     for bad in (2.0, Fraction(2), "2"):
         with pytest.raises(TypeError, match="matrix entry must be an integer"):
             IntMatrix(((bad, 0), (0, 1)))
+
+
+_PHI1 = TightMap(Endomorphism.from_strings(2, "aabAB", "BAbba"))  # A = I
+_PHI2 = TightMap(Endomorphism.from_strings(2, "aaab", "bbba"))
+_A2 = IntMatrix(((3, 1), (1, 3)))
+_CP = cover_point(0, Fraction(1, 3), (0, 0))
+
+# entry point -> (argument name, least value, a call passing x as that argument)
+_COUNTS = {
+    "minimal_loops": ("budget", 0, lambda x: minimal_loops(_PHI1, budget=x)),
+    "rotation_set": ("budget", 0, lambda x: rotation_set(_PHI1, budget=x)),
+    "periodic_points-budget": ("budget", 0, lambda x: _PHI2.periodic_points(2, budget=x)),
+    "beta_breakpoints-budget": ("budget", 0, lambda x: beta_breakpoints(_PHI2, 2, budget=x)),
+    "enumerate_fixed": ("budget", 0, lambda x: enumerate_fixed(_A2, 1, budget=x)),
+    "BFGroup": ("k", 1, lambda x: BFGroup(_A2, x)),
+    "periodic_points-k": ("k", 1, lambda x: _PHI2.periodic_points(x)),
+    "beta_breakpoints-k": ("k", 0, lambda x: beta_breakpoints(_PHI2, x)),
+    "tail_bound": ("k", 0, lambda x: tail_bound(_PHI2, x)),
+    "lift_iter": ("k", 0, lambda x: _PHI2.lift_iter(_CP, x)),
+    "eval_iter": ("k", 0, lambda x: _PHI2.eval_iter(VERTEX, x)),
+    "shadow_pairs-depth": ("depth", 0, lambda x: shadow_pairs(_PHI2, depth=x)),
+    "shadow_pairs-max_cells": ("max_cells", 0, lambda x: shadow_pairs(_PHI2, max_cells=x)),
+    "beta_figure": ("window", 0, lambda x: beta_figure(beta_breakpoints(_PHI2, 1), window=x)),
+    "cmd_beta": ("window", 0, lambda x: cmd_beta(argparse.Namespace(window=x))),
+    "cmd_bf": ("k", 1, lambda x: cmd_bf(argparse.Namespace(k=x))),
+    "graph_point": ("edge", 0, lambda x: graph_point(x, Fraction(1, 3))),
+    "cover_point": ("edge", 0, lambda x: cover_point(x, Fraction(1, 3), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("name, least, call", list(_COUNTS.values()), ids=list(_COUNTS))
+def test_counts_and_levels_take_one_rule(name, least, call):
+    """Every count, level and index goes through intmat._at_least: a float
+    or a string raises a TypeError naming the argument, where it used to
+    run as a float, fail deep inside or be compared with an int, and a
+    value below the least one raises a ValueError."""
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
 
 
 def test_shape_and_operand_errors():
