@@ -17,8 +17,10 @@ the runs themselves and the pairs the change won and lost; per workload
 and seed, the output digests, whether every run passed its gates, and the
 traced layer counts; the non-blank line counts of src/wedgedyn and of
 tests on both sides, so that code moved from the package into the tests
-shows as a move; and the count of public names that the package's
-__init__.py imports on both sides, so that a narrowed surface shows.
+shows as a move, and of each module of src/wedgedyn, so that code moved
+from one module into another shows too; and the count of public names
+that the package's __init__.py imports on both sides, so that a narrowed
+surface shows.
 
 The claim is met on a seed when the change wins at least 9 of the 10
 pairs and its median beats the parent's by more than the parent's
@@ -147,10 +149,15 @@ def regression_verdict(metric: dict, bound: float) -> str:
             f"bound {allowed:.4g} ({bound:.0%} of the parent's median), parent IQR {iqr:.4g}")
 
 
+def nonblank_lines_by_module(directory: Path) -> dict:
+    """File name -> non-blank lines, for the .py files directly in directory."""
+    return {f.name: sum(1 for line in f.read_text(encoding="utf-8").splitlines() if line.strip())
+            for f in sorted(directory.glob("*.py"))}
+
+
 def nonblank_lines(directory: Path) -> int:
     """Non-blank lines of the .py files directly in directory."""
-    return sum(1 for f in sorted(directory.glob("*.py"))
-               for line in f.read_text(encoding="utf-8").splitlines() if line.strip())
+    return sum(nonblank_lines_by_module(directory).values())
 
 
 def exported_names(init: Path) -> int:
@@ -194,6 +201,8 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
         "workloads": {},
         "src_nonblank_lines": {side: nonblank_lines(d / "src" / "wedgedyn")
                                for side, d in dirs.items()},
+        "src_nonblank_lines_by_module": {side: nonblank_lines_by_module(d / "src" / "wedgedyn")
+                                         for side, d in dirs.items()},
         "tests_nonblank_lines": {side: nonblank_lines(d / "tests") for side, d in dirs.items()},
         "src_exported_names": {side: exported_names(d / "src" / "wedgedyn" / "__init__.py")
                                for side, d in dirs.items()},

@@ -7,7 +7,8 @@
 
 Lowercase letters are generators, uppercase their inverses, whitespace
 between word letters optional, `#` comments to end of line. A file may
-declare several maps. Names, numbers and words are ASCII only.
+declare several maps, each under its own name. Names, numbers and words
+are ASCII only.
 """
 
 from __future__ import annotations
@@ -38,15 +39,9 @@ class MapSpec:
         return Endomorphism.from_strings(self.rank, *self.rules)
 
 
-@dataclass
-class _Token:
-    kind: str  # "ident" | "int" | "arrow" | "lbrace" | "rbrace" | "semi"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str):
+def _tokenize(source: str) -> list:
+    """The tokens of source as (kind, text, line, column) tuples, with kind
+    one of "ident", "int", "arrow", "lbrace", "rbrace", "semi"."""
     tokens, line, line_start, pos = [], 1, 0, 0
     while pos < len(source):
         m = _TOKEN.match(source, pos)
@@ -55,113 +50,74 @@ def _tokenize(source: str):
         if m.lastgroup == "newline":
             line, line_start = line + 1, m.end()
         elif m.lastgroup != "skip":
-            tokens.append(_Token(m.lastgroup, m.group(), line, m.start() - line_start + 1))
+            tokens.append((m.lastgroup, m.group(), line, m.start() - line_start + 1))
         pos = m.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def parse(source: str) -> list:
+    """Parse a map-description text into a list of MapSpec."""
+    tokens = _tokenize(source)
+    # where "end of input" is reported: just past the last token
+    end = (tokens[-1][2], tokens[-1][3] + len(tokens[-1][1])) if tokens else (1, 1)
+    pos = 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _fail(self, expected):
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column + len(last.text) if last else 1
-            raise ParseError(f"expected {expected}, got end of input", line, col)
-        raise ParseError(f"expected {expected}, got {tok.text!r}", tok.line, tok.column)
-
-    def _take(self, kind, expected):
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            self._fail(expected)
-        self.pos += 1
+    def take(expected, kind=None, text=None):
+        """The next token, which must have kind and text where they are
+        given; else a ParseError saying that expected was expected."""
+        nonlocal pos
+        if pos == len(tokens):
+            raise ParseError(f"expected {expected}, got end of input", *end)
+        tok = tokens[pos]
+        if kind not in (None, tok[0]) or text not in (None, tok[1]):
+            raise ParseError(f"expected {expected}, got {tok[1]!r}", *tok[2:])
+        pos += 1
         return tok
 
-    def _keyword(self, word):
-        tok = self._peek()
-        if tok is None or tok.kind != "ident" or tok.text != word:
-            self._fail(f"keyword '{word}'")
-        self.pos += 1
-        return tok
-
-    def map_specs(self):
-        specs = []
-        while self._peek() is not None:
-            specs.append(self._map_spec())
-        return specs
-
-    def _map_spec(self) -> MapSpec:
-        self._keyword("map")
-        name = self._take("ident", "map name").text
-        self._keyword("rank")
-        rank_tok = self._take("int", "rank")
-        rank = int(rank_tok.text)
+    specs, names = [], set()
+    while pos < len(tokens):
+        take("keyword 'map'", "ident", "map")
+        _, name, line, col = take("map name", "ident")
+        if name in names:
+            raise ParseError(f"second map named {name!r}", line, col)
+        names.add(name)
+        take("keyword 'rank'", "ident", "rank")
+        _, text, line, col = take("rank", "int")
+        rank = int(text)
         if not (1 <= rank <= 26):
-            raise ParseError(f"rank must be between 1 and 26, got {rank}",
-                             rank_tok.line, rank_tok.column)
-        self._take("lbrace", "'{'")
+            raise ParseError(f"rank must be between 1 and 26, got {rank}", line, col)
+        take("'{'", "lbrace")
         rules = {}
-        while True:
-            tok = self._peek()
-            if tok is None:
-                self._fail("'}' or a rule")
-            if tok.kind == "rbrace":
-                self.pos += 1
-                break
-            gen_tok = self._take("ident", "generator letter")
-            gen = gen_tok.text
+        while (tok := take("'}' or a rule"))[0] != "rbrace":
+            kind, gen, line, col = tok
+            if kind != "ident":
+                raise ParseError(f"expected generator letter, got {gen!r}", line, col)
             if len(gen) != 1 or gen not in ascii_lowercase:
                 raise ParseError(f"rule must start with one lowercase letter, got {gen!r}",
-                                 gen_tok.line, gen_tok.column)
+                                 line, col)
             idx = ord(gen) - ord("a")
             if idx >= rank:
-                raise UndeclaredGenerator(f"generator {gen!r} outside rank {rank}",
-                                          gen_tok.line, gen_tok.column)
+                raise UndeclaredGenerator(f"generator {gen!r} outside rank {rank}", line, col)
             if idx in rules:
-                raise DuplicateRule(f"second rule for generator {gen!r}",
-                                    gen_tok.line, gen_tok.column)
-            self._take("arrow", "'->'")
-            rules[idx] = self._word(rank)
+                raise DuplicateRule(f"second rule for generator {gen!r}", line, col)
+            take("'->'", "arrow")
+            letters = []
+            while (tok := take("word letter or ';'"))[0] != "semi":
+                kind, text, line, col = tok
+                if kind != "ident":
+                    raise ParseError(f"expected word letter or ';', got {text!r}", line, col)
+                for off, ch in enumerate(text):
+                    if ch not in ascii_letters:
+                        raise ParseError(f"bad word character {ch!r}", line, col + off)
+                    if ord(ch.lower()) - ord("a") >= rank:
+                        raise UndeclaredGenerator(f"letter {ch!r} outside rank {rank}",
+                                                  line, col + off)
+                letters.append(text)
+            if not letters:
+                raise ParseError("empty image word", *tok[2:])
+            rules[idx] = "".join(letters)
         missing = [chr(ord("a") + i) for i in range(rank) if i not in rules]
         if missing:
-            tok = self.tokens[self.pos - 1]
-            raise ParseError(f"missing rule for generator(s) {', '.join(missing)}",
-                             tok.line, tok.column)
-        return MapSpec(name=name, rank=rank,
-                       rules=tuple(rules[i] for i in range(rank)))
-
-    def _word(self, rank: int) -> str:
-        letters = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                self._fail("word letter or ';'")
-            if tok.kind == "semi":
-                self.pos += 1
-                break
-            if tok.kind != "ident":
-                self._fail("word letter or ';'")
-            for off, ch in enumerate(tok.text):
-                if ch not in ascii_letters:
-                    raise ParseError(f"bad word character {ch!r}",
-                                     tok.line, tok.column + off)
-                if ord(ch.lower()) - ord("a") >= rank:
-                    raise UndeclaredGenerator(f"letter {ch!r} outside rank {rank}",
-                                              tok.line, tok.column + off)
-                letters.append(ch)
-            self.pos += 1
-        if not letters:
-            raise ParseError("empty image word", tok.line, tok.column)
-        return "".join(letters)
-
-
-def parse(source: str):
-    """Parse a map-description text into a list of MapSpec."""
-    return _Parser(_tokenize(source)).map_specs()
+            raise ParseError(f"missing rule for generator(s) {', '.join(missing)}", *tok[2:])
+        specs.append(MapSpec(name=name, rank=rank, rules=tuple(rules[i] for i in range(rank))))
+    return specs

@@ -104,8 +104,8 @@ class IntMatrix:
         return self * -1
 
     def __pow__(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("negative powers are rational; use rat_inverse")
+        """A^k for k >= 0; a negative power is rational (see rat_inverse)."""
+        k = _at_least(k, "k", 0)
         out, base = None, self
         while k:
             if k & 1:

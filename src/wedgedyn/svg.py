@@ -36,67 +36,44 @@ def _px(num: int, den: int) -> str:
     return f"{sign}{whole}.{digits}"
 
 
-class _Canvas:
-    """Collects shapes as integer numerators over den (y up), emits flipped
-    pixel SVG."""
+def _render(den: int, shapes: list, style: str) -> str:
+    """The SVG of shapes, each (kind, points, radius, cls) with kind one of
+    "polyline", "circle" (one point, radius in px) or "line" (two points),
+    points as integer numerators over den with y up; the view box is the
+    points' bounding box, flipped to y down and padded by 20 px."""
+    pad = 20
+    xs = [x for _, pts, _, _ in shapes for x, _ in pts]
+    ys = [y for _, pts, _, _ in shapes for _, y in pts]
+    x0 = min(xs) * _UNIT // den - pad
+    y0 = -max(ys) * _UNIT // den - pad
+    x1 = -(-max(xs) * _UNIT // den) + pad
+    y1 = -(min(ys) * _UNIT // den) + pad
+    w, h = x1 - x0, y1 - y0
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+               f'viewBox="{x0} {y0} {w} {h}" width="{w}" height="{h}">')
+    out.append(f"<style>{style}</style>")
+    memo = {}  # numerator -> px text; deck translates repeat each one
 
-    def __init__(self, den: int):
-        self.den = den
-        self.shapes = []
-        self.xs = []
-        self.ys = []
+    def px(num):
+        text = memo.get(num)
+        if text is None:
+            text = memo[num] = _px(num, den)
+        return text
 
-    def _track(self, pts):
-        for x, y in pts:
-            self.xs.append(x)
-            self.ys.append(y)
-
-    def polyline(self, pts, cls):
-        self._track(pts)
-        self.shapes.append(("polyline", pts, cls))
-
-    def circle(self, x, y, r_px, cls):
-        self._track([(x, y)])
-        self.shapes.append(("circle", (x, y, r_px), cls))
-
-    def line(self, x1, y1, x2, y2, cls):
-        self._track([(x1, y1), (x2, y2)])
-        self.shapes.append(("line", (x1, y1, x2, y2), cls))
-
-    def render(self, style: str) -> str:
-        d, pad = self.den, 20
-        min_x, max_x = (min(self.xs), max(self.xs)) if self.xs else (0, d)
-        min_y, max_y = (min(self.ys), max(self.ys)) if self.ys else (0, d)
-        x0 = min_x * _UNIT // d - pad
-        y0 = -max_y * _UNIT // d - pad
-        x1 = -(-max_x * _UNIT // d) + pad
-        y1 = -(min_y * _UNIT // d) + pad
-        w, h = x1 - x0, y1 - y0
-        out = ['<?xml version="1.0" encoding="UTF-8"?>']
-        out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                   f'viewBox="{x0} {y0} {w} {h}" width="{w}" height="{h}">')
-        out.append(f"<style>{style}</style>")
-        memo = {}  # numerator -> px text; deck translates repeat each one
-
-        def px(num):
-            text = memo.get(num)
-            if text is None:
-                text = memo[num] = _px(num, d)
-            return text
-
-        for kind, geom, cls in self.shapes:
-            if kind == "polyline":
-                pts = " ".join(f"{px(x)},{px(-y)}" for x, y in geom)
-                out.append(f'<polyline class="{cls}" points="{pts}"/>')
-            elif kind == "circle":
-                x, y, r = geom
-                out.append(f'<circle class="{cls}" cx="{px(x)}" cy="{px(-y)}" r="{r}"/>')
-            elif kind == "line":
-                ax, ay, bx, by = geom
-                out.append(f'<line class="{cls}" x1="{px(ax)}" y1="{px(-ay)}" '
-                           f'x2="{px(bx)}" y2="{px(-by)}"/>')
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+    for kind, pts, r, cls in shapes:
+        if kind == "polyline":
+            coords = " ".join(f"{px(x)},{px(-y)}" for x, y in pts)
+            out.append(f'<polyline class="{cls}" points="{coords}"/>')
+        elif kind == "circle":
+            (x, y), = pts
+            out.append(f'<circle class="{cls}" cx="{px(x)}" cy="{px(-y)}" r="{r}"/>')
+        else:
+            (ax, ay), (bx, by) = pts
+            out.append(f'<line class="{cls}" x1="{px(ax)}" y1="{px(-ay)}" '
+                       f'x2="{px(bx)}" y2="{px(-by)}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def _over(vec, d: int) -> tuple:
@@ -127,24 +104,21 @@ def beta_figure(approx: BetaApproximation, window: int = 1) -> str:
     shift, den = rat_inverse(m.A - m.A.identity(b))
     d = lcm(den, *{a.denominator for row in approx.values for v in row for a in v})
     rows = [[_over(v, d) for v in row] for row in approx.values]
-    canvas = _Canvas(d)
     span = (window + 1) * d
-    canvas.line(-span, 0, span, 0, "axis")
-    canvas.line(0, -span, 0, span, "axis")
-    offsets = sorted(product(range(-window, window + 1), repeat=b))
-    for ox, oy in offsets:
+    shapes = [("line", ((-span, 0), (span, 0)), None, "axis"),
+              ("line", ((0, -span), (0, span)), None, "axis")]
+    for ox, oy in sorted(product(range(-window, window + 1), repeat=b)):
         if ox == oy == 0:
             continue
         ox, oy = ox * d, oy * d
-        for row in rows:
-            canvas.polyline([(x + ox, y + oy) for x, y in row], "deck")
-    for e, row in enumerate(rows):
-        canvas.polyline(row, f"edge{e}")
+        shapes += [("polyline", [(x + ox, y + oy) for x, y in row], None, "deck")
+                   for row in rows]
+    shapes += [("polyline", row, None, f"edge{e}") for e, row in enumerate(rows)]
     scale = d // den
     for p in m.periodic_points(1):
         x, y = shift.apply(p.translation)
-        canvas.circle(x * scale, y * scale, 4, "alpha")
-    return canvas.render(_BETA_STYLE)
+        shapes.append(("circle", ((x * scale, y * scale),), 4, "alpha"))
+    return _render(d, shapes, _BETA_STYLE)
 
 
 _ROTSET_STYLE = (
@@ -165,20 +139,16 @@ def rotset_figure(report: RotationSetReport) -> str:
         raise ValueError("rotation-set figure is drawn for rank 2 only")
     # 2 places the axis ends at +-3/2
     d = lcm(2, *{a.denominator for v in vecs for a in v})
-    canvas = _Canvas(d)
-    canvas.line(-3 * d // 2, 0, 3 * d // 2, 0, "axis")
-    canvas.line(0, -3 * d // 2, 0, 3 * d // 2, "axis")
+    span = 3 * d // 2
+    shapes = [("line", ((-span, 0), (span, 0)), None, "axis"),
+              ("line", ((0, -span), (0, span)), None, "axis")]
     if report.hull_vertices:
         ring = list(report.hull_vertices) + [report.hull_vertices[0]]
-        canvas.polyline([_over(v, d) for v in ring], "hull")
+        shapes.append(("polyline", [_over(v, d) for v in ring], None, "hull"))
     fixed = set(report.fixed_point_vectors)
     per2 = set(report.period2_vectors)
-    for _, vec in report.loop_vectors:
-        if vec in fixed or vec in per2:
-            continue
-        canvas.circle(*_over(vec, d), 3, "loop")
-    for vec in sorted(per2):
-        canvas.circle(*_over(vec, d), 4, "per2")
-    for vec in sorted(fixed):
-        canvas.circle(*_over(vec, d), 5, "fix")
-    return canvas.render(_ROTSET_STYLE)
+    shapes += [("circle", (_over(vec, d),), 3, "loop") for _, vec in report.loop_vectors
+               if vec not in fixed and vec not in per2]
+    shapes += [("circle", (_over(vec, d),), 4, "per2") for vec in sorted(per2)]
+    shapes += [("circle", (_over(vec, d),), 5, "fix") for vec in sorted(fixed)]
+    return _render(d, shapes, _ROTSET_STYLE)

@@ -12,7 +12,7 @@ from string import ascii_letters
 from typing import NamedTuple
 
 from .errors import RankMismatch
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _at_least
 
 
 class Letter(NamedTuple):
@@ -111,8 +111,7 @@ class Endomorphism:
 
     def power(self, k: int) -> "Endomorphism":
         """psi^k as an endomorphism; k >= 0 (k = 0 is the identity)."""
-        if k < 0:
-            raise ValueError("negative power of an endomorphism")
+        k = _at_least(k, "k", 0)
         cur = [Word((Letter(i, 1),)) for i in range(self.rank)]
         for _ in range(k):
             cur = [self.apply(w) for w in cur]

@@ -136,6 +136,7 @@ def test_nonblank_lines(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "c.py").write_text("z = 3\n", encoding="utf-8")
     assert bench.nonblank_lines(tmp_path) == 3
+    assert bench.nonblank_lines_by_module(tmp_path) == {"a.py": 2, "b.py": 1}
 
 
 def test_exported_names(tmp_path):

@@ -125,6 +125,8 @@ def test_error_position_reported():
     ("map 7 rank 2 {}", ParseError, "1:5: expected map name, got '7'"),
     ("map p rank x {", ParseError, "1:12: expected rank, got 'x'"),
     ("map p rank 2 { a b ; }", ParseError, "1:18: expected '->', got 'b'"),
+    ("map p rank 1 { a -> a ; } map p rank 1 { a -> a ; }", ParseError,
+     "1:31: second map named 'p'"),
 ])
 def test_error_messages_and_positions(text, error, message):
     with pytest.raises(ParseError) as ei:
@@ -180,3 +182,24 @@ def map_specs(draw):
 @given(map_specs())
 def test_round_trip_random(spec):
     assert parse(format_map(spec)) == [spec]
+
+
+@given(map_specs(), st.data())
+def test_damaged_text_parses_or_fails_at_a_position(spec, data):
+    """A map text cut short or with one character replaced either parses or
+    raises a ParseError at a line and column inside the text; no other
+    exception gets out of the front end."""
+    text = format_map(spec)
+    i = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    if data.draw(st.booleans()):
+        text = text[:i]
+    else:
+        text = text[:i] + data.draw(st.sampled_from("{};->#aAz7é \n")) + text[i + 1:]
+    try:
+        specs = parse(text)
+    except ParseError as e:
+        lines = text.split("\n")
+        assert 1 <= e.line <= len(lines)
+        assert 1 <= e.column <= len(lines[e.line - 1]) + 1
+    else:
+        assert all(isinstance(s, MapSpec) for s in specs)

@@ -119,6 +119,8 @@ _COUNTS = {
     "beta_figure": ("window", 0, lambda x: beta_figure(beta_breakpoints(_PHI2, 1), window=x)),
     "cmd_beta": ("window", 0, lambda x: cmd_beta(argparse.Namespace(window=x))),
     "cmd_bf": ("k", 1, lambda x: cmd_bf(argparse.Namespace(k=x))),
+    "IntMatrix.__pow__": ("k", 0, lambda x: _A2 ** x),
+    "Endomorphism.power": ("k", 0, lambda x: _PHI2.endo.power(x)),
     "graph_point": ("edge", 0, lambda x: graph_point(x, Fraction(1, 3))),
     "cover_point": ("edge", 0, lambda x: cover_point(x, Fraction(1, 3), (0, 0))),
 }
@@ -141,7 +143,7 @@ def test_shape_and_operand_errors():
     a = IntMatrix(((3, 1), (1, 3)))
     with pytest.raises(DimensionMismatch, match="matrix must be square"):
         IntMatrix(((1, 2), (3,)))
-    with pytest.raises(ValueError, match="negative powers"):
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
         a ** -1
     with pytest.raises(DimensionMismatch, match="vector length mismatch"):
         a.apply((1, 2, 3))

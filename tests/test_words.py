@@ -72,7 +72,7 @@ def test_endomorphism_errors(phi2):
     with pytest.raises(RankMismatch, match="generator outside the rank"):
         Endomorphism(1, (Word.parse("ab", 2),))
     assert Endomorphism(2, (b, a)).images == (b, a)
-    with pytest.raises(ValueError, match="negative power"):
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
         phi2.endo.power(-1)
 
 
