@@ -6,6 +6,10 @@
 The change is the working tree of the checkout this file sits in. The
 parent is the committed tree of --parent, unpacked by `git archive` into a
 temporary directory that is removed again; nothing under .git is written.
+Each side runs with its own empty PYTHONPYCACHEPREFIX, a directory in that
+same temporary tree, so neither side reads the .pyc files left in the
+working tree's __pycache__ directories and both compile their modules
+once, on their first run; `setup_s` then compares like with like.
 For every workload and for seeds 1 and 5, both sides run
 `perfbench/run.py --workload W --seed S --seconds 12 --trace 0` in 10
 pairs, and the side that runs first alternates from pair to pair. After
@@ -66,11 +70,13 @@ LAYER_FIELDS = ("calls", "self_s")
 SEED_NOTES = {1: "the seed used while building", 5: "a seed not used while building"}
 
 
-def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
-    """One `run.py --trace T`: its info line, with the metric values."""
+def run_once(checkout: Path, pycache: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One `run.py --trace T` in checkout, compiling into and reading from
+    pycache only: its info line, with the metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr.strip()}")
@@ -185,16 +191,20 @@ def machine() -> dict:
             "note": "one benchmark process at a time"}
 
 
-def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
+def bench(parent: Path, parent_commit: str, claim: str | None, pycache: Path) -> dict:
+    """pycache: an empty directory; each side compiles into its own
+    subdirectory of it."""
     claimed, _, claimed_metric = (claim or "").partition(":")
     dirs = {"parent": parent, "change": ROOT}
+    prefixes = {side: pycache / side for side in dirs}
     out = {
         "what": "perfbench/run.py end-to-end metrics, parent commit against this change, "
                 "in alternating pairs (the side that runs first alternates); per metric the "
                 "median and quartiles of each side's runs, the runs themselves, and how many "
                 "pairs the change won and lost",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
-                   "--trace 0, then once per side with --trace 1 for the traced layers",
+                   "--trace 0, then once per side with --trace 1 for the traced layers; "
+                   "each side with its own empty PYTHONPYCACHEPREFIX",
         "parent_commit": parent_commit,
         "machine": machine(),
         "seeds": {str(s): SEED_NOTES[s] for s in SEEDS},
@@ -213,14 +223,15 @@ def bench(parent: Path, parent_commit: str, claim: str | None) -> dict:
             pairs = []
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                runs = {side: run_once(dirs[side], w, seed) for side in order}
+                runs = {side: run_once(dirs[side], prefixes[side], w, seed) for side in order}
                 pairs.append((runs["parent"], runs["change"]))
                 print(f"{w} seed {seed} pair {i + 1}/{PAIRS}: wall_s "
                       f"{runs['parent']['metrics']['wall_s']:.4f} -> "
                       f"{runs['change']['metrics']['wall_s']:.4f}", file=sys.stderr)
             out["workloads"][w][f"seed_{seed}"] = summarize(pairs)
             out["workloads"][w][f"seed_{seed}"]["traced"] = summarize_layers(
-                {side: run_once(dirs[side], w, seed, trace=1) for side in ("parent", "change")})
+                {side: run_once(dirs[side], prefixes[side], w, seed, trace=1)
+                 for side in ("parent", "change")})
     if claimed:
         out["claim"] = {
             "metric": claimed_metric, "workload": claimed,
@@ -258,13 +269,15 @@ def main(argv=None) -> int:
                      f"end-to-end metric ({', '.join(METRICS)})")
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
 
-    parent = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
+        parent = scratch / "tree"
+        parent.mkdir()
         subprocess.run(["tar", "-x", "-C", str(parent)],
                        input=git("archive", "--format=tar", parent_commit), check=True)
-        result = bench(parent, parent_commit, args.claim)
+        result = bench(parent, parent_commit, args.claim, scratch / "pycache")
     finally:
-        shutil.rmtree(parent, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -15,6 +15,7 @@ and decides touching, preimage overlap and witnesses on integers.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -63,6 +64,16 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
     then the edge's rows. The columns are dropped before the next edge's
     letters are streamed.
 
+    The cyclic garbage collector is paused while the table is built, and
+    its state is restored afterwards, also when the loop raises; a caller
+    that had turned it off keeps it off. This is safe because the table
+    holds only ints, Fractions and tuples and lists of them, none of which
+    can form a reference cycle, so reference counting frees all of it;
+    the collector would only re-walk the growing table. A running
+    collector then makes one young collection (generations 0 and 1), which
+    moves the finished table to the oldest generation in one pass, so the
+    caller's next operations do not pay that pass.
+
     The table has rank + 1^T T^k 1 rows (TightMap.letter_counts); with a
     budget, BudgetExceeded is raised before psi^k is built when that count
     passes it.
@@ -89,27 +100,37 @@ def beta_breakpoints(m: TightMap, k: int, budget: int | None = None) -> BetaAppr
         table += [image, tuple(c ^ 1 for c in reversed(image))]
     steps = [tuple(s * x for x in r for s in (1, -1)) for r in ainv.rows]
     ts, rows, frac = [], [], {}
-    for e in range(m.rank):
-        word, widths = [2 * e], [scale]
-        for _ in range(k):
-            images = list(map(table.__getitem__, word))
-            ds = list(map(len, images))
-            widths = itertools.chain.from_iterable(  # lazy: only t holds widths
-                map(itertools.repeat, map(operator.floordiv, widths, ds), ds))
-            word = list(itertools.chain.from_iterable(images))
-        t = tuple(itertools.accumulate(widths, initial=0))
-        ts.append(next((u for u in ts if u == t), t))  # equal columns share one tuple
-        if t[-1] != scale:
-            raise RuntimeError("the letter widths must sum to M^k")
-        cols = [list(itertools.accumulate(map(st.__getitem__, word), initial=0))
-                for st in steps]
-        if [c[-1] for c in cols] != [den * (i == e) for i in range(m.rank)]:
-            raise RuntimeError("edge endpoint must telescope to the basis vector")
-        # a Fraction only for the numerators that no earlier edge met
-        new = set(itertools.filterfalse(frac.__contains__, itertools.chain.from_iterable(cols)))
-        frac.update(zip(new, map(fraction, new, itertools.repeat(den))))
-        rows.append(tuple(zip(*(map(frac.__getitem__, c) for c in cols))))
-        del cols
+    # no collector passes over the growing, acyclic table (see the docstring)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for e in range(m.rank):
+            word, widths = [2 * e], [scale]
+            for _ in range(k):
+                images = list(map(table.__getitem__, word))
+                ds = list(map(len, images))
+                widths = itertools.chain.from_iterable(  # lazy: only t holds widths
+                    map(itertools.repeat, map(operator.floordiv, widths, ds), ds))
+                word = list(itertools.chain.from_iterable(images))
+            t = tuple(itertools.accumulate(widths, initial=0))
+            ts.append(next((u for u in ts if u == t), t))  # equal columns share one tuple
+            if t[-1] != scale:
+                raise RuntimeError("the letter widths must sum to M^k")
+            cols = [list(itertools.accumulate(map(st.__getitem__, word), initial=0))
+                    for st in steps]
+            if [c[-1] for c in cols] != [den * (i == e) for i in range(m.rank)]:
+                raise RuntimeError("edge endpoint must telescope to the basis vector")
+            # a Fraction only for the numerators that no earlier edge met
+            new = set(itertools.filterfalse(frac.__contains__,
+                                            itertools.chain.from_iterable(cols)))
+            frac.update(zip(new, map(fraction, new, itertools.repeat(den))))
+            rows.append(tuple(zip(*(map(frac.__getitem__, c) for c in cols))))
+            del cols
+        if collecting:  # the table leaves the young generations here, not later
+            gc.collect(1)
+    finally:
+        if collecting:
+            gc.enable()
     try:
         tau = tail_bound(m, k)
     except AdaptedNormUnavailable:

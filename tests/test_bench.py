@@ -1,9 +1,11 @@
 """The pure parts of scripts/bench.py: the claim rule, the no-regression
-verdict, pair counting, the line counts and the exported-name count. No
-benchmark run and no subprocess."""
+verdict, pair counting, the line counts and the exported-name count, and
+the environment each run gets. No benchmark run and no subprocess."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -166,3 +168,39 @@ def test_claim_form_is_workload_colon_metric(capsys):
         bench.main(["--out", "unused.json", "--parent", "HEAD", "--claim", "lattice/wall_s"])
     assert exc.value.code == 2
     assert "--claim lattice/wall_s" in capsys.readouterr().err
+
+
+def test_each_checkout_compiles_into_its_own_pycache_prefix(tmp_path, monkeypatch):
+    """A stale __pycache__ in one tree must not speed up one side's set-up:
+    every run of a checkout gets that checkout's prefix, the two prefixes
+    differ and lie outside both trees, and the rest of the environment is
+    passed on."""
+    parent = tmp_path / "tree"
+    for sub in ("src/wedgedyn", "tests"):
+        (parent / sub).mkdir(parents=True)
+    (parent / "src" / "wedgedyn" / "__init__.py").write_text("", encoding="utf-8")
+    result = {"correct": True,
+              "metrics": {name: {"value": 1.0} for name in
+                          [*bench.METRICS, *(f"{layer}.{field}" for layer in bench.LAYERS
+                                             for field in bench.LAYER_FIELDS)]}}
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append((Path(cwd), env))
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=json.dumps({"digest": "d"}) + "\n" + json.dumps(result) + "\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench, "machine", dict)  # platform.processor() runs uname
+    monkeypatch.setattr(bench, "WORKLOADS", ("semiconj",))
+    monkeypatch.setattr(bench, "SEEDS", (1,))
+    monkeypatch.setattr(bench, "PAIRS", 2)
+    out = bench.bench(parent, "0" * 40, None, tmp_path / "pycache")
+    assert out["workloads"]["semiconj"]["seed_1"]["pairs"] == 2
+    prefixes = {}
+    for cwd, env in seen:
+        prefixes.setdefault(cwd, set()).add(env["PYTHONPYCACHEPREFIX"])
+    assert prefixes == {parent: {str(tmp_path / "pycache" / "parent")},
+                        bench.ROOT: {str(tmp_path / "pycache" / "change")}}
+    assert len(seen) == 2 * 2 + 2  # the pairs, then one traced run per side
+    assert all(env["PATH"] == os.environ["PATH"] for _, env in seen)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import operator
 import os
@@ -7,16 +9,21 @@ import resource
 import string
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgedyn import TightMap, holder_bound, parse, semiconj
 from wedgedyn.cli import main
+from wedgedyn.dsl import MapSpec
 
-from oracles import kappa
+from oracles import format_map, kappa
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -585,3 +592,45 @@ def test_deterministic_output(capsys, tmp_path):
     run(capsys, "beta", str(MAPS / "phi2.map"), "--k", "3", "--svg", str(svg1))
     run(capsys, "beta", str(MAPS / "phi2.map"), "--k", "3", "--svg", str(svg2))
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+@st.composite
+def small_maps(draw):
+    """Rank 2-3 maps whose image words have 1-5 letters, reduced or not."""
+    rank = draw(st.integers(min_value=2, max_value=3))
+    alphabet = string.ascii_lowercase[:rank] + string.ascii_uppercase[:rank]
+    rules = tuple(draw(st.text(alphabet=alphabet, min_size=1, max_size=5))
+                  for _ in range(rank))
+    return MapSpec(name="m", rank=rank, rules=rules)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(small_maps(), st.integers(0, 2), st.integers(0, 2000), st.integers(0, 200),
+       st.integers(0, 2))
+def test_every_subcommand_exits_with_a_documented_code(spec, k, budget, cells, depth):
+    """Every subcommand on any small map, with small levels and budgets,
+    exits 0, 1, 2 or 3 (or argparse's 2) and never raises; a refusal is one
+    line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mapfile, svg = str(Path(tmp) / "m.map"), str(Path(tmp) / "f.svg")
+        Path(mapfile).write_text(format_map(spec), encoding="utf-8")
+        k, budget, cells, depth = map(str, (k, budget, cells, depth))
+        for command, *options in (
+                ["analyze"], ["analyze", "--norm", "sup"],
+                ["bf", "--k", k], ["bf", "--k", k, "--format", "csv"],
+                ["fix", "--k", k, "--budget", budget],
+                ["torus", "--k", k, "--budget", budget],
+                ["rotset", "--budget", budget, "--svg", svg],
+                ["beta", "--k", k, "--budget", budget, "--svg", svg],
+                ["shadow", "--depth", depth, "--max-cells", cells],
+                ["shadow", "--norm", "sup", "--depth", depth, "--max-cells", cells]):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, mapfile, *options])
+            except SystemExit as exc:
+                assert exc.code == 2, (command, options)
+                continue
+            assert code in (0, 1, 2, 3), (command, options)
+            if code in (1, 3):
+                assert err.getvalue().count("\n") == 1, (command, options, err.getvalue())

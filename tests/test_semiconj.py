@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import operator
@@ -25,6 +26,7 @@ from wedgedyn import (
     shadow_pairs,
     tail_bound,
 )
+from wedgedyn import semiconj
 from wedgedyn.intmat import IntMatrix, kernel, rat_inverse
 from wedgedyn.semiconj import (
     _cells,
@@ -270,6 +272,45 @@ def test_beta_runs_on_mixed_speeds():
 def test_beta_needs_expanding(phi1):
     with pytest.raises(NotExpanding):
         beta_breakpoints(phi1, 1)
+
+
+def test_beta_restores_the_collector_when_the_table_raises(phi2, monkeypatch):
+    def fail(n, d):
+        raise ZeroDivisionError("table step failed")
+
+    monkeypatch.setattr(semiconj, "fraction", fail)
+    assert gc.isenabled()
+    with pytest.raises(ZeroDivisionError, match="table step failed"):
+        beta_breakpoints(phi2, 2)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled, want", [(True, [1]), (False, [])])
+def test_beta_table_takes_at_most_one_collection(phi2, enabled, want):
+    """Without the pause, beta_breakpoints(phi2, 6) starts about 20
+    generation-0 collections and a generation-1 one. With it, a running
+    collector makes one young collection, which moves the finished table
+    to the oldest generation; a stopped one makes none. Either way the
+    collector is left as it was found."""
+    expected = beta_breakpoints(phi2, 6)  # spectra and sigma caches filled
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(count)
+    try:
+        ap = beta_breakpoints(phi2, 6)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert starts == want
+    assert ap == expected
 
 
 class ComplexOrSmallEigenvalue(WedgedynError):
