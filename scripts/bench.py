@@ -26,6 +26,11 @@ from one module into another shows too; and the count of public names
 that the package's __init__.py imports on both sides, so that a narrowed
 surface shows.
 
+Before the pairs, each side times `import wedgedyn.cli` in 5 fresh
+interpreters, alternating sides, with the same PYTHONPYCACHEPREFIX as its
+runs; the `startup` block holds the best time per side and the count of
+modules the import adds to sys.modules.
+
 The claim is met on a seed when the change wins at least 9 of the 10
 pairs and its median beats the parent's by more than the parent's
 interquartile range. Every other pairing of workload, seed and end-to-end
@@ -68,6 +73,12 @@ LAYERS = tuple(m["name"].removesuffix(".calls") for m in _BENCHMARK["per_layer"]
                if m["name"].endswith(".calls"))
 LAYER_FIELDS = ("calls", "self_s")
 SEED_NOTES = {1: "the seed used while building", 5: "a seed not used while building"}
+STARTUP_RUNS = 5
+# for a fresh interpreter: the seconds `import wedgedyn.cli` takes and the
+# count of modules it adds to sys.modules, with src put first on sys.path
+STARTUP_CODE = ("import sys, time; sys.path.insert(0, {src!r}); before = len(sys.modules); "
+                "start = time.perf_counter(); import wedgedyn.cli; "
+                "print(time.perf_counter() - start, len(sys.modules) - before)")
 
 
 def run_once(checkout: Path, pycache: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -84,6 +95,24 @@ def run_once(checkout: Path, pycache: Path, workload: str, seed: int, trace: int
     result = json.loads(result_line)
     return {"digest": json.loads(info_line)["digest"], "correct": result["correct"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def startup_once(checkout: Path, pycache: Path) -> tuple:
+    """(seconds, modules added) of one `import wedgedyn.cli` in a fresh
+    interpreter in checkout, compiling into and reading from pycache."""
+    code = STARTUP_CODE.format(src=str(checkout / "src"))
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    seconds, modules = proc.stdout.split()
+    return float(seconds), int(modules)
+
+
+def summarize_startup(samples: list) -> dict:
+    """samples: (seconds, modules added) per import. The best time, with
+    the module count of that run, and every run's time."""
+    best_s, modules = min(samples)
+    return {"best_s": best_s, "modules_added": modules, "runs_s": [s for s, _ in samples]}
 
 
 def quartiles(runs: list) -> dict:
@@ -217,6 +246,15 @@ def bench(parent: Path, parent_commit: str, claim: str | None, pycache: Path) ->
         "src_exported_names": {side: exported_names(d / "src" / "wedgedyn" / "__init__.py")
                                for side, d in dirs.items()},
     }
+    samples = {side: [] for side in dirs}
+    for i in range(STARTUP_RUNS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            samples[side].append(startup_once(dirs[side], prefixes[side]))
+    out["startup"] = {
+        "what": f"best of {STARTUP_RUNS} fresh-interpreter `import wedgedyn.cli` times per "
+                "side, with that side's PYTHONPYCACHEPREFIX, and the modules the import adds "
+                "to sys.modules",
+        **{side: summarize_startup(runs) for side, runs in samples.items()}}
     for w in WORKLOADS:
         out["workloads"][w] = {}
         for seed in SEEDS:

@@ -16,26 +16,24 @@ level j's one record in A's tower (_Tower), which dies with the last group.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import add, mod, mul
 
 from .errors import BudgetExceeded, DimensionMismatch, NotDivisible, RootOfUnitySpectrum
-from .intmat import IntMatrix, _at_least, _integer, _rational, fraction, snf
+from .intmat import IntMatrix, _Record, _at_least, _integer, _rational, fraction, snf
 from .polys import char_poly, has_root_of_unity_factor
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(_Record):
     """A point of T^b = (R/Z)^b with exact rational coordinates in [0, 1)."""
 
-    coords: tuple
+    __slots__ = __match_args__ = ("coords",)
 
-    def __post_init__(self):
+    def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(_rational(c, "torus coordinate") % 1
-                                                 for c in self.coords))
+                                                 for c in coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -54,8 +52,8 @@ class _Level:
     taken as below.ak * A when the level below is given, and M = A^k - I;
     coords, numerator n -> Fraction(n, L), filled by psi and enumerate_fixed
     so each Fraction is built once; and, built on first use, the Smith form
-    of M and the Psi map. It refers to neither its tower, the level below
-    nor a group."""
+    of M, the group order and the Psi map. It refers to neither its tower,
+    the level below nor a group."""
 
     def __init__(self, a: IntMatrix, k: int, below: _Level | None = None):
         self.ak = a ** k if below is None else below.ak * a
@@ -65,6 +63,12 @@ class _Level:
     @cached_property
     def snf(self):
         return snf(self.M)
+
+    @cached_property
+    def order(self) -> int:
+        """|det(A^k - I)|: the product of the diagonal, which snf checks
+        against the determinant."""
+        return prod(self.snf.diagonal)
 
     @cached_property
     def psi_map(self) -> tuple:
@@ -86,27 +90,25 @@ class _Tower(dict):
 _towers = weakref.WeakValueDictionary()  # A.rows -> the _Tower of A's live groups
 
 
-@dataclass(frozen=True)
-class BFGroup:
-    """BF_k(A), with coset canonicalization through the Smith form of A^k - I."""
+class BFGroup(_Record):
+    """BF_k(A), with coset canonicalization through the Smith form of
+    A^k - I; equality, hash and repr read A and k, not the tower or level."""
 
-    A: IntMatrix
-    k: int
-    _tower: _Tower = field(init=False, repr=False, compare=False)
-    _level: _Level = field(init=False, repr=False, compare=False)
+    __slots__ = ("A", "k", "_tower", "_level")
+    __match_args__ = ("A", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _at_least(self.k, "k", 1))
-        tower = _towers.get(self.A.rows)
+    def __init__(self, A: IntMatrix, k: int):
+        k = _at_least(k, "k", 1)
+        tower = _towers.get(A.rows)
         if tower is None:
-            if has_root_of_unity_factor(char_poly(self.A)):
+            if has_root_of_unity_factor(char_poly(A)):
                 raise RootOfUnitySpectrum("A has a root-of-unity eigenvalue; BF groups degenerate")
-            tower = _towers[self.A.rows] = _Tower()
-        level = tower.get(self.k)
+            tower = _towers[A.rows] = _Tower()
+        level = tower.get(k)
         if level is None:
-            level = tower[self.k] = _Level(self.A, self.k, tower.get(self.k - 1))
-        object.__setattr__(self, "_tower", tower)
-        object.__setattr__(self, "_level", level)
+            level = tower[k] = _Level(A, k, tower.get(k - 1))
+        for name, value in zip(self.__slots__, (A, k, tower, level)):
+            object.__setattr__(self, name, value)
 
     @property
     def M(self) -> IntMatrix:
@@ -120,11 +122,9 @@ class BFGroup:
     def invariant_factors(self) -> tuple:
         return self._level.snf.invariant_factors
 
-    @cached_property
+    @property
     def order(self) -> int:
-        """|det(A^k - I)|: the product of the diagonal, which snf checks
-        against the determinant."""
-        return prod(self.diagonal)
+        return self._level.order
 
     def reduce(self, n) -> "BFElement":
         """The class of the integer vector n: U n reduced modulo the diagonal."""
@@ -142,18 +142,18 @@ class BFGroup:
         return [_bf_element(self, r) for r in zip(*coords)]
 
 
-@dataclass(frozen=True)
-class BFElement:
-    group: BFGroup
-    r: tuple
+class BFElement(_Record):
+    __slots__ = __match_args__ = ("group", "r")
 
-    def __post_init__(self):
-        if len(self.r) != len(self.group.diagonal):
+    def __init__(self, group: BFGroup, r: tuple):
+        if len(r) != len(group.diagonal):
             raise DimensionMismatch("coordinate count differs from the group's rank")
-        object.__setattr__(self, "r", tuple(_integer(x, "coordinate") for x in self.r))
-        for x, d in zip(self.r, self.group.diagonal):
+        r = tuple(_integer(x, "coordinate") for x in r)
+        for x, d in zip(r, group.diagonal):
             if not (0 <= x < d):
                 raise ValueError("coordinates outside the SNF box")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "r", r)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(x) for x in self.r) + "]"

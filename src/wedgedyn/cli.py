@@ -8,7 +8,6 @@ UNKNOWN, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
-import ast
 import csv
 import json
 import math
@@ -46,9 +45,15 @@ def _load_spec(path: str, name: str | None) -> MapSpec:
 
 
 def _load_matrix(text: str) -> IntMatrix:
-    rows = ast.literal_eval(text)
-    if not (isinstance(rows, (list, tuple)) and rows
-            and all(isinstance(r, (list, tuple)) and len(r) == len(rows[0]) for r in rows)
+    """The JSON matrix text as an IntMatrix; text that does not parse, even
+    through the decoder's recursion limit, gets the same one-line message
+    as rows that are not equal-length integers."""
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError):
+        rows = None
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
             and all(type(x) is int for r in rows for x in r)):
         raise ValueError(f"--matrix needs equal-length rows of integers, got {text}")
     return IntMatrix(rows)
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--matrix", default=None,
-                   help="integer matrix literal, e.g. '[[3,1],[1,3]]' (overrides mapfile)")
+                   help="integer matrix as JSON rows, e.g. '[[3,1],[1,3]]' (overrides mapfile)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_bf)
 

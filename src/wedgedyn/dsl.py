@@ -14,8 +14,8 @@ are ASCII only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from string import ascii_letters, ascii_lowercase
+from typing import NamedTuple
 
 from .errors import DuplicateRule, ParseError, UndeclaredGenerator
 from .words import Endomorphism
@@ -26,8 +26,7 @@ _TOKEN = re.compile(r"(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<arrow>->)"
                     r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)")
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(NamedTuple):
     """One parsed map: rules[i] is the image word of generator i, as a
     compact letter string (not freely reduced)."""
 

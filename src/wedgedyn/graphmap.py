@@ -16,7 +16,6 @@ injectivity certifier in semiconj, in pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
@@ -114,8 +113,7 @@ class Chart(NamedTuple):
         return cover_point(self.o_edge, Fraction(u - self.beta, self.alpha), self.o_base)
 
 
-@dataclass(frozen=True)
-class SigmaReport:
+class SigmaReport(NamedTuple):
     """Certified bounds on sigma(x) = iota(lift(f(x))) - A iota(lift(x)).
 
     c bounds sup||sigma|| in the operative norm (rational upper bound),
@@ -132,8 +130,7 @@ class SigmaReport:
     q2max: Fraction
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(NamedTuple):
     """One point of Fix(phi^k), with its lifted translation vector.
 
     period is the k of the listing; least_period divides it. displacement

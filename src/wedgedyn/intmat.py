@@ -17,15 +17,15 @@ Matrices are immutable (tuples of tuples) so they can be dict keys and set
 members, and IntMatrix.identity(n) is one shared object per n.
 _integer and _rational are the package's one rule for exact input, and
 IntMatrix takes its entries through _integer; _at_least is its rule for
-counts, levels and indices. A matrix keeps its determinant once taken, so
-a budget check and the Smith form of one matrix share one elimination.
+counts, levels and indices. _Record is the package's one base for
+validated values. A matrix keeps its determinant once taken, so a budget
+check and the Smith form of one matrix share one elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, prod
 from numbers import Rational
 from operator import add, index, mul, sub
@@ -63,12 +63,46 @@ def _rational(x, name: str) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: tuple
+class _Record:
+    """Base of the package's validated values, immutable as a frozen record:
+    the fields that __match_args__ names are compared, hashed, pickled and
+    shown as Name(field=value, ...) in that order. A subclass holds its
+    fields and any cache in __slots__ and writes each once, in __init__ or
+    a trusted constructor, through object.__setattr__; assigning or
+    deleting an attribute later raises AttributeError."""
 
-    def __post_init__(self):
-        rows = tuple(tuple(_integer(x, "matrix entry") for x in r) for r in self.rows)
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(_Record):
+    __slots__ = ("rows", "_det")
+    __match_args__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = tuple(tuple(_integer(x, "matrix entry") for x in r) for r in rows)
         object.__setattr__(self, "rows", rows)
         if any(len(r) != len(rows) for r in rows):
             raise DimensionMismatch("matrix must be square")
@@ -127,12 +161,12 @@ class IntMatrix:
     def det(self) -> int:
         """sign * d from _gauss_jordan, or 0 when the rank falls short; the
         matrix is immutable, so it keeps the value once taken."""
-        return self._det
-
-    @cached_property
-    def _det(self) -> int:
-        _, pivots, sign, d = _gauss_jordan(self.rows)
-        return sign * d if len(pivots) == self.dim else 0
+        d = getattr(self, "_det", None)
+        if d is None:
+            _, pivots, sign, d = _gauss_jordan(self.rows)
+            d = sign * d if len(pivots) == self.dim else 0
+            object.__setattr__(self, "_det", d)
+        return d
 
     def _check(self, other):
         if not isinstance(other, IntMatrix):
@@ -247,20 +281,18 @@ def kernel(m: IntMatrix) -> list:
             for f in range(m.dim) if f not in row_of]
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(_Record):
     """U * M * V = D for the decomposed matrix M, with U, V unimodular
     (|det| = 1) and D diagonal, d_i | d_{i+1} >= 0, so |det M| is the
-    product of the diagonal."""
+    product of the diagonal d_1, ..., d_n, read off D once."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V", "diagonal")
+    __match_args__ = ("U", "D", "V")
 
-    @cached_property
-    def diagonal(self) -> tuple:
-        """d_1, ..., d_n, read off D once."""
-        return tuple(self.D.rows[i][i] for i in range(self.D.dim))
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        diagonal = tuple(r[i] for i, r in enumerate(D.rows))
+        for name, value in zip(self.__slots__, (U, D, V, diagonal)):
+            object.__setattr__(self, name, value)
 
     @property
     def invariant_factors(self) -> tuple:

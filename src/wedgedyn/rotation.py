@@ -12,17 +12,16 @@ coordinates only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch, NontrivialHomologyAction
 from .graphmap import TightMap
 from .intmat import IntMatrix, _at_least, _rational, bareiss_pivot
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """A cyclic sequence of transitions (from_edge, to_edge, translation, slot).
 
     Stored in canonical form: the lexicographically least rotation.
@@ -43,8 +42,7 @@ class Loop:
         return tuple(Fraction(x, self.length) for x in total)
 
 
-@dataclass(frozen=True)
-class RotationSetReport:
+class RotationSetReport(NamedTuple):
     loop_vectors: tuple        # ((period, vector), ...) sorted
     hull_vertices: tuple
     fixed_point_vectors: tuple

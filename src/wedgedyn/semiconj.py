@@ -19,16 +19,15 @@ import gc
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import AdaptedNormUnavailable, BudgetExceeded, NotExpanding
 from .graphmap import Chart, TightMap
 from .intmat import _at_least, fraction, rat_inverse
 
 
-@dataclass(frozen=True)
-class BetaApproximation:
+class BetaApproximation(NamedTuple):
     """Exact beta values at the level-k breakpoints of every edge.
 
     M is the lcm of the speeds; t[e] holds edge e's breakpoints as int
@@ -192,8 +191,7 @@ def holder_bound(m: TightMap) -> Fraction:
 # injectivity certification
 
 
-@dataclass(frozen=True)
-class InjectivityCertificate:
+class InjectivityCertificate(NamedTuple):
     """Outcome of the shadowing-pair search.
 
     status is CERTIFIED_INJECTIVE, NOT_INJECTIVE (then witness holds two

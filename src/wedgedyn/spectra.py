@@ -8,10 +8,10 @@ squared lengths, segment gaps and a sup-norm radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf, isfinite, isqrt, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import polys
 from .errors import AdaptedNormUnavailable, NotExpanding
@@ -31,8 +31,7 @@ def rational_sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(n) + 1, 10 ** 14)
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     """One eigenvalue, re + im*i, with |true - reported| <= eps."""
 
     re: Fraction
@@ -46,8 +45,7 @@ class Eigenvalue:
         return self.eps == 0 and self.im == 0
 
 
-@dataclass(frozen=True)
-class LipschitzNormData:
+class LipschitzNormData(NamedTuple):
     """A norm in which A certifiably expands by lam (and A^-1 contracts).
 
     With gram = (G, d), G an integer positive-definite matrix over d > 0,
@@ -117,8 +115,7 @@ def _unit_min(a, b, g):
     return a * g - b * b, g
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     matrix: IntMatrix
     charpoly: tuple
     eigenvalues: tuple

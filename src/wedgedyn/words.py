@@ -7,12 +7,11 @@ uppercase for inverses, so "aabAB" means a a b a^-1 b^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from string import ascii_letters
 from typing import NamedTuple
 
 from .errors import RankMismatch
-from .intmat import IntMatrix, _at_least
+from .intmat import IntMatrix, _Record, _at_least
 
 
 class Letter(NamedTuple):
@@ -43,12 +42,11 @@ def reduce_letters(letters):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple
+class Word(_Record):
+    __slots__ = __match_args__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+    def __init__(self, letters: tuple):
+        object.__setattr__(self, "letters", reduce_letters(letters))
 
     @staticmethod
     def parse(text: str, rank: int) -> "Word":
@@ -82,20 +80,20 @@ class Word:
         return tuple(v)
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(_Record):
     """psi: F_b -> F_b given by one image word per generator."""
 
-    rank: int
-    images: tuple
+    __slots__ = __match_args__ = ("rank", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.rank:
-            raise RankMismatch(f"{len(self.images)} rules for rank {self.rank}")
-        for w in self.images:
+    def __init__(self, rank: int, images: tuple):
+        if len(images) != rank:
+            raise RankMismatch(f"{len(images)} rules for rank {rank}")
+        for w in images:
             for l in w:
-                if not (0 <= l.generator < self.rank):
+                if not (0 <= l.generator < rank):
                     raise RankMismatch("image uses a generator outside the rank")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
 
     @staticmethod
     def from_strings(rank: int, *images: str) -> "Endomorphism":

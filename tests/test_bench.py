@@ -1,6 +1,7 @@
 """The pure parts of scripts/bench.py: the claim rule, the no-regression
-verdict, pair counting, the line counts and the exported-name count, and
-the environment each run gets. No benchmark run and no subprocess."""
+verdict, pair counting, the line counts and the exported-name count, the
+start-up summary, and the environment each run gets. No benchmark run and
+no subprocess."""
 
 import importlib.util
 import json
@@ -187,6 +188,8 @@ def test_each_checkout_compiles_into_its_own_pycache_prefix(tmp_path, monkeypatc
 
     def fake_run(cmd, cwd, env, **kwargs):
         seen.append((Path(cwd), env))
+        if cmd[1] == "-c":  # a start-up import
+            return subprocess.CompletedProcess(cmd, 0, stdout="0.05 40\n")
         return subprocess.CompletedProcess(
             cmd, 0, stdout=json.dumps({"digest": "d"}) + "\n" + json.dumps(result) + "\n")
 
@@ -202,5 +205,14 @@ def test_each_checkout_compiles_into_its_own_pycache_prefix(tmp_path, monkeypatc
         prefixes.setdefault(cwd, set()).add(env["PYTHONPYCACHEPREFIX"])
     assert prefixes == {parent: {str(tmp_path / "pycache" / "parent")},
                         bench.ROOT: {str(tmp_path / "pycache" / "change")}}
-    assert len(seen) == 2 * 2 + 2  # the pairs, then one traced run per side
+    # the start-up imports, the pairs, then one traced run per side
+    assert len(seen) == 2 * bench.STARTUP_RUNS + 2 * 2 + 2
+    assert out["startup"]["change"] == {"best_s": 0.05, "modules_added": 40,
+                                        "runs_s": [0.05] * bench.STARTUP_RUNS}
     assert all(env["PATH"] == os.environ["PATH"] for _, env in seen)
+
+
+def test_summarize_startup_keeps_the_best_run_and_its_module_count():
+    samples = [(0.061, 120), (0.043, 118), (0.05, 118), (0.043, 119)]
+    assert bench.summarize_startup(samples) == {"best_s": 0.043, "modules_added": 118,
+                                                "runs_s": [0.061, 0.043, 0.05, 0.043]}

@@ -77,3 +77,14 @@ def test_traced_targets_resolve():
         if not callable(found):
             missing.append(f"{mod_name}.{qual}")
     assert not missing
+
+
+def test_startup_step_writes_outside_the_checkout(workflow):
+    """The import-time step logs to the runner's temp directory and writes
+    no .pyc, ahead of the step that checks the checkout is clean."""
+    steps = workflow["jobs"]["tests"]["steps"]
+    names = [s.get("name") for s in steps]
+    run = steps[names.index("Start-up import time")]["run"]
+    assert 'python -X importtime -c "import wedgedyn.cli" 2> "$RUNNER_TEMP/' in run
+    assert "PYTHONDONTWRITEBYTECODE=1" in run and "$GITHUB_STEP_SUMMARY" in run
+    assert names.index("Start-up import time") < names.index("Clean checkout")

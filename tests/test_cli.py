@@ -113,6 +113,21 @@ def test_bf_matrix_rejects_non_integer_rows(capsys, literal):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal", ["notjson", "[[10**400,0],[0,1]]", "[[1,2",
+                                     "[[" + "-" * 5000 + "1]]", "[[" + "-" * 100000 + "1]]",
+                                     "[" * 100000 + "]" * 100000, "[[" + "7" * 5000 + "]]",
+                                     "((2,1),(1,1))"])
+def test_bf_matrix_parse_errors_are_one_line(capsys, literal):
+    """Text that does not parse gets the --matrix message, without the
+    parser's internals (an object address) and without a traceback, however
+    deep it nests or however long its numbers run."""
+    code = main(["bf", str(MAPS / "phi2.map"), "--matrix", literal])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: --matrix needs") and err.count("\n") == 1
+    assert "0x" not in err and "Traceback" not in err
+
+
 def test_bf_json(capsys):
     code, out = run(capsys, "bf", str(MAPS / "phi2.map"), "--k", "2")
     assert code == 0
